@@ -25,7 +25,7 @@ class NumericError(ArithmeticError):
 
 
 def _checked(value: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericError(f"non-finite value produced by node '{name}'")
     return value
 

@@ -299,7 +299,7 @@ def cmd_sweep(cfg, provided) -> int:
 
     lines = ["lambda,val_lvar,test_acc,best"]
     for cell in cells:
-        marker = "*" if cell.lam == report.selected_lambda and not math.isnan(cell.val_lvar) else ""
+        marker = "*" if cell.best else ""
         lines.append(f"{cell.lam!r},{cell_text(cell.val_lvar)},"
                      f"{cell_text(cell.test_acc)},{marker}")
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ are what the batch-level wrappers and the exactness tests share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,10 @@ class LossSpec:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.reg_variant not in REG_VARIANTS:
             raise ValueError(f"unknown regularizer {self.reg_variant!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lambda must be finite and >= 0")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0")
         baseline = self.objective in ("upu", "nnpu")
         if baseline and (self.pi_p is None or not 0.0 < self.pi_p < 1.0):
             raise ValueError("baseline objectives require pi_p in (0, 1)")

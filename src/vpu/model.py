@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .sampling import Rng
 
-_ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+_ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,15 @@ class ClassifierModel:
             raise ValueError("normalization_scale must be positive")
 
     def logits(self, theta, x: np.ndarray) -> ad.Tensor:
-        """Pre-sigmoid network output as a differentiable expression.
+        """Pre-sigmoid network output as one differentiable node on `theta`.
 
-        `theta` is the flat parameter Tensor (or array) the expression is
-        built on; `x` enters as a constant.
+        `theta` is the flat parameter Tensor (or array) the node is built
+        on; `x` enters as a constant.  The forward pass is plain numpy and
+        keeps each layer's input; the backward rule is the chain rule through
+        the layers, with the same numpy operations, in the same order, as a
+        tape of per-layer matmul/add/activation nodes, so values and
+        gradients are bit-identical to that tape.  Non-finite intermediates
+        raise `NumericError` naming the operation (matmul, add, relu, tanh).
         """
         t = ad.as_tensor(theta)
         X = np.asarray(x, dtype=np.float64)
@@ -74,18 +79,44 @@ class ClassifierModel:
             X = X[None, :]
         if X.ndim != 2 or X.shape[1] != self.arch.input_dim:
             raise ValueError(f"expected features of dimension {self.arch.input_dim}")
-        act = _ACTIVATIONS[self.arch.activation]
-        h = ad.Tensor(X, name="features")
-        n_layers = len(self.arch.layer_dims)
-        for i, (fan_in, fan_out) in enumerate(self.arch.layer_dims):
-            seg_w = self.params.segment(f"w{i}")
-            seg_b = self.params.segment(f"b{i}")
-            w = t[seg_w.start:seg_w.stop].reshape((fan_in, fan_out))
-            b = t[seg_b.start:seg_b.stop]
-            h = h @ w + b
-            if i < n_layers - 1:
-                h = act(h)
-        return h.reshape((X.shape[0],))
+        ad._checked(X, "features")
+        act = self.arch.activation
+        layers = []  # (weight segment, bias segment, W, b) per layer
+        for i in range(len(self.arch.layer_dims)):
+            sw, sb = self.params.segment(f"w{i}"), self.params.segment(f"b{i}")
+            layers.append((sw, sb, t.value[sw.start:sw.stop].reshape(sw.shape),
+                           t.value[sb.start:sb.stop]))
+        inputs = []  # the input of each layer, kept for the backward pass
+        h = X
+        with ad._quiet():  # overflow surfaces as NumericError, not a warning
+            for i, (_, _, w, b) in enumerate(layers):
+                inputs.append(h)
+                h = ad._checked(h @ w, "matmul")
+                h += b
+                ad._checked(h, "add")
+                if i < len(layers) - 1:
+                    # in place: the backward pass reads only the activations
+                    # (relu: z > 0 iff relu(z) > 0; tanh' = 1 - tanh^2)
+                    if act == "relu":
+                        np.maximum(h, 0.0, out=h)
+                    else:
+                        np.tanh(h, out=h)
+                    ad._checked(h, act)
+
+        def backward(g):
+            grad = np.zeros_like(t.value)
+            g = g.reshape((X.shape[0], 1))
+            for i in range(len(layers) - 1, -1, -1):
+                (sw, sb, w, _), h_in = layers[i], inputs[i]
+                grad[sb.start:sb.stop] = g.sum(axis=0)
+                grad[sw.start:sw.stop] = (h_in.T @ g).ravel()
+                if i == 0:
+                    break
+                g = g @ w.T
+                g = g * (h_in > 0.0) if act == "relu" else g * (1.0 - h_in * h_in)
+            t._accumulate(grad)
+
+        return ad.Tensor(h.reshape((X.shape[0],)), (t,), backward, "logits")
 
     def raw(self, theta, x: np.ndarray) -> ad.Tensor:
         """sigmoid(logits), before normalization; used by the training losses."""

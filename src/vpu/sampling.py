@@ -80,8 +80,8 @@ def sample_gamma(shape: float, rng: Rng) -> float:
 
     Shapes below 1 use the boost ``Gamma(shape) = Gamma(shape+1) * U^(1/shape)``.
     """
-    if shape <= 0:
-        raise ValueError("gamma shape must be positive")
+    if not 0.0 < shape < math.inf:
+        raise ValueError("gamma shape must be positive and finite")
     if shape < 1.0:
         return sample_gamma(shape + 1.0, rng) * rng.uniform_open() ** (1.0 / shape)
     d = shape - 1.0 / 3.0
@@ -100,8 +100,8 @@ def sample_gamma(shape: float, rng: Rng) -> float:
 
 def sample_beta(alpha: float, rng: Rng) -> float:
     """One Beta(alpha, alpha) draw as a ratio of two Gamma variates."""
-    if alpha <= 0:
-        raise ValueError("beta shape must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("beta shape must be positive and finite")
     while True:
         g1 = sample_gamma(alpha, rng)
         g2 = sample_gamma(alpha, rng)
@@ -110,20 +110,48 @@ def sample_beta(alpha: float, rng: Rng) -> float:
             return g1 / total
 
 
+def _outputs(rng: Rng, k: int) -> np.ndarray:
+    """The next `k` outputs of `rng` as uint64, without advancing it."""
+    z = np.arange(rng.counter + 1, rng.counter + k + 1, dtype=np.uint64)
+    z = np.uint64(rng.seed) + z * np.uint64(_GOLDEN)  # wraps mod 2^64
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _randbelow_each(rng: Rng, bounds: np.ndarray) -> np.ndarray:
+    """``[rng.randbelow(b) for b in bounds]`` as uint64, bit for bit, leaving
+    `rng` where that loop leaves it.  Draws are vectorised up to the first
+    rejected one; the loop takes over from there."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    x = _outputs(rng, bounds.size)
+    # randbelow accepts x < 2^64 - (2^64 mod b), i.e. x <= 2^64 - 1 - (2^64 mod b)
+    top = np.uint64(_MASK64)
+    rejected = np.flatnonzero(x > top - (top % bounds + np.uint64(1)) % bounds)
+    k = int(rejected[0]) if rejected.size else bounds.size
+    out = x % bounds
+    rng.counter += k
+    for i in range(k, bounds.size):
+        out[i] = rng.randbelow(int(bounds[i]))
+    return out
+
+
 def sample_indices(n: int, size: int, rng: Rng) -> np.ndarray:
     """`size` indices into [0, n): without replacement when size <= n
-    (partial Fisher-Yates), with replacement otherwise."""
+    (partial Fisher-Yates), with replacement otherwise.  Each index takes
+    one ``rng.randbelow`` draw, in order."""
     if n <= 0:
         raise ValueError("empty pool")
     if size < 1:
         raise ValueError("batch size must be >= 1")
     if size > n:
-        return np.array([rng.randbelow(n) for _ in range(size)], dtype=np.intp)
-    idx = np.arange(n, dtype=np.intp)
-    for i in range(size):
-        j = i + rng.randbelow(n - i)
+        return _randbelow_each(rng, np.full(size, n)).astype(np.intp)
+    steps = np.arange(size, dtype=np.intp)
+    swaps = (steps + _randbelow_each(rng, n - steps).astype(np.intp)).tolist()
+    idx = list(range(n))
+    for i, j in enumerate(swaps):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx[:size]
+    return np.array(idx[:size], dtype=np.intp)
 
 
 def shuffled_indices(n: int, rng: Rng) -> np.ndarray:

@@ -229,6 +229,7 @@ class SweepCell:
     val_lvar: float
     test_acc: float
     error: str = ""
+    best: bool = False  # the cell the sweep selected
 
 
 def sweep_lambda(base_config: TrainConfig, grid: list[float],
@@ -254,6 +255,7 @@ def sweep_lambda(base_config: TrainConfig, grid: list[float],
         cells.append(SweepCell(lam, at_best.val_lvar, at_best.test_acc))
         reports.append(rep)
     best = select_best([(c.lam, c.val_lvar) for c in cells])
+    cells[best] = replace(cells[best], best=True)
     report = reports[best]
     report.selected_lambda = grid[best]
     return report, cells

@@ -141,6 +141,25 @@ class TestTrain:
         vals = [float(r.split(",")[2]) for r in rows]
         assert vals[-1] > min(vals)
 
+    @pytest.mark.parametrize("key", ["alpha", "lambda"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_constant_is_usage_error(self, tmp_path, capsys, key, value):
+        # --alpha nan used to hang in the Beta sampler
+        dataset = make_dataset(tmp_path)
+        code = run("train", "--data", str(dataset), "--out", str(tmp_path / "t"),
+                   f"--{key}", value, *QUICK)
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_weights_exit_3(self, tmp_path, capsys):
+        # the first Adam step moves every weight by about the learning rate,
+        # so the next forward pass overflows
+        dataset = make_dataset(tmp_path)
+        code = run("train", "--data", str(dataset), "--out", str(tmp_path / "t"),
+                   *QUICK, "--learning_rate", "1e200")
+        assert code == 3
+        assert "'matmul'" in capsys.readouterr().err
+
     def test_rerun_from_resolved_config_is_bit_exact(self, tmp_path):
         dataset = make_dataset(tmp_path)
         out_a = tmp_path / "a"
@@ -182,6 +201,14 @@ class TestSweep:
         assert len(stars) == 1
         starred_val = float(stars[0][1])
         assert starred_val == min(float(r[1]) for r in rows)
+
+    def test_repeated_lambda_marks_one_row(self, tmp_path):
+        dataset = make_dataset(tmp_path)
+        out = tmp_path / "s"
+        assert run("sweep", "--data", str(dataset), "--out", str(out),
+                   "--lambda_grid", "0.3,0.3", *QUICK) == 0
+        rows = [l.split(",") for l in (out / "sweep.csv").read_text().strip().splitlines()[1:]]
+        assert [r[-1] for r in rows].count("*") == 1
 
 
 class TestEval:

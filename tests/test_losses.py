@@ -212,6 +212,12 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             ls.LossSpec(reg_variant="dropout")
 
+    @pytest.mark.parametrize("key", ["lam", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_constants(self, key, value):
+        with pytest.raises(ValueError):
+            ls.LossSpec(**{key: value})
+
 
 class TestL2Loss:
     def test_phi_one(self):

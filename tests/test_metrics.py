@@ -107,3 +107,23 @@ class TestReport:
     def test_empty_test_rejected(self, trained_like_model):
         with pytest.raises(ValueError):
             mt.accuracy(trained_like_model, np.zeros((0, 2)), np.zeros(0))
+
+    def test_counts_follow_label_rule(self, trained_like_model):
+        rng = np.random.default_rng(5)
+        x = rng.normal(scale=2.0, size=(300, 2))
+        y = rng.choice([-1, 1], size=300)
+        x[:3, 0] = 0.0  # scores near the 0.5 threshold
+        rep = mt.report(trained_like_model, x, y)
+        preds = np.array([md.predict_label(p) for p in trained_like_model.predict_proba(x)])
+        assert (rep.tp, rep.fp, rep.tn, rep.fn) == (
+            np.sum((preds == 1) & (y == 1)), np.sum((preds == 1) & (y == -1)),
+            np.sum((preds == -1) & (y == -1)), np.sum((preds == -1) & (y == 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
+    def test_rejects_score_outside_unit_interval(self, bad):
+        class FixedScores:
+            def predict_proba(self, x):
+                return np.array([0.2, bad, 0.9])
+
+        with pytest.raises(ValueError, match="out of range"):
+            mt.report(FixedScores(), np.zeros((3, 2)), np.array([1, -1, 1]))

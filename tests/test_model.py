@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from vpu import autodiff as ad
+from vpu import losses as ls
 from vpu import model as md
 from vpu.data import PuDataset
+
+from reference import as_tape_model
 
 
 def constant_output_model(bias_logit: float, input_dim: int = 2) -> md.ClassifierModel:
@@ -171,3 +175,57 @@ class TestSerialization:
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError, match="expected"):
             md.load_model(str(path))
+
+
+def _bits(a) -> np.ndarray:
+    """Raw float64 bit patterns, so equality includes the sign of zero."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+LOSS_CASES = [(obj, reg, stop) for obj in ls.OBJECTIVES for reg in ls.REG_VARIANTS
+              for stop in (True, False)]
+
+
+class TestLogitsNode:
+    """The one-node MLP against the per-layer tape it replaced."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [3, 500])
+    def test_bit_identical_to_tape(self, activation, depth, batch):
+        widths, dim = ((64, 64, 64), 2) if batch == 500 else ((4, 3, 5), 3)
+        net = md.init(md.MlpArchitecture(dim, widths[:depth], activation), seed=depth)
+        rng = np.random.default_rng(10 * depth + batch)
+        net = net.with_params(net.params.values + rng.normal(scale=0.3, size=len(net.params)))
+        tape = as_tape_model(net)
+        bp = ls.Batch(rng.normal(size=(batch, dim)) + 1.0, "positive")
+        bu = ls.Batch(rng.normal(size=(batch, dim)), "unlabeled")
+        x = rng.normal(scale=3.0, size=(4 * batch, dim))
+        assert np.array_equal(_bits(net.raw_values(x)), _bits(tape.raw_values(x)))
+        for objective, reg, stop in LOSS_CASES:
+            spec = ls.LossSpec(objective, reg, lam=0.3, alpha=0.3,
+                               pi_p=0.4 if objective in ("upu", "nnpu") else None)
+            (v_new, g_new), (v_ref, g_ref) = (
+                ad.value_and_gradient(
+                    lambda th, m=m: ls.total_loss(spec, m, th, bp, bu, 0.37, stop), m.params)
+                for m in (net, tape))
+            case = (objective, reg, stop)
+            assert _bits(v_new) == _bits(v_ref), case
+            assert np.array_equal(_bits(g_new), _bits(g_ref)), case
+
+    def test_one_tensor_per_call(self):
+        net = md.init(md.MlpArchitecture(2, (4, 4)), seed=0)
+        theta = ad.Tensor(net.params.values)
+        out = net.logits(theta, np.ones((3, 2)))
+        assert out.parents == (theta,) and out.shape == (3,)
+
+    @pytest.mark.parametrize("weight,node", [(1e200, "matmul"), (1e308, "add")])
+    def test_overflow_names_node(self, weight, node):
+        # 1e200: the second layer's product overflows; 1e308: the first
+        # layer's product is finite and adding the bias overflows
+        net = md.init(md.MlpArchitecture(2, (8, 8)), seed=0)
+        net = net.with_params(np.full(len(net.params), weight))
+        x = np.array([[1.0, 0.0], [0.5, 0.0]])
+        for m in (net, as_tape_model(net)):
+            with pytest.raises(ad.NumericError, match=f"'{node}'"):
+                m.raw_values(x)

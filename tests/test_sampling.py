@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from scipy import stats
 from vpu import model as md
 from vpu import sampling as sp
 from vpu.losses import Batch
+
+from reference import sample_indices_loop
 
 
 class TestRng:
@@ -76,6 +80,14 @@ class TestBeta:
         with pytest.raises(ValueError):
             sp.sample_beta(0.0, sp.Rng(0))
 
+    @pytest.mark.parametrize("shape", [math.nan, math.inf])
+    def test_rejects_non_finite_shape(self, shape):
+        # a NaN shape used to make the rejection loop retry forever
+        with pytest.raises(ValueError):
+            sp.sample_beta(shape, sp.Rng(0))
+        with pytest.raises(ValueError):
+            sp.sample_gamma(shape, sp.Rng(0))
+
 
 class TestGamma:
     @pytest.mark.parametrize("shape", [0.3, 1.0, 4.5])
@@ -119,6 +131,30 @@ class TestMinibatch:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             sp.sample_minibatch(np.zeros((0, 2)), 1, sp.Rng(0), "positive")
+
+
+class TestSampleIndices:
+    """The vectorised draws against the one-randbelow-per-index loop."""
+
+    @pytest.mark.parametrize("n,size", [(2000, 500), (7, 3), (1, 1), (500, 500), (8, 8),
+                                        (100, 500), (3, 10)])
+    def test_matches_loop(self, n, size):
+        for seed in range(5):
+            fast, slow = sp.Rng(seed), sp.Rng(seed)
+            fast.counter = slow.counter = 17 * seed
+            got = sp.sample_indices(n, size, fast)
+            want = sample_indices_loop(n, size, slow)
+            assert got.dtype == want.dtype and np.array_equal(got, want), seed
+            assert fast.counter == slow.counter
+
+    def test_rejection_falls_back_to_loop(self):
+        # a bound just above 2^63 rejects about half of all draws
+        bounds = np.array([5, 2**63 + 1, 2**64 - 3, 9] * 10, dtype=np.uint64)
+        fast, slow = sp.Rng(3), sp.Rng(3)
+        got = sp._randbelow_each(fast, bounds)
+        want = [slow.randbelow(int(b)) for b in bounds]
+        assert [int(v) for v in got] == want
+        assert fast.counter == slow.counter > bounds.size
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,15 @@ def quick_config(**kw):
     return tr.TrainConfig(**defaults)
 
 
+class TestDivergence:
+    def test_overflowing_weights_raise_training_diverged(self):
+        # the first Adam step moves every weight by about the learning rate,
+        # so the second step's forward pass overflows
+        with pytest.raises(tr.TrainingDiverged, match="'matmul'") as info:
+            tr.train(quick_config(learning_rate=1e200), quick_task())
+        assert (info.value.epoch, info.value.iteration) == (1, 1)
+
+
 class TestAdam:
     def test_first_step_is_signed_step(self):
         # m_hat = g, v_hat = g^2 -> delta = -lr * g / (|g| + eps) ~ -lr*sign(g)
