@@ -64,9 +64,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.value.copy(), name="detached")
 
-    def item(self) -> float:
-        return float(self.value)
-
     # -- graph construction ------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -259,16 +256,6 @@ def mean(a) -> Tensor:
         a._accumulate(np.full_like(a.value, float(g) / n))
 
     return Tensor(value, (a,), backward, "mean")
-
-
-def total(a) -> Tensor:
-    a = as_tensor(a)
-    value = a.value.sum()
-
-    def backward(g):
-        a._accumulate(np.full_like(a.value, float(g)))
-
-    return Tensor(value, (a,), backward, "sum")
 
 
 def take(a, key) -> Tensor:

@@ -3,7 +3,9 @@
 Subcommands: generate, train, sweep, eval, oracle-check, bias-exp.
 Configuration comes from a flat ``key = value`` file (``#`` comments) plus
 one command-line flag per key; flags override the file, which overrides the
-defaults.  Unknown keys are rejected.  Every run that writes artifacts also
+defaults.  Unknown keys are rejected.  Every key is parsed and checked once,
+before the command does any work, even a key the command ignores.  Every
+run that writes artifacts also
 echoes its effective configuration to ``<out>/config.resolved``, and
 re-running from that file reproduces the outputs bit for bit.
 
@@ -17,7 +19,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -25,95 +28,51 @@ from . import metrics as mt
 from . import model as md
 from . import oracle
 from .autodiff import NumericError
-from .data import (GaussianComponent, GaussianMixtureSpec, PuDataset, generate,
-                   inject_selection_bias, load_csv, sample_class_conditional,
-                   sample_joint, split_validation, true_posterior, write_csv)
+from .data import (GaussianComponent, GaussianMixtureSpec, PuDataset, check_fraction,
+                   generate, inject_selection_bias, load_csv,
+                   sample_class_conditional, sample_joint, split_validation,
+                   true_posterior, write_csv)
 from .losses import LossSpec
 from .sampling import Rng
 from .trainer import TrainConfig, TrainingDiverged, sweep_lambda, train
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A config value or input the command cannot use (exit 2)."""
 
 
 DEFAULT_MIXTURE = "+1 0.5 2,0 1,1; -1 0.5 -2,0 1,1"
 BIAS_MIXTURE = ("+1 1/6 -2,3 1,1; +1 1/6 -2,0 1,1; +1 1/6 -2,-3 1,1; "
                 "-1 0.5 2,0 1,1")
 
-DEFAULTS: dict[str, str] = {
-    "seed": "0",
-    "out": "",
-    "data": "",
-    "model": "",
-    "mixture": DEFAULT_MIXTURE,
-    "m": "500",
-    "n": "2000",
-    "n_test": "2000",
-    "objective": "vpu",
-    "reg": "msle_mixup_pu",
-    "lambda": "0.3",
-    "alpha": "0.3",
-    "pi_p": "auto",
-    "batch_size": "500",
-    "epochs": "50",
-    "learning_rate": "3e-4",
-    "adam_beta1": "0.5",
-    "adam_beta2": "0.99",
-    "adam_epsilon": "1e-8",
-    "early_stop": "val_lvar",
-    "val_fraction": "1/6",
-    "hidden": "64,64",
-    "activation": "relu",
-    "lambda_grid": "1e-4,3e-4,1e-3,3e-3,1e-2,3e-2,0.1,0.3,1,3",
-    "trials": "1000",
-    "ratios": "1,2,4,10",
-    "bias_total": "600",
-}
 
-COMMANDS = ("generate", "train", "sweep", "eval", "oracle-check", "bias-exp")
+def _number(text: str) -> float:
+    """A float, or a fraction such as '1/6'."""
+    num, slash, den = text.partition("/")
+    if not slash:
+        return float(text)
+    if float(den) == 0.0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return float(num) / float(den)
 
 
-def _parse_number(text: str) -> float:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
-def cfg_int(cfg, key) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"key '{key}' must be an integer, got {cfg[key]!r}") from None
+def _list(parse):
+    def parse_list(text: str) -> tuple:
+        return tuple(parse(v) for v in text.split(",") if v.strip())
+    return parse_list
 
 
-def cfg_float(cfg, key) -> float:
-    try:
-        return _parse_number(cfg[key])
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"key '{key}' must be a number, got {cfg[key]!r}") from None
-
-
-def cfg_float_list(cfg, key) -> list[float]:
-    try:
-        return [_parse_number(v) for v in cfg[key].split(",") if v.strip()]
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"key '{key}' must be a comma list of numbers") from None
-
-
-def cfg_int_list(cfg, key) -> list[int]:
-    try:
-        return [int(v) for v in cfg[key].split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"key '{key}' must be a comma list of integers") from None
-
-
-def cfg_require(cfg, key) -> str:
-    if not cfg[key]:
-        raise ConfigError(f"missing required key '{key}' (pass --{key})")
-    return cfg[key]
+def _prior(text: str) -> float | None:
+    return None if text == "auto" else _number(text)
 
 
 def parse_mixture(text: str) -> GaussianMixtureSpec:
@@ -125,31 +84,76 @@ def parse_mixture(text: str) -> GaussianMixtureSpec:
             continue
         fields = part.split()
         if len(fields) != 4:
-            raise ConfigError(f"bad mixture component {part!r} "
-                              "(want: label weight mean cov)")
-        try:
-            label = int(fields[0])
-            weight = _parse_number(fields[1])
-            mean = [float(v) for v in fields[2].split(",")]
-            cov = [float(v) for v in fields[3].split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"bad numbers in mixture component {part!r}") from None
-        comps.append(GaussianComponent(np.array(mean), np.array(cov), label, weight))
+            raise ValueError(f"bad mixture component {part!r} "
+                             "(want: label weight mean cov)")
+        comps.append(GaussianComponent(
+            mean=np.array([float(v) for v in fields[2].split(",")]),
+            cov_diag=np.array([float(v) for v in fields[3].split(",")]),
+            label=int(fields[0]), weight=_number(fields[1])))
     if not comps:
-        raise ConfigError("empty mixture")
+        raise ValueError("empty mixture")
     total = sum(c.weight for c in comps)
     if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"mixture weights sum to {total}, not 1")
-    comps = [replace(c, weight=c.weight / total) for c in comps]
-    try:
-        return GaussianMixtureSpec(tuple(comps))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError(f"mixture weights sum to {total}, not 1")
+    return GaussianMixtureSpec(tuple(replace(c, weight=c.weight / total) for c in comps))
+
+
+# Every config key: its default text and the parser that turns the text into
+# a typed value, raising ValueError on bad text or an out-of-range value.
+# Ranges that a constructor already checks are left to it: `_train_config`
+# builds the LossSpec and TrainConfig (which checks the hidden layers).
+KEYS: dict[str, tuple[str, Callable[[str], Any]]] = {
+    "seed": ("0", int),
+    "out": ("", str),
+    "data": ("", str),
+    "model": ("", str),
+    "mixture": (DEFAULT_MIXTURE, parse_mixture),
+    "m": ("500", _int_at_least(1)),
+    "n": ("2000", _int_at_least(1)),
+    "n_test": ("2000", _int_at_least(0)),
+    "objective": ("vpu", str),
+    "reg": ("msle_mixup_pu", str),
+    "lambda": ("0.3", _number),
+    "alpha": ("0.3", _number),
+    "pi_p": ("auto", _prior),
+    "batch_size": ("500", int),
+    "epochs": ("50", int),
+    "learning_rate": ("3e-4", _number),
+    "adam_beta1": ("0.5", _number),
+    "adam_beta2": ("0.99", _number),
+    "adam_epsilon": ("1e-8", _number),
+    "early_stop": ("val_lvar", str),
+    "val_fraction": ("1/6", lambda text: check_fraction(_number(text))),
+    "hidden": ("64,64", _list(int)),
+    "activation": ("relu", str),
+    "lambda_grid": ("1e-4,3e-4,1e-3,3e-3,1e-2,3e-2,0.1,0.3,1,3", _list(_number)),
+    "trials": ("1000", _int_at_least(1)),
+    "ratios": ("1,2,4,10", _list(_int_at_least(1))),
+    "bias_total": ("600", _int_at_least(1)),
+}
+
+# Defaults that differ for one command, and the keys a command cannot run
+# without.
+COMMAND_DEFAULTS = {"bias-exp": {"mixture": BIAS_MIXTURE}}
+REQUIRED = {"generate": ("out",), "train": ("data", "out"), "sweep": ("data", "out"),
+            "eval": ("model", "data"), "bias-exp": ("out",)}
+
+
+@dataclass(frozen=True)
+class Config:
+    """A command's resolved configuration: `text` is what config.resolved
+    echoes, `values` the parsed value of every key, and `train` the
+    training config built from them."""
+
+    text: dict[str, str]
+    values: dict[str, Any]
+    train: TrainConfig
+
+    def __getitem__(self, key: str) -> Any:
+        return self.values[key]
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -159,83 +163,71 @@ def read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in DEFAULTS:
+            if key not in KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             entries[key] = value
     return entries
 
 
-def resolve_config(args: argparse.Namespace) -> tuple[dict[str, str], set[str]]:
-    cfg = dict(DEFAULTS)
-    provided: set[str] = set()
+def _train_config(values: dict[str, Any]) -> TrainConfig:
+    """The training config, checked by its constructors; every lambda of the
+    sweep grid is checked the same way."""
+    config = TrainConfig(
+        loss_spec=LossSpec(objective=values["objective"], reg_variant=values["reg"],
+                           lam=values["lambda"], alpha=values["alpha"],
+                           pi_p=values["pi_p"]),
+        batch_size=values["batch_size"],
+        epochs=values["epochs"],
+        learning_rate=values["learning_rate"],
+        adam_beta1=values["adam_beta1"],
+        adam_beta2=values["adam_beta2"],
+        adam_epsilon=values["adam_epsilon"],
+        seed=values["seed"],
+        early_stop_metric=values["early_stop"],
+        hidden_widths=values["hidden"],
+        activation=values["activation"],
+    )
+    if not values["lambda_grid"]:
+        raise ConfigError("lambda_grid is empty")
+    for lam in values["lambda_grid"]:
+        replace(config.loss_spec, lam=lam)
+    return config
+
+
+def resolve_config(args: argparse.Namespace) -> Config:
+    """Defaults, then the config file, then flags; every key is parsed and
+    checked here, before the command does any work."""
+    text = {key: default for key, (default, _) in KEYS.items()}
+    text.update(COMMAND_DEFAULTS.get(args.command, {}))
     if args.config:
-        for key, value in read_config_file(args.config).items():
-            cfg[key] = value
-            provided.add(key)
-    for key in DEFAULTS:
+        text.update(read_config_file(args.config))
+    for key in KEYS:
         flag_value = getattr(args, f"key_{key}")
         if flag_value is not None:
-            cfg[key] = flag_value
-            provided.add(key)
-    return cfg, provided
+            text[key] = flag_value
+    for key in REQUIRED.get(args.command, ()):
+        if not text[key]:
+            raise ConfigError(f"missing required key '{key}' (pass --{key})")
+    values = {}
+    for key, (_, parse) in KEYS.items():
+        try:
+            values[key] = parse(text[key])
+        except ValueError as exc:
+            raise ConfigError(f"key '{key}': {exc}") from None
+    return Config(text, values, _train_config(values))
 
 
-def write_resolved(cfg: dict[str, str], out_dir: str) -> None:
+def write_resolved(cfg: Config, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    lines = [f"{key} = {cfg[key]}" for key in sorted(cfg)]
+    lines = [f"{key} = {cfg.text[key]}" for key in sorted(cfg.text)]
     with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _loss_spec(cfg, dataset_pi: float | None) -> LossSpec:
-    objective = cfg["objective"]
-    pi_p = None
-    if objective in ("upu", "nnpu"):
-        if cfg["pi_p"] == "auto":
-            if dataset_pi is None:
-                raise ConfigError("baseline objectives need pi_p: the dataset "
-                                  "carries none, pass --pi_p explicitly")
-            pi_p = float(dataset_pi)
-        else:
-            pi_p = cfg_float(cfg, "pi_p")
-    try:
-        return LossSpec(objective=objective, reg_variant=cfg["reg"],
-                        lam=cfg_float(cfg, "lambda"),
-                        alpha=cfg_float(cfg, "alpha"), pi_p=pi_p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _train_config(cfg, dataset_pi: float | None) -> TrainConfig:
-    try:
-        return TrainConfig(
-            loss_spec=_loss_spec(cfg, dataset_pi),
-            batch_size=cfg_int(cfg, "batch_size"),
-            epochs=cfg_int(cfg, "epochs"),
-            learning_rate=cfg_float(cfg, "learning_rate"),
-            adam_beta1=cfg_float(cfg, "adam_beta1"),
-            adam_beta2=cfg_float(cfg, "adam_beta2"),
-            adam_epsilon=cfg_float(cfg, "adam_epsilon"),
-            seed=cfg_int(cfg, "seed"),
-            early_stop_metric=cfg["early_stop"],
-            hidden_widths=tuple(cfg_int_list(cfg, "hidden")),
-            activation=cfg["activation"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _load_training_data(cfg) -> PuDataset:
-    path = cfg_require(cfg, "data")
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset not found: {path}")
-    try:
-        data = load_csv(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if cfg["early_stop"] == "val_lvar" and not data.has_validation():
-        data = split_validation(data, cfg_float(cfg, "val_fraction"),
-                                cfg_int(cfg, "seed"))
+def _load_training_data(cfg: Config) -> PuDataset:
+    data = load_csv(cfg["data"])
+    if cfg.train.early_stop_metric == "val_lvar" and not data.has_validation():
+        data = split_validation(data, cfg["val_fraction"], cfg["seed"])
     return data
 
 
@@ -246,11 +238,10 @@ def _write_metrics(report_dir: str, rep: mt.MetricsReport) -> None:
         fh.write(mt.MetricsReport.CSV_HEADER + "\n" + rep.as_csv_row() + "\n")
 
 
-def cmd_generate(cfg, provided) -> int:
-    out = cfg_require(cfg, "out")
-    spec = parse_mixture(cfg["mixture"])
-    data = generate(spec, m=cfg_int(cfg, "m"), n=cfg_int(cfg, "n"),
-                    n_test=cfg_int(cfg, "n_test"), seed=cfg_int(cfg, "seed"))
+def cmd_generate(cfg: Config) -> int:
+    out = cfg["out"]
+    data = generate(cfg["mixture"], m=cfg["m"], n=cfg["n"], n_test=cfg["n_test"],
+                    seed=cfg["seed"])
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "dataset.csv")
     write_csv(data, path)
@@ -261,11 +252,10 @@ def cmd_generate(cfg, provided) -> int:
     return 0
 
 
-def cmd_train(cfg, provided) -> int:
-    out = cfg_require(cfg, "out")
+def cmd_train(cfg: Config) -> int:
+    out = cfg["out"]
     data = _load_training_data(cfg)
-    config = _train_config(cfg, data.pi_p)
-    report = train(config, data)
+    report = train(cfg.train, data)
     os.makedirs(out, exist_ok=True)
     md.save_model(report.final_model, os.path.join(out, "model.txt"))
     with open(os.path.join(out, "history.csv"), "w", encoding="utf-8") as fh:
@@ -284,14 +274,11 @@ def cmd_train(cfg, provided) -> int:
     return 0
 
 
-def cmd_sweep(cfg, provided) -> int:
-    out = cfg_require(cfg, "out")
+def cmd_sweep(cfg: Config) -> int:
+    out = cfg["out"]
     data = _load_training_data(cfg)
-    config = _train_config(cfg, data.pi_p)
-    grid = cfg_float_list(cfg, "lambda_grid")
-    if not grid:
-        raise ConfigError("lambda_grid is empty")
-    report, cells = sweep_lambda(config, grid, data)
+    grid = cfg["lambda_grid"]
+    report, cells = sweep_lambda(cfg.train, grid, data)
     os.makedirs(out, exist_ok=True)
 
     def cell_text(v):
@@ -315,16 +302,9 @@ def cmd_sweep(cfg, provided) -> int:
     return 0
 
 
-def cmd_eval(cfg, provided) -> int:
-    model_path = cfg_require(cfg, "model")
-    data_path = cfg_require(cfg, "data")
-    if not os.path.exists(model_path):
-        raise ConfigError(f"model not found: {model_path}")
-    try:
-        model = md.load_model(model_path)
-        data = load_csv(data_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def cmd_eval(cfg: Config) -> int:
+    model = md.load_model(cfg["model"])
+    data = load_csv(cfg["data"])
     if data.test_x is None:
         raise ConfigError("dataset has no labeled test rows")
     rep = mt.report(model, data.test_x, data.test_y)
@@ -336,10 +316,9 @@ def cmd_eval(cfg, provided) -> int:
     return 0
 
 
-def cmd_oracle_check(cfg, provided) -> int:
-    trials = cfg_int(cfg, "trials")
-    seed = cfg_int(cfg, "seed")
-    results = oracle.run_property_suites(trials=trials, seed=seed)
+def cmd_oracle_check(cfg: Config) -> int:
+    seed = cfg["seed"]
+    results = oracle.run_property_suites(trials=cfg["trials"], seed=seed)
     width = max(len(r.name) for r in results)
     lines = [f"{'suite':<{width}}  {'trials':>7}  {'failures':>8}  worst_residual"]
     for r in results:
@@ -371,22 +350,21 @@ def _bias_counts(total: int, ratio: int, n_subclasses: int) -> list[int]:
     return [n_big] + [n_small] * (n_subclasses - 1)
 
 
-def cmd_bias_experiment(cfg, provided) -> int:
-    out = cfg_require(cfg, "out")
-    mixture_text = cfg["mixture"] if "mixture" in provided else BIAS_MIXTURE
-    spec = parse_mixture(mixture_text)
+def cmd_bias_experiment(cfg: Config) -> int:
+    out = cfg["out"]
+    spec = cfg["mixture"]
     pos = spec.positive_components()
     if len(pos) < 2:
         raise ConfigError("bias experiment needs >= 2 positive subcomponents")
-    ratios = cfg_int_list(cfg, "ratios")
-    total = cfg_int(cfg, "bias_total")
-    seed = cfg_int(cfg, "seed")
+    ratios = cfg["ratios"]
+    total = cfg["bias_total"]
+    seed = cfg["seed"]
     rng = Rng(seed)
 
     single = [GaussianMixtureSpec((replace(c, weight=1.0),)) for c in pos]
     pools = [sample_class_conditional(s, 1, total, rng) for s in single]
-    unlabeled, _ = sample_joint(spec, cfg_int(cfg, "n"), rng)
-    test_x, test_y = sample_joint(spec, cfg_int(cfg, "n_test"), rng)
+    unlabeled, _ = sample_joint(spec, cfg["n"], rng)
+    test_x, test_y = sample_joint(spec, cfg["n_test"], rng)
 
     subclass_weights = np.array([c.weight for c in pos])
     subclass_weights = subclass_weights / subclass_weights.sum()
@@ -401,15 +379,11 @@ def cmd_bias_experiment(cfg, provided) -> int:
         biased_p = inject_selection_bias(pools, counts)
         base = PuDataset(positive=biased_p, unlabeled=unlabeled,
                          test_x=test_x, test_y=test_y, pi_p=spec.pi_p)
-        data = split_validation(base, cfg_float(cfg, "val_fraction"),
-                                seed + 1000 + i)
+        data = split_validation(base, cfg["val_fraction"], seed + 1000 + i)
         for j, objective in enumerate(("vpu", "nnpu")):
-            run_cfg = dict(cfg)
-            run_cfg["objective"] = objective
-            if objective == "nnpu":
-                run_cfg["pi_p"] = f"{spec.pi_p:.17g}"
-            run_cfg["seed"] = str(seed + 2 * i + j)
-            config = _train_config(run_cfg, spec.pi_p)
+            loss_spec = replace(cfg.train.loss_spec, objective=objective,
+                                pi_p=spec.pi_p if objective == "nnpu" else None)
+            config = replace(cfg.train, loss_spec=loss_spec, seed=seed + 2 * i + j)
             report = train(config, data)
             acc = mt.accuracy(report.final_model, test_x, test_y)
             rows.append(f"{ratio},{objective},{acc:.17g}")
@@ -446,10 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vpu",
         description="Variational positive-unlabeled learning toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value configuration file")
-        for key in DEFAULTS:
+        for key in KEYS:
             p.add_argument(f"--{key}", dest=f"key_{key}", default=None)
     return parser
 
@@ -457,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg, provided = resolve_config(args)
-        return HANDLERS[args.command](cfg, provided)
-    except ConfigError as exc:
+        return HANDLERS[args.command](resolve_config(args))
+    except (ValueError, OSError) as exc:
+        # a bad config value, or an input file that is missing or malformed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingDiverged, NumericError) as exc:

@@ -30,12 +30,14 @@ class GaussianComponent:
         cov = np.asarray(self.cov_diag, dtype=np.float64)
         if mean.shape != cov.shape or mean.ndim != 1:
             raise ValueError("mean and cov_diag must be 1-D with equal length")
-        if np.any(cov <= 0):
-            raise ValueError("covariance diagonal must be positive")
+        if not np.isfinite(mean).all():
+            raise ValueError("component mean must be finite")
+        if not ((cov > 0) & (cov < math.inf)).all():
+            raise ValueError("covariance diagonal must be finite and positive")
         if self.label not in (1, -1):
             raise ValueError("component label must be +1 or -1")
-        if self.weight <= 0:
-            raise ValueError("component weight must be positive")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError("component weight must be finite and positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov_diag", cov)
 
@@ -117,10 +119,15 @@ class PuDataset:
         if unl.ndim != 2 or unl.shape[0] < 1:
             raise ValueError("unlabeled set empty")
         dim = pos.shape[1]
-        for name in ("unlabeled", "val_positive", "val_unlabeled", "test_x"):
+        for name in ("positive", "unlabeled", "val_positive", "val_unlabeled", "test_x"):
             arr = getattr(self, name)
-            if arr is not None and np.asarray(arr).shape[1] != dim:
+            if arr is None:
+                continue
+            arr = np.asarray(arr, dtype=np.float64)
+            if arr.shape[1] != dim:
                 raise ValueError(f"{name} dimension differs from positive set")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds a non-finite feature")
         if (self.test_x is None) != (self.test_y is None):
             raise ValueError("test features and labels must come together")
         object.__setattr__(self, "positive", pos)
@@ -224,10 +231,16 @@ def inject_selection_bias(pools: list[np.ndarray], counts: list[int],
     return np.concatenate(taken, axis=0)
 
 
-def split_validation(data: PuDataset, fraction: float, seed: int) -> PuDataset:
-    """Disjoint train/validation split, proportional for both pools."""
+def check_fraction(fraction: float) -> float:
+    """`fraction` itself if `split_validation` accepts it, i.e. it lies in (0, 1)."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
+    return fraction
+
+
+def split_validation(data: PuDataset, fraction: float, seed: int) -> PuDataset:
+    """Disjoint train/validation split, proportional for both pools."""
+    check_fraction(fraction)
     rng = Rng(seed)
 
     def split(pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +279,7 @@ def write_csv(data: PuDataset, path: str) -> None:
                 writer.writerow(["T"] + fmt(row) + [f"{int(label):+d}"])
 
 
-def load_csv(path: str, pi_p: float | None = None) -> PuDataset:
+def load_csv(path: str) -> PuDataset:
     pools: dict[str, list] = {tag: [] for tag in _SET_TAGS}
     labels: list[int] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -307,6 +320,9 @@ def load_csv(path: str, pi_p: float | None = None) -> PuDataset:
 
     test_x = arr("T")
     test_y = np.array(labels, dtype=np.int64) if labels else None
-    return PuDataset(positive=arr("P"), unlabeled=arr("U"),
-                     val_positive=arr("VP"), val_unlabeled=arr("VU"),
-                     test_x=test_x, test_y=test_y, pi_p=pi_p)
+    try:
+        return PuDataset(positive=arr("P"), unlabeled=arr("U"),
+                         val_positive=arr("VP"), val_unlabeled=arr("VU"),
+                         test_x=test_x, test_y=test_y)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

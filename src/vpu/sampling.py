@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import Batch
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -158,14 +160,12 @@ def shuffled_indices(n: int, rng: Rng) -> np.ndarray:
     return sample_indices(n, n, rng)
 
 
-def sample_minibatch(pool: np.ndarray, size: int, rng: Rng, origin: str):
+def sample_minibatch(pool: np.ndarray, size: int, rng: Rng, origin: str) -> Batch:
     """Draw a mini-batch from `pool` (rows are feature vectors).
 
     Deterministic given the rng state; see `sample_indices` for the
     with/without replacement rule.
     """
-    from .losses import Batch
-
     pool = np.asarray(pool, dtype=np.float64)
     if pool.ndim != 2 or pool.shape[0] == 0:
         raise ValueError("pool must be a nonempty 2-D array")

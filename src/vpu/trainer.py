@@ -10,6 +10,7 @@ parameters of the best epoch are restored before normalization.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,12 +50,16 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ValueError("adam betas must lie in [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValueError("adam epsilon must be positive")
-        if self.batch_size < 1 or self.epochs < 0 or self.learning_rate <= 0:
-            raise ValueError("bad batch size, epoch count, or learning rate")
+        if not 0.0 < self.adam_epsilon < math.inf:
+            raise ValueError("adam epsilon must be finite and positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be finite and positive")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("bad batch size or epoch count")
         if self.early_stop_metric not in ("val_lvar", "none"):
             raise ValueError(f"unknown early-stop metric {self.early_stop_metric!r}")
+        # the architecture's own checks on the hidden layers, for any input size
+        md.MlpArchitecture(1, self.hidden_widths, self.activation)
 
 
 @dataclass
@@ -232,7 +237,7 @@ class SweepCell:
     best: bool = False  # the cell the sweep selected
 
 
-def sweep_lambda(base_config: TrainConfig, grid: list[float],
+def sweep_lambda(base_config: TrainConfig, grid: Sequence[float],
                  data: PuDataset) -> tuple[TrainReport, list[SweepCell]]:
     """Train once per lambda with derived seeds (seed + index); pick the cell
     with the lowest validation loss.  Failing cells are recorded and skipped;

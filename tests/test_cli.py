@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpu import cli
 from vpu.data import load_csv
@@ -13,6 +15,8 @@ def run(*args):
 
 QUICK = ["--m", "40", "--n", "120", "--n_test", "60", "--epochs", "2",
          "--batch_size", "40", "--hidden", "8,8"]
+BIAS_QUICK = ["--ratios", "1,4", "--bias_total", "120", "--n", "240", "--n_test", "120",
+              "--epochs", "2", "--batch_size", "60", "--hidden", "8,8"]
 
 
 def make_dataset(tmp_path, name="data", extra=()):
@@ -74,7 +78,32 @@ class TestConfigHandling:
         resolved = (out / "config.resolved").read_text()
         assert "m = 40" in resolved
         assert sorted(line.split(" = ")[0] for line in resolved.strip().splitlines()) \
-            == sorted(cli.DEFAULTS)
+            == sorted(cli.KEYS)
+
+    @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+    def test_rerun_from_resolved_config_reproduces_every_output(self, tmp_path, command):
+        dataset = make_dataset(tmp_path)
+        model_dir = tmp_path / "model"
+        assert run("train", "--data", str(dataset), "--out", str(model_dir), *QUICK) == 0
+        args = {
+            "generate": QUICK,
+            "train": ["--data", str(dataset), *QUICK],
+            "sweep": ["--data", str(dataset), "--lambda_grid", "0.01,0.3", *QUICK],
+            "eval": ["--data", str(dataset), "--model", str(model_dir / "model.txt")],
+            "oracle-check": ["--trials", "5", "--seed", "3"],
+            "bias-exp": BIAS_QUICK,
+        }[command]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert run(command, "--out", str(out_a), *args) == 0
+        assert run(command, "--config", str(out_a / "config.resolved"),
+                   "--out", str(out_b)) == 0
+        names = sorted(os.listdir(out_a))
+        assert names == sorted(os.listdir(out_b))
+        for name in names:
+            expected = (out_a / name).read_text()
+            if name == "config.resolved":
+                expected = expected.replace(f"out = {out_a}", f"out = {out_b}")
+            assert (out_b / name).read_text() == expected, name
 
     def test_fraction_values_accepted(self, tmp_path):
         dataset = make_dataset(tmp_path)
@@ -141,15 +170,43 @@ class TestTrain:
         vals = [float(r.split(",")[2]) for r in rows]
         assert vals[-1] > min(vals)
 
-    @pytest.mark.parametrize("key", ["alpha", "lambda"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_constant_is_usage_error(self, tmp_path, capsys, key, value):
-        # --alpha nan used to hang in the Beta sampler
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["train", "--alpha", "nan"], "finite", id="nan-alpha"),
+        pytest.param(["train", "--alpha", "inf"], "finite", id="inf-alpha"),
+        pytest.param(["train", "--lambda", "nan"], "finite", id="nan-lambda"),
+        pytest.param(["train", "--lambda", "inf"], "finite", id="inf-lambda"),
+        pytest.param(["train", "--val_fraction", "0"], "(0, 1)", id="zero-val_fraction"),
+        pytest.param(["train", "--val_fraction", "0.001"], "empty side",
+                     id="tiny-val_fraction"),
+        pytest.param(["train", "--hidden", "0"], "hidden widths", id="zero-hidden"),
+        pytest.param(["train", "--hidden", ""], "hidden layer", id="empty-hidden"),
+        pytest.param(["train", "--activation", "foo"], "activation", id="foo-activation"),
+        pytest.param(["train", "--learning_rate", "nan"], "learning rate",
+                     id="nan-learning_rate"),
+        pytest.param(["train", "--adam_epsilon", "nan"], "epsilon", id="nan-adam_epsilon"),
+        pytest.param(["train", "--data", "{nan_csv}"], "nan.csv", id="nan-feature"),
+        pytest.param(["generate", "--m", "0"], "'m'", id="generate-zero-m"),
+        pytest.param(["generate", "--n", "-5"], "'n'", id="generate-negative-n"),
+        pytest.param(["oracle-check", "--trials", "0"], "'trials'", id="zero-trials"),
+        pytest.param(["oracle-check", "--trials", "-3"], "'trials'", id="negative-trials"),
+    ])
+    def test_non_finite_constant_is_usage_error(self, tmp_path, capsys, argv, message):
+        # every bad config value exits 2 before any work: --alpha nan used to
+        # hang in the Beta sampler, others ended in a traceback (exit 1),
+        # failed late as numeric errors (exit 3), or were accepted
+        command, *flags = argv
         dataset = make_dataset(tmp_path)
-        code = run("train", "--data", str(dataset), "--out", str(tmp_path / "t"),
-                   f"--{key}", value, *QUICK)
-        assert code == 2
-        assert "finite" in capsys.readouterr().err
+        nan_csv = tmp_path / "nan.csv"
+        rows = dataset.read_text().splitlines()
+        rows[1] = ",".join(["P", "nan"] + rows[1].split(",")[2:])
+        nan_csv.write_text("\n".join(rows) + "\n")
+        flags = [f.format(nan_csv=nan_csv) for f in flags]
+        if command == "train":
+            flags = ["--data", str(dataset), "--out", str(tmp_path / "t"), *QUICK, *flags]
+        elif command == "generate":
+            flags = ["--out", str(tmp_path / "g"), *flags]
+        assert run(command, *flags) == 2
+        assert message in capsys.readouterr().err
 
     def test_overflowing_weights_exit_3(self, tmp_path, capsys):
         # the first Adam step moves every weight by about the learning rate,
@@ -268,9 +325,7 @@ class TestOracleCheck:
 class TestBiasExperiment:
     def test_row_count_and_bounds(self, tmp_path):
         out = tmp_path / "bias"
-        code = run("bias-exp", "--out", str(out), "--ratios", "1,4",
-                   "--bias_total", "120", "--n", "240", "--n_test", "120",
-                   "--epochs", "2", "--batch_size", "60", "--hidden", "8,8")
+        code = run("bias-exp", "--out", str(out), *BIAS_QUICK)
         assert code == 0
         rows = (out / "bias.csv").read_text().strip().splitlines()
         assert rows[0] == "ratio,method,accuracy"
@@ -289,6 +344,58 @@ class TestBiasExperiment:
                    "--mixture", cli.DEFAULT_MIXTURE)
         assert code == 2
         assert "positive" in capsys.readouterr().err
+
+
+# Config texts for the property test: a few valid values per key that keep
+# every command tiny, mixed with values that are invalid for most keys.
+VALID_TEXT = {
+    "seed": ["0", "5"],
+    "mixture": [cli.DEFAULT_MIXTURE, cli.BIAS_MIXTURE],
+    "m": ["30"], "n": ["60"], "n_test": ["0", "20"],
+    "objective": ["vpu", "vpu_l2", "nnpu", "upu"],
+    "reg": ["none", "large_margin", "msle_mixup_pupu"],
+    "lambda": ["0", "1"], "alpha": ["0.5", "1/3"], "pi_p": ["auto", "0.5"],
+    "batch_size": ["1", "30"], "epochs": ["0", "1"], "learning_rate": ["1e-2"],
+    "adam_beta1": ["0", "0.9"], "adam_beta2": ["0.999"], "adam_epsilon": ["1e-6"],
+    "early_stop": ["none", "val_lvar"], "val_fraction": ["0.5", "1/3"],
+    "hidden": ["4", "3,3"], "activation": ["tanh"], "lambda_grid": ["0.1", "0,1"],
+    "trials": ["1", "2"], "ratios": ["1", "2,3"], "bias_total": ["40"],
+    # paths get only the invalid texts, which name no file; "out" keeps its
+    # base value, since an invalid text there would name a directory to create
+    "data": [], "model": [],
+}
+INVALID_TEXT = ["nan", "inf", "-inf", "0", "-1", "", "x!"]
+
+
+@st.composite
+def commands(draw):
+    command = draw(st.sampled_from(sorted(cli.HANDLERS)))
+    keys = draw(st.lists(st.sampled_from(sorted(VALID_TEXT)), max_size=4, unique=True))
+    return command, {key: draw(st.sampled_from(VALID_TEXT[key] + INVALID_TEXT))
+                     for key in keys}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    assert run("generate", "--out", str(root / "data"), *QUICK) == 0
+    assert run("train", "--data", str(root / "data" / "dataset.csv"),
+               "--out", str(root / "model"), *QUICK) == 0
+    return root
+
+
+class TestAnyConfig:
+    @settings(max_examples=60, deadline=5000)
+    @given(commands())
+    def test_exits_0_2_or_3(self, tiny_run, command_and_texts):
+        command, texts = command_and_texts
+        base = {"data": str(tiny_run / "data" / "dataset.csv"),
+                "model": str(tiny_run / "model" / "model.txt"),
+                "out": str(tiny_run / "out"), "m": "30", "n": "60", "n_test": "20",
+                "epochs": "1", "batch_size": "30", "hidden": "4", "lambda_grid": "0.3",
+                "trials": "1", "ratios": "1", "bias_total": "40"}
+        argv = [f"--{key}={value}" for key, value in {**base, **texts}.items()]
+        assert run(command, *argv) in (0, 2, 3)
 
 
 class TestUsage:

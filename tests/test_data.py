@@ -37,6 +37,16 @@ class TestMixtureSpec:
         with pytest.raises(ValueError):
             dt.GaussianComponent(np.zeros(2), np.array([1.0, 0.0]), 1, 1.0)
 
+    @pytest.mark.parametrize("mean, cov, weight", [
+        ([np.nan, 0.0], [1.0, 1.0], 1.0),
+        ([0.0, 0.0], [np.inf, 1.0], 1.0),
+        ([0.0, 0.0], [1.0, 1.0], np.nan),
+        ([0.0, 0.0], [1.0, 1.0], np.inf),
+    ])
+    def test_non_finite_component_rejected(self, mean, cov, weight):
+        with pytest.raises(ValueError, match="finite"):
+            dt.GaussianComponent(np.array(mean), np.array(cov), 1, weight)
+
     def test_posterior_midpoint(self):
         spec = two_gaussian_spec()
         post = dt.true_posterior(spec, np.array([[0.0, 0.0]]))
@@ -194,6 +204,18 @@ class TestSplitValidation:
             dt.split_validation(data, 0.01, seed=0)
 
 
+class TestPuDataset:
+    @pytest.mark.parametrize("pool", ["positive", "unlabeled", "val_positive",
+                                      "val_unlabeled", "test_x"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_rejected(self, pool, value):
+        pools = {name: np.zeros((3, 2)) for name in
+                 ("positive", "unlabeled", "val_positive", "val_unlabeled", "test_x")}
+        pools[pool][1, 0] = value
+        with pytest.raises(ValueError, match=f"{pool} holds a non-finite feature"):
+            dt.PuDataset(**pools, test_y=np.ones(3, dtype=np.int64))
+
+
 class TestCsv:
     def test_roundtrip_exact(self, tmp_path):
         data = dt.generate(two_gaussian_spec(), 12, 17, 9, seed=5)
@@ -230,6 +252,12 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("set,x0,x1\nP,1.0,2.0\nU,oops,0.0\n")
         with pytest.raises(ValueError, match=":3"):
+            dt.load_csv(str(path))
+
+    def test_non_finite_feature_names_file(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("set,x0,x1\nP,1.0,2.0\nU,nan,0.0\n")
+        with pytest.raises(ValueError, match="nan.csv: unlabeled holds a non-finite"):
             dt.load_csv(str(path))
 
     def test_dimension_mismatch_reports_line(self, tmp_path):

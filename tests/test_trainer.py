@@ -27,6 +27,20 @@ def quick_config(**kw):
     return tr.TrainConfig(**defaults)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_constants_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            quick_config(**{field: value})
+
+    @pytest.mark.parametrize("hidden, activation", [((), "relu"), ((8, 0), "relu"),
+                                                    ((8,), "foo")])
+    def test_architecture_checked_up_front(self, hidden, activation):
+        with pytest.raises(ValueError):
+            quick_config(hidden_widths=hidden, activation=activation)
+
+
 class TestDivergence:
     def test_overflowing_weights_raise_training_diverged(self):
         # the first Adam step moves every weight by about the learning rate,
