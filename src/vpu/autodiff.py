@@ -5,9 +5,11 @@ array, its parents, and a backward rule.  Calling `gradient` on a scalar
 expression topologically replays the tape.  All arithmetic is 64-bit; any
 non-finite intermediate raises `NumericError` naming the offending node.
 
-`log` is guarded as log(max(x, floor)) with floor defaulting to 1e-12, so
-losses stay bounded when a sigmoid output underflows; below the floor the
-derivative is zero (consistent with the clamped forward value).
+The ops are the ones the training losses need: arithmetic, `log`, `mean`,
+`sigmoid`, `positive_part` and indexing (`take`).  `log` is guarded as
+log(max(x, LOG_FLOOR)) with LOG_FLOOR = 1e-12, so losses stay bounded when a
+sigmoid output underflows; below the floor the derivative is zero
+(consistent with the clamped forward value).
 """
 
 from __future__ import annotations
@@ -60,9 +62,6 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.value.copy(), name="detached")
 
     # -- graph construction ------------------------------------------------
 
@@ -125,14 +124,8 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def __repr__(self):
         return f"Tensor(name={self.name!r}, shape={self.value.shape})"
@@ -174,45 +167,23 @@ def div(a, b) -> Tensor:
                    lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    value = a.value @ b.value
-
-    def backward(g):
-        a._accumulate(g @ b.value.T)
-        b._accumulate(a.value.T @ g)
-
-    return Tensor(value, (a, b), backward, "matmul")
-
-
-def log(a, floor: float = LOG_FLOOR) -> Tensor:
-    """Guarded natural log: log(max(x, floor)); zero gradient below the floor."""
+def log(a) -> Tensor:
+    """Guarded natural log: log(max(x, LOG_FLOOR)); zero gradient below the floor."""
     a = as_tensor(a)
-    clamped = np.maximum(a.value, floor)
+    clamped = np.maximum(a.value, LOG_FLOOR)
     value = np.log(clamped)
 
     def backward(g):
-        a._accumulate(g * np.where(a.value > floor, 1.0 / clamped, 0.0))
+        a._accumulate(g * np.where(a.value > LOG_FLOOR, 1.0 / clamped, 0.0))
 
     return Tensor(value, (a,), backward, "log")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    with _quiet():
-        value = np.exp(a.value)
-
-    def backward(g):
-        a._accumulate(g * value)
-
-    return Tensor(value, (a,), backward, "exp")
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.value
-    value = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))  # in (0, 1]: neither branch overflows
+    value = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         a._accumulate(g * value * (1.0 - value))
@@ -220,31 +191,15 @@ def sigmoid(a) -> Tensor:
     return Tensor(value, (a,), backward, "sigmoid")
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    value = np.tanh(a.value)
-
-    def backward(g):
-        a._accumulate(g * (1.0 - value * value))
-
-    return Tensor(value, (a,), backward, "tanh")
-
-
-def relu(a) -> Tensor:
+def positive_part(a) -> Tensor:
+    """max(0, x) with gradient flowing only through the selected branch."""
     a = as_tensor(a)
     value = np.maximum(a.value, 0.0)
 
     def backward(g):
         a._accumulate(g * (a.value > 0.0))
 
-    return Tensor(value, (a,), backward, "relu")
-
-
-def positive_part(a) -> Tensor:
-    """max(0, x) with gradient flowing only through the selected branch."""
-    t = relu(a)
-    t.name = "positive_part"
-    return t
+    return Tensor(value, (a,), backward, "positive_part")
 
 
 def mean(a) -> Tensor:
@@ -268,16 +223,6 @@ def take(a, key) -> Tensor:
         a._accumulate(out)
 
     return Tensor(value, (a,), backward, "take")
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    value = a.value.reshape(shape)
-
-    def backward(g):
-        a._accumulate(g.reshape(a.value.shape))
-
-    return Tensor(value, (a,), backward, "reshape")
 
 
 # -- flat parameter vectors ---------------------------------------------------
@@ -322,10 +267,6 @@ class ParameterVector:
             if seg.name == name:
                 return seg
         raise KeyError(name)
-
-    def view(self, name: str) -> np.ndarray:
-        seg = self.segment(name)
-        return self.values[seg.start:seg.stop].reshape(seg.shape)
 
     def replaced(self, values: np.ndarray) -> "ParameterVector":
         return replace(self, values=values)

@@ -277,6 +277,9 @@ def cmd_train(cfg: Config) -> int:
 def cmd_sweep(cfg: Config) -> int:
     out = cfg["out"]
     data = _load_training_data(cfg)
+    if not data.has_validation():
+        raise ConfigError("sweep selects lambda on validation loss: with early_stop = "
+                          "none the data needs VP/VU rows")
     grid = cfg["lambda_grid"]
     report, cells = sweep_lambda(cfg.train, grid, data)
     os.makedirs(out, exist_ok=True)
@@ -356,6 +359,8 @@ def cmd_bias_experiment(cfg: Config) -> int:
     pos = spec.positive_components()
     if len(pos) < 2:
         raise ConfigError("bias experiment needs >= 2 positive subcomponents")
+    if cfg["n_test"] < 1:
+        raise ConfigError("key 'n_test': bias experiment needs >= 1 test row")
     ratios = cfg["ratios"]
     total = cfg["bias_total"]
     seed = cfg["seed"]

@@ -210,13 +210,9 @@ def generate(spec: GaussianMixtureSpec, m: int, n: int, n_test: int,
                      test_x=test_x, test_y=test_y, pi_p=spec.pi_p)
 
 
-def inject_selection_bias(pools: list[np.ndarray], counts: list[int],
-                          rng: Rng | None = None) -> np.ndarray:
-    """Draw exactly counts[i] positives from subclass pool i and stack them.
-
-    With an rng the draw is a uniform subset without replacement; without
-    one the leading rows are taken (the pools are already random samples).
-    """
+def inject_selection_bias(pools: list[np.ndarray], counts: list[int]) -> np.ndarray:
+    """Take exactly counts[i] positives from subclass pool i and stack them:
+    the leading rows, since the pools are already random samples."""
     if len(pools) != len(counts):
         raise ValueError("one count per subclass pool")
     taken = []
@@ -224,10 +220,7 @@ def inject_selection_bias(pools: list[np.ndarray], counts: list[int],
         pool = np.asarray(pool, dtype=np.float64)
         if count < 0 or count > pool.shape[0]:
             raise ValueError(f"count {count} exceeds pool {i} of size {pool.shape[0]}")
-        if rng is None:
-            taken.append(pool[:count])
-        else:
-            taken.append(pool[shuffled_indices(pool.shape[0], rng)[:count]])
+        taken.append(pool[:count])
     return np.concatenate(taken, axis=0)
 
 

@@ -88,18 +88,17 @@ def _theta(model, theta):
 # -- variational objectives ----------------------------------------------------
 
 
-def variational_loss_values(phi_p, phi_u, floor: float = ad.LOG_FLOOR) -> ad.Tensor:
+def variational_loss_values(phi_p, phi_u) -> ad.Tensor:
     """log(mean of unlabeled phi) - mean(log of positive phi)."""
-    return ad.log(ad.mean(ad.as_tensor(phi_u)), floor) - ad.mean(ad.log(ad.as_tensor(phi_p), floor))
+    return ad.log(ad.mean(ad.as_tensor(phi_u))) - ad.mean(ad.log(ad.as_tensor(phi_p)))
 
 
-def variational_loss(model, theta, batch_p: Batch, batch_u: Batch,
-                     floor: float = ad.LOG_FLOOR) -> ad.Tensor:
+def variational_loss(model, theta, batch_p: Batch, batch_u: Batch) -> ad.Tensor:
     """Empirical variational loss on raw (pre-normalization) outputs."""
     _check_origins(batch_p, batch_u)
     t = _theta(model, theta)
     return variational_loss_values(model.raw(t, batch_p.features),
-                                   model.raw(t, batch_u.features), floor)
+                                   model.raw(t, batch_u.features))
 
 
 def l2_variational_loss_values(phi_p, phi_u) -> ad.Tensor:
@@ -120,7 +119,7 @@ def l2_variational_loss(model, theta, batch_p: Batch, batch_u: Batch) -> ad.Tens
 
 
 def mixup_reg_from_pairs(model, theta, x_mix: np.ndarray, phi_tilde,
-                         kind: str = "msle", floor: float = ad.LOG_FLOOR) -> ad.Tensor:
+                         kind: str = "msle") -> ad.Tensor:
     """Consistency penalty between guessed targets and predictions at the
     mixed points: mean (log t - log phi(x))^2 for msle, mean (t - phi(x))^2
     for mse.  `phi_tilde` may be a constant array (stop-gradient targets) or
@@ -129,7 +128,7 @@ def mixup_reg_from_pairs(model, theta, x_mix: np.ndarray, phi_tilde,
     phi_mix = model.raw(_theta(model, theta), x_mix)
     t = ad.as_tensor(phi_tilde)
     if kind == "msle":
-        d = ad.log(t, floor) - ad.log(phi_mix, floor)
+        d = ad.log(t) - ad.log(phi_mix)
     elif kind == "mse":
         d = t - phi_mix
     else:
@@ -143,8 +142,7 @@ def _rotate(a: np.ndarray) -> np.ndarray:
 
 def mixup_consistency_reg(model, theta, batch_p: Batch, batch_u: Batch, gamma,
                           variant: str = "msle_mixup_pu",
-                          target_stop_gradient: bool = True,
-                          floor: float = ad.LOG_FLOOR) -> ad.Tensor:
+                          target_stop_gradient: bool = True) -> ad.Tensor:
     """MixUp consistency regularizer in one of its ablation variants.
 
     gamma may be a scalar (one draw per batch, the default training path) or
@@ -174,14 +172,14 @@ def mixup_consistency_reg(model, theta, batch_p: Batch, batch_u: Batch, gamma,
         x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * xu
         target = gv + (1.0 - gv) * phi_of(xu)
         kind = "msle" if variant == "msle_mixup_pu" else "mse"
-        return mixup_reg_from_pairs(model, t, x_mix, target, kind, floor)
+        return mixup_reg_from_pairs(model, t, x_mix, target, kind)
 
     if variant == "msle_mixup_p_only":
         xp = batch_p.features
         gv = spread(len(batch_p))
         x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * _rotate(xp)
         target = np.ones(len(batch_p))  # both endpoints carry label 1
-        return mixup_reg_from_pairs(model, t, x_mix, target, "msle", floor)
+        return mixup_reg_from_pairs(model, t, x_mix, target, "msle")
 
     # msle_mixup_pupu: endpoints drawn from the union of both batches
     union = np.concatenate([batch_p.features, batch_u.features], axis=0)
@@ -197,25 +195,24 @@ def mixup_consistency_reg(model, theta, batch_p: Batch, batch_u: Batch, gamma,
     else:
         labels = phi_of(union) * (1.0 - mask_p) + mask_p
         target = ad.as_tensor(gv) * labels + ad.as_tensor(1.0 - gv) * labels[np.roll(np.arange(n), -1)]
-    return mixup_reg_from_pairs(model, t, x_mix, target, "msle", floor)
+    return mixup_reg_from_pairs(model, t, x_mix, target, "msle")
 
 
-def large_margin_reg(model, theta, batch_p: Batch, alpha: float,
-                     floor: float = ad.LOG_FLOOR) -> ad.Tensor:
+def large_margin_reg(model, theta, batch_p: Batch, alpha: float) -> ad.Tensor:
     """Smooth margin penalty on positives: mean log(1 + alpha (1-phi)/phi)."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     if batch_p.origin != "positive":
         raise ValueError("large-margin regularizer expects the positive batch")
     phi = model.raw(_theta(model, theta), batch_p.features)
-    return large_margin_values(phi, alpha, floor)
+    return large_margin_values(phi, alpha)
 
 
-def large_margin_values(phi, alpha: float, floor: float = ad.LOG_FLOOR) -> ad.Tensor:
+def large_margin_values(phi, alpha: float) -> ad.Tensor:
     phi = ad.as_tensor(phi)
-    floored = ad.positive_part(phi - floor) + floor  # keeps the ratio finite at phi=0
+    floored = ad.positive_part(phi - ad.LOG_FLOOR) + ad.LOG_FLOOR  # finite ratio at phi=0
     ratio = (1.0 - phi) / floored
-    return ad.mean(ad.log(1.0 + alpha * ratio, floor))
+    return ad.mean(ad.log(1.0 + alpha * ratio))
 
 
 # -- baseline risks --------------------------------------------------------------

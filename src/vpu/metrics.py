@@ -1,4 +1,4 @@
-"""Test-set metrics: accuracy, AUC (Mann-Whitney), confusion counts."""
+"""Test-set metrics: the label rule, accuracy, AUC (Mann-Whitney), confusion counts."""
 
 from __future__ import annotations
 
@@ -43,10 +43,17 @@ def _validate_test(test_x, test_y):
     return x, y.astype(np.int64)
 
 
-def accuracy_from_scores(scores: np.ndarray, labels: np.ndarray,
-                         threshold: float = 0.5) -> float:
-    preds = np.where(np.asarray(scores) >= threshold, 1, -1)
-    return float(np.mean(preds == np.asarray(labels)))
+def predict_labels(scores) -> np.ndarray:
+    """The label rule: +1 where the probability is >= 0.5 (ties go
+    positive), -1 elsewhere; a score outside [0, 1] or NaN is an error."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all((scores >= 0.0) & (scores <= 1.0)):
+        raise ValueError("probability out of range")
+    return np.where(scores >= 0.5, 1, -1)
+
+
+def accuracy_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(predict_labels(scores) == np.asarray(labels)))
 
 
 def average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -83,18 +90,10 @@ def accuracy(model: ClassifierModel, test_x, test_y) -> float:
     return accuracy_from_scores(model.predict_proba(x), y)
 
 
-def auc(model: ClassifierModel, test_x, test_y) -> float:
-    x, y = _validate_test(test_x, test_y)
-    return auc_from_scores(model.predict_proba(x), y)
-
-
 def report(model: ClassifierModel, test_x, test_y) -> MetricsReport:
     x, y = _validate_test(test_x, test_y)
     scores = model.predict_proba(x)
-    # the model.predict_label rule, on every row at once
-    if not np.all((scores >= 0.0) & (scores <= 1.0)):
-        raise ValueError("probability out of range")
-    preds = np.where(scores >= 0.5, 1, -1)
+    preds = predict_labels(scores)
     tp = int(np.sum((preds == 1) & (y == 1)))
     fp = int(np.sum((preds == 1) & (y == -1)))
     tn = int(np.sum((preds == -1) & (y == -1)))

@@ -1,4 +1,4 @@
-"""Sigmoid-output MLP classifier, post-training normalization, label rule."""
+"""Sigmoid-output MLP classifier, post-training normalization, model files."""
 
 from __future__ import annotations
 
@@ -158,13 +158,6 @@ def normalize(model: ClassifierModel, dataset) -> ClassifierModel:
         raise ValueError("cannot normalize on an empty dataset")
     scale = float(np.max(model.raw_values(points)))
     return replace(model, normalization_scale=scale)
-
-
-def predict_label(p: float) -> int:
-    """+1 if p >= 0.5 else -1 (ties go positive)."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("probability out of range")
-    return 1 if p >= 0.5 else -1
 
 
 def save_model(model: ClassifierModel, path: str) -> None:

@@ -1,5 +1,5 @@
-"""Seeded randomness: a portable counter-based PRNG, Beta/Gamma sampling,
-mini-batch sampling, and MixUp pair construction.
+"""Seeded randomness: a portable counter-based PRNG, Beta/Gamma sampling and
+mini-batch sampling.
 
 The generator is SplitMix64 run in counter mode: output i is
 ``mix64(seed + (i+1) * 0x9E3779B97F4A7C15)`` where ``mix64`` is the standard
@@ -10,7 +10,6 @@ values are reproducible across implementations and platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,43 +170,3 @@ def sample_minibatch(pool: np.ndarray, size: int, rng: Rng, origin: str) -> Batc
         raise ValueError("pool must be a nonempty 2-D array")
     idx = sample_indices(pool.shape[0], size, rng)
     return Batch(features=pool[idx], origin=origin)
-
-
-def build_mixup_pairs(batch_p, batch_u, gamma, model):
-    """Interpolated inputs and guessed targets for positive/unlabeled MixUp.
-
-    Pairs are positional: ``x_mix[i] = g*p[i] + (1-g)*u[i]`` and
-    ``t[i] = g + (1-g) * phi(u[i])`` where phi is the model's raw output,
-    evaluated as a constant (no gradient flows through the target).
-    `gamma` may be a scalar or a per-pair vector.
-    """
-    xp = np.asarray(batch_p.features, dtype=np.float64)
-    xu = np.asarray(batch_u.features, dtype=np.float64)
-    if xp.shape != xu.shape:
-        raise ValueError("mixup needs equal-size batches of equal dimension")
-    g = np.asarray(gamma, dtype=np.float64)
-    if g.ndim == 0:
-        g = np.full(xp.shape[0], float(g))
-    if np.any(g < 0.0) or np.any(g > 1.0):
-        raise ValueError("gamma must lie in [0, 1]")
-    x_mix = g[:, None] * xp + (1.0 - g[:, None]) * xu
-    phi_u = model.raw_values(xu)
-    t = g + (1.0 - g) * phi_u
-    return x_mix, t
-
-
-@dataclass
-class RngState:
-    """Snapshot of a generator: seed plus stream position."""
-
-    seed: int
-    counter: int
-
-    @classmethod
-    def capture(cls, rng: Rng) -> "RngState":
-        return cls(seed=rng.seed, counter=rng.counter)
-
-    def restore(self) -> Rng:
-        rng = Rng(self.seed)
-        rng.counter = self.counter
-        return rng

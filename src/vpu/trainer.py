@@ -179,22 +179,23 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     best_val = history[0].val_lvar
 
     for epoch in range(1, config.epochs + 1):
-        for it in range(iters_per_epoch):
-            batch_p = sample_minibatch(data.positive, config.batch_size, rng, "positive")
-            batch_u = sample_minibatch(data.unlabeled, config.batch_size, rng, "unlabeled")
-            gamma = sample_beta(spec.alpha, rng) if spec.needs_gamma else None
+        try:
+            for it in range(iters_per_epoch):
+                batch_p = sample_minibatch(data.positive, config.batch_size, rng, "positive")
+                batch_u = sample_minibatch(data.unlabeled, config.batch_size, rng, "unlabeled")
+                gamma = sample_beta(spec.alpha, rng) if spec.needs_gamma else None
 
-            def loss_fn(theta):
-                return ls.total_loss(spec, base, theta, batch_p, batch_u, gamma)
+                def loss_fn(theta):
+                    return ls.total_loss(spec, base, theta, batch_p, batch_u, gamma)
 
-            try:
                 _, grads = ad.value_and_gradient(loss_fn, base.params.replaced(values))
                 values, adam = adam_step(adam, values, grads, config.learning_rate)
                 if not np.all(np.isfinite(values)):
                     raise ad.NumericError("parameters became non-finite")
-            except ad.NumericError as exc:
-                raise TrainingDiverged(epoch, it, exc) from exc
-        stats = _eval_epoch(base, values, data, spec, epoch)
+            # an overflow here is charged to the last step, whose parameters it forwards
+            stats = _eval_epoch(base, values, data, spec, epoch)
+        except ad.NumericError as exc:
+            raise TrainingDiverged(epoch, it, exc) from exc
         history.append(stats)
         if config.early_stop_metric == "val_lvar" and stats.val_lvar < best_val:
             best_val = stats.val_lvar
@@ -241,7 +242,7 @@ def sweep_lambda(base_config: TrainConfig, grid: Sequence[float],
                  data: PuDataset) -> tuple[TrainReport, list[SweepCell]]:
     """Train once per lambda with derived seeds (seed + index); pick the cell
     with the lowest validation loss.  Failing cells are recorded and skipped;
-    the sweep fails only if every cell does."""
+    the sweep fails, with `NumericError`, only if every cell does."""
     if not grid:
         raise ValueError("lambda grid must be nonempty")
     cells: list[SweepCell] = []
@@ -259,6 +260,8 @@ def sweep_lambda(base_config: TrainConfig, grid: Sequence[float],
         at_best = rep.history[rep.best_epoch]
         cells.append(SweepCell(lam, at_best.val_lvar, at_best.test_acc))
         reports.append(rep)
+    if all(rep is None for rep in reports):
+        raise ad.NumericError(f"every sweep cell failed; the last: {cells[-1].error}")
     best = select_best([(c.lam, c.val_lvar) for c in cells])
     cells[best] = replace(cells[best], best=True)
     report = reports[best]

@@ -2,10 +2,11 @@
 
 `TapeModel` builds the MLP as a tape of per-layer take / reshape / matmul /
 add / activation nodes, the way `ClassifierModel.logits` did before it
-became one node with a hand-written backward.  `sample_indices_loop` draws
-one `Rng.randbelow` per index, the way `sampling.sample_indices` did before
-its draws were vectorised.  Both must agree with the optimised code bit for
-bit.
+became one node with a hand-written backward; the tape ops it needs beyond
+those the losses use (`matmul`, `tanh`, `reshape`) are defined here.
+`sample_indices_loop` draws one `Rng.randbelow` per index, the way
+`sampling.sample_indices` did before its draws were vectorised.  Both must
+agree with the optimised code bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,40 @@ import numpy as np
 from vpu import autodiff as ad
 from vpu import model as md
 
-_ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+
+def matmul(a, b) -> ad.Tensor:
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    with ad._quiet():  # overflow surfaces as NumericError, not a warning
+        value = a.value @ b.value
+
+    def backward(g):
+        a._accumulate(g @ b.value.T)
+        b._accumulate(a.value.T @ g)
+
+    return ad.Tensor(value, (a, b), backward, "matmul")
+
+
+def tanh(a) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    value = np.tanh(a.value)
+
+    def backward(g):
+        a._accumulate(g * (1.0 - value * value))
+
+    return ad.Tensor(value, (a,), backward, "tanh")
+
+
+def reshape(a, shape) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    value = a.value.reshape(shape)
+
+    def backward(g):
+        a._accumulate(g.reshape(a.value.shape))
+
+    return ad.Tensor(value, (a,), backward, "reshape")
+
+
+_ACTIVATIONS = {"relu": ad.positive_part, "tanh": tanh}
 
 
 def tape_logits(model: md.ClassifierModel, theta, x: np.ndarray) -> ad.Tensor:
@@ -31,12 +65,12 @@ def tape_logits(model: md.ClassifierModel, theta, x: np.ndarray) -> ad.Tensor:
     for i, (fan_in, fan_out) in enumerate(model.arch.layer_dims):
         seg_w = model.params.segment(f"w{i}")
         seg_b = model.params.segment(f"b{i}")
-        w = t[seg_w.start:seg_w.stop].reshape((fan_in, fan_out))
+        w = reshape(t[seg_w.start:seg_w.stop], (fan_in, fan_out))
         b = t[seg_b.start:seg_b.stop]
-        h = h @ w + b
+        h = matmul(h, w) + b
         if i < n_layers - 1:
             h = act(h)
-    return h.reshape((X.shape[0],))
+    return reshape(h, (X.shape[0],))
 
 
 class TapeModel(md.ClassifierModel):

@@ -189,6 +189,9 @@ class TestTrain:
         pytest.param(["generate", "--n", "-5"], "'n'", id="generate-negative-n"),
         pytest.param(["oracle-check", "--trials", "0"], "'trials'", id="zero-trials"),
         pytest.param(["oracle-check", "--trials", "-3"], "'trials'", id="negative-trials"),
+        pytest.param(["sweep", "--early_stop", "none"], "early_stop",
+                     id="sweep-without-validation"),
+        pytest.param(["bias-exp", "--n_test", "0"], "'n_test'", id="bias-exp-zero-n_test"),
     ])
     def test_non_finite_constant_is_usage_error(self, tmp_path, capsys, argv, message):
         # every bad config value exits 2 before any work: --alpha nan used to
@@ -201,9 +204,9 @@ class TestTrain:
         rows[1] = ",".join(["P", "nan"] + rows[1].split(",")[2:])
         nan_csv.write_text("\n".join(rows) + "\n")
         flags = [f.format(nan_csv=nan_csv) for f in flags]
-        if command == "train":
+        if command in ("train", "sweep"):
             flags = ["--data", str(dataset), "--out", str(tmp_path / "t"), *QUICK, *flags]
-        elif command == "generate":
+        elif command in ("generate", "bias-exp"):
             flags = ["--out", str(tmp_path / "g"), *flags]
         assert run(command, *flags) == 2
         assert message in capsys.readouterr().err
@@ -266,6 +269,18 @@ class TestSweep:
                    "--lambda_grid", "0.3,0.3", *QUICK) == 0
         rows = [l.split(",") for l in (out / "sweep.csv").read_text().strip().splitlines()[1:]]
         assert [r[-1] for r in rows].count("*") == 1
+
+
+    @pytest.mark.parametrize("batch_size", ["10", "500"])
+    def test_every_cell_diverging_exits_3(self, tmp_path, capsys, batch_size):
+        # batch 10 overflows in a training step; batch 500, one step per
+        # epoch, overflows in the evaluation that follows the step
+        dataset = make_dataset(tmp_path)
+        code = run("sweep", "--data", str(dataset), "--out", str(tmp_path / "s"), *QUICK,
+                   "--batch_size", batch_size, "--epochs", "1",
+                   "--learning_rate", "1e200", "--lambda_grid", "0.1,0.3")
+        assert code == 3
+        assert "every sweep cell failed" in capsys.readouterr().err
 
 
 class TestEval:

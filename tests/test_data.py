@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vpu import data as dt
-from vpu.sampling import Rng
 
 
 def two_gaussian_spec(sep=2.0):
@@ -161,14 +160,6 @@ class TestSelectionBias:
             assert biased.shape[0] == 48
             assert int(np.sum(biased[:, 0] == 0.0)) == counts[0]
             assert counts[0] >= counts[1] == counts[2]
-
-    def test_randomized_draw_is_subset_without_replacement(self):
-        pools = self.marker_pools()
-        biased = dt.inject_selection_bias(pools, [20, 5, 5], rng=Rng(3))
-        rows = {tuple(r) for r in biased}
-        assert len(rows) == 30
-        allowed = {tuple(r) for pool in pools for r in pool}
-        assert rows <= allowed
 
 
 class TestSplitValidation:

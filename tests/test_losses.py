@@ -99,11 +99,12 @@ class TestMixupReg:
     def test_guessed_probability_value(self, net):
         bp = ls.Batch(np.array([[1.0, 0.0]]), "positive")
         bu = ls.Batch(np.array([[0.0, 1.0]]), "unlabeled")
-        from vpu.sampling import build_mixup_pairs
-        x_mix, t = build_mixup_pairs(bp, bu, 0.3, net)
-        np.testing.assert_allclose(x_mix, [[0.3, 0.7]])
+        # mse penalty of the single pair: (t - phi(x_mix))^2 with the mixed
+        # point (0.3, 0.7) and the guessed target t = 0.3 + 0.7 phi(u)
+        reg = ls.mixup_consistency_reg(net, None, bp, bu, 0.3, "mse_mixup_pu")
         phi_u = float(net.raw_values(bu.features)[0])
-        assert t[0] == pytest.approx(0.3 + 0.7 * phi_u)
+        phi_mix = float(net.raw_values(np.array([[0.3, 0.7]]))[0])
+        assert value(reg) == pytest.approx((0.3 + 0.7 * phi_u - phi_mix) ** 2)
 
     def test_msle_dominates_mse_near_zero(self):
         # at target 0.9, msle/mse -> infinity as the prediction collapses
@@ -306,12 +307,12 @@ class TestGradientsAgainstFiniteDiff:
 
     def test_stop_gradient_path_matches_frozen_pairs(self):
         # the trainer's default gradient: targets held constant
-        from vpu.sampling import build_mixup_pairs
         rng = np.random.default_rng(9)
         m = md.init(md.MlpArchitecture(2, (4, 3), "tanh"), seed=9)
         bp = ls.Batch(rng.normal(size=(5, 2)) + [1.5, 0], "positive")
         bu = ls.Batch(rng.normal(size=(5, 2)), "unlabeled")
-        x_mix, t_const = build_mixup_pairs(bp, bu, 0.4, m)
+        x_mix = 0.4 * bp.features + (1.0 - 0.4) * bu.features
+        t_const = 0.4 + (1.0 - 0.4) * m.raw_values(bu.features)
         fn = lambda th: ls.mixup_reg_from_pairs(m, th, x_mix, t_const, "msle")
         g = ad.gradient(fn, m.params)
         fd = ad.finite_diff_gradient(fn, m.params, 1e-6)

@@ -114,7 +114,7 @@ class TestReport:
         y = rng.choice([-1, 1], size=300)
         x[:3, 0] = 0.0  # scores near the 0.5 threshold
         rep = mt.report(trained_like_model, x, y)
-        preds = np.array([md.predict_label(p) for p in trained_like_model.predict_proba(x)])
+        preds = np.where(trained_like_model.predict_proba(x) >= 0.5, 1, -1)
         assert (rep.tp, rep.fp, rep.tn, rep.fn) == (
             np.sum((preds == 1) & (y == 1)), np.sum((preds == 1) & (y == -1)),
             np.sum((preds == -1) & (y == -1)), np.sum((preds == -1) & (y == 1)))

@@ -3,6 +3,7 @@ import pytest
 
 from vpu import autodiff as ad
 from vpu import losses as ls
+from vpu import metrics as mt
 from vpu import model as md
 from vpu.data import PuDataset
 
@@ -16,6 +17,11 @@ def constant_output_model(bias_logit: float, input_dim: int = 2) -> md.Classifie
     seg = base.params.segment("b1")
     values[seg.start] = bias_logit
     return base.with_params(values)
+
+
+def segment_values(params, name: str) -> np.ndarray:
+    seg = params.segment(name)
+    return params.values[seg.start:seg.stop].reshape(seg.shape)
 
 
 class TestArchitecture:
@@ -49,11 +55,11 @@ class TestInit:
     def test_biases_zero(self):
         m = md.init(md.MlpArchitecture(3, (16, 8)), seed=9)
         for name in ("b0", "b1", "b2"):
-            assert np.all(m.params.view(name) == 0.0)
+            assert np.all(segment_values(m.params, name) == 0.0)
 
     def test_glorot_bounds(self):
         m = md.init(md.MlpArchitecture(10, (20,)), seed=2)
-        w0 = m.params.view("w0")
+        w0 = segment_values(m.params, "w0")
         bound = np.sqrt(6.0 / 30.0)
         assert np.all(np.abs(w0) <= bound)
         assert np.abs(w0).max() > 0.5 * bound  # actually spread out
@@ -127,25 +133,30 @@ class TestNormalize:
         pts = np.random.default_rng(3).normal(size=(20, 2))
         data = self.dataset(pts)
         normalized = md.normalize(m, data)
-        direct = [md.predict_label(p) for p in normalized.predict_proba(pts)]
-        by_hand = [md.predict_label(p) for p in
-                   np.minimum(m.raw_values(pts) / normalized.normalization_scale, 1.0)]
-        assert direct == by_hand
+        direct = mt.predict_labels(normalized.predict_proba(pts))
+        by_hand = mt.predict_labels(
+            np.minimum(m.raw_values(pts) / normalized.normalization_scale, 1.0))
+        assert np.array_equal(direct, by_hand)
 
 
 class TestPredictLabel:
+    # the label rule lives in metrics, shared by accuracy and report
     def test_positive(self):
-        assert md.predict_label(0.7) == 1
+        assert mt.predict_labels([0.7]).tolist() == [1]
 
     def test_negative(self):
-        assert md.predict_label(0.3) == -1
+        assert mt.predict_labels([0.3]).tolist() == [-1]
 
     def test_tie_goes_positive(self):
-        assert md.predict_label(0.5) == 1
+        assert mt.predict_labels([0.5]).tolist() == [1]
+        assert mt.accuracy_from_scores([0.5], [1]) == 1.0
 
     def test_range_checked(self):
-        with pytest.raises(ValueError):
-            md.predict_label(1.5)
+        for bad in (1.5, -0.25, np.nan):
+            with pytest.raises(ValueError, match="out of range"):
+                mt.predict_labels([0.2, bad])
+            with pytest.raises(ValueError, match="out of range"):
+                mt.accuracy_from_scores([0.2, bad], [1, 1])
 
 
 class TestSerialization:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from vpu import losses as ls
 from vpu import model as md
 from vpu import sampling as sp
 from vpu.losses import Batch
@@ -35,15 +36,6 @@ class TestRng:
         rng = sp.Rng(3)
         draws = [rng.randbelow(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
-
-    def test_state_snapshot_roundtrip(self):
-        rng = sp.Rng(5)
-        for _ in range(13):
-            rng.next_u64()
-        state = sp.RngState.capture(rng)
-        ahead = [rng.next_u64() for _ in range(5)]
-        restored = state.restore()
-        assert [restored.next_u64() for _ in range(5)] == ahead
 
     def test_normal_moments(self):
         rng = sp.Rng(11)
@@ -163,36 +155,63 @@ def small_model():
 
 
 class TestMixupPairs:
+    """The positive/unlabeled pairs that `losses.mixup_consistency_reg`
+    builds, caught on their way into `mixup_reg_from_pairs`, and the penalty
+    at the endpoints gamma 0 and 1."""
+
     def batches(self, n=5, seed=0):
         rng = np.random.default_rng(seed)
         bp = Batch(rng.normal(size=(n, 2)), "positive")
         bu = Batch(rng.normal(size=(n, 2)), "unlabeled")
         return bp, bu
 
+    def pairs(self, model, bp, bu, gamma):
+        """(x_mix, target) of the msle_mixup_pu regularizer."""
+        seen = []
+        original = ls.mixup_reg_from_pairs
+
+        def capture(model, theta, x_mix, phi_tilde, kind="msle"):
+            seen.append((x_mix, phi_tilde))
+            return original(model, theta, x_mix, phi_tilde, kind)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ls, "mixup_reg_from_pairs", capture)
+            ls.mixup_consistency_reg(model, None, bp, bu, gamma)
+        [(x_mix, target)] = seen
+        return x_mix, target
+
     def test_gamma_one_endpoint(self, small_model):
         bp, bu = self.batches()
-        x_mix, t = sp.build_mixup_pairs(bp, bu, 1.0, small_model)
+        x_mix, t = self.pairs(small_model, bp, bu, 1.0)
         np.testing.assert_array_equal(x_mix, bp.features)
         np.testing.assert_array_equal(t, np.ones(len(bp)))
+        # target 1 at every positive: the penalty is mean (log phi(p))^2
+        reg = ls.mixup_consistency_reg(small_model, None, bp, bu, 1.0)
+        expected = np.mean(np.log(small_model.raw_values(bp.features)) ** 2)
+        assert float(reg.value) == pytest.approx(expected, rel=1e-14)
 
     def test_gamma_zero_endpoint(self, small_model):
         bp, bu = self.batches()
-        x_mix, t = sp.build_mixup_pairs(bp, bu, 0.0, small_model)
+        x_mix, t = self.pairs(small_model, bp, bu, 0.0)
         np.testing.assert_array_equal(x_mix, bu.features)
-        np.testing.assert_allclose(t, small_model.raw_values(bu.features))
+        np.testing.assert_array_equal(t, small_model.raw_values(bu.features))
+        # target phi(u) at u itself: no penalty in either residual
+        for variant in ("msle_mixup_pu", "mse_mixup_pu"):
+            reg = ls.mixup_consistency_reg(small_model, None, bp, bu, 0.0, variant)
+            assert float(reg.value) == 0.0
 
     def test_guessed_target_value(self, small_model):
         # gamma 0.3 and phi(x'') = 0.5 gives 0.3 + 0.7*0.5 = 0.65
         bp, bu = self.batches(n=1)
         phi_u = float(small_model.raw_values(bu.features)[0])
-        _, t = sp.build_mixup_pairs(bp, bu, 0.3, small_model)
+        _, t = self.pairs(small_model, bp, bu, 0.3)
         assert t[0] == pytest.approx(0.3 + 0.7 * phi_u, abs=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(gamma=st.floats(0.0, 1.0), seed=st.integers(0, 100))
     def test_target_dominates_unlabeled_phi(self, gamma, seed, small_model):
         bp, bu = self.batches(seed=seed)
-        _, t = sp.build_mixup_pairs(bp, bu, gamma, small_model)
+        _, t = self.pairs(small_model, bp, bu, gamma)
         phi_u = small_model.raw_values(bu.features)
         assert np.all(t >= phi_u - 1e-15)
         if gamma > 0:
@@ -202,7 +221,7 @@ class TestMixupPairs:
     @given(gamma=st.floats(0.0, 1.0), seed=st.integers(0, 100))
     def test_mixed_point_on_segment(self, gamma, seed, small_model):
         bp, bu = self.batches(seed=seed)
-        x_mix, _ = sp.build_mixup_pairs(bp, bu, gamma, small_model)
+        x_mix, _ = self.pairs(small_model, bp, bu, gamma)
         lo = np.minimum(bp.features, bu.features) - 1e-12
         hi = np.maximum(bp.features, bu.features) + 1e-12
         assert np.all((x_mix >= lo) & (x_mix <= hi))
@@ -211,4 +230,4 @@ class TestMixupPairs:
         bp, _ = self.batches(n=4)
         _, bu = self.batches(n=5)
         with pytest.raises(ValueError):
-            sp.build_mixup_pairs(bp, bu, 0.5, small_model)
+            ls.mixup_consistency_reg(small_model, None, bp, bu, 0.5)

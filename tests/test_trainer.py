@@ -49,6 +49,13 @@ class TestDivergence:
             tr.train(quick_config(learning_rate=1e200), quick_task())
         assert (info.value.epoch, info.value.iteration) == (1, 1)
 
+    def test_overflow_in_epoch_eval_is_training_diverged(self):
+        # one step per epoch: the step itself stays finite, and the epoch's
+        # evaluation is the first forward pass with the overflowing weights
+        with pytest.raises(tr.TrainingDiverged, match="'matmul'") as info:
+            tr.train(quick_config(learning_rate=1e200, batch_size=500), quick_task())
+        assert (info.value.epoch, info.value.iteration) == (1, 0)
+
 
 class TestAdam:
     def test_first_step_is_signed_step(self):
