@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain, compress, islice
 
 import numpy as np
 
-from .sampling import Rng, shuffled_indices
+from .sampling import Rng, _as_uniform, _pairs_needed, _take, shuffled_indices
 
 _SET_TAGS = ("P", "U", "VP", "VU", "T")
 
@@ -158,20 +159,38 @@ class PuDataset:
         return np.concatenate(parts, axis=0)
 
 
-def _sample_component(comp: GaussianComponent, rng: Rng) -> np.ndarray:
-    z = rng.normals(comp.mean.size)
-    return comp.mean + np.sqrt(comp.cov_diag) * z
+def _picks(weights: list[float], x: np.ndarray) -> np.ndarray:
+    """The component index each output in `x` picks, as a uniform u: the
+    first whose cumulative weight exceeds ``u * total``, the last if none
+    does.  Both sums run in list order, the way a loop adds them up."""
+    u = _as_uniform(x) * sum(weights)
+    return np.minimum(np.searchsorted(list(accumulate(weights)), u, side="right"),
+                      len(weights) - 1)
 
 
-def _pick_component(comps, rng: Rng) -> GaussianComponent:
-    total = sum(c.weight for c in comps)
-    u = rng.uniform() * total
-    acc = 0.0
-    for c in comps:
-        acc += c.weight
-        if u < acc:
-            return c
-    return comps[-1]
+def _sample_pool(comps, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """`n` rows from the mixture of `comps`, and each row's component index.
+
+    The stream layout is that of drawing row by row: one uniform picks the
+    component, then `dim` `Rng.normal` draws give its features, the cached
+    normal carrying across rows and calls.  All outputs come from one
+    block; `Rng.normals` turns the Box-Muller pairs among them into normals.
+    """
+    if n < 1:
+        raise ValueError("a pool needs at least one row")
+    dim = comps[0].mean.size
+    # the pairs drawn before each row's pick, and after the last row
+    pairs = _pairs_needed(np.arange(n + 1) * dim, rng._cached_normal is not None)
+    is_pick = np.zeros(n + 2 * int(pairs[-1]), dtype=bool)
+    is_pick[np.arange(n) + 2 * pairs[:-1]] = True
+    x = _take(rng, is_pick.size)
+    pick = _picks([c.weight for c in comps], x[is_pick])
+    z = rng.normals(n * dim, x[~is_pick]).reshape(n, dim)
+    rows = np.empty((n, dim))
+    for i, c in enumerate(comps):
+        mask = pick == i
+        rows[mask] = c.mean + np.sqrt(c.cov_diag) * z[mask]
+    return rows, pick
 
 
 def sample_class_conditional(spec: GaussianMixtureSpec, label: int, n: int,
@@ -179,17 +198,13 @@ def sample_class_conditional(spec: GaussianMixtureSpec, label: int, n: int,
     comps = [c for c in spec.components if c.label == label]
     if not comps:
         raise ValueError(f"mixture has no components with label {label}")
-    return np.stack([_sample_component(_pick_component(comps, rng), rng)
-                     for _ in range(n)])
+    return _sample_pool(comps, n, rng)[0]
 
 
 def sample_joint(spec: GaussianMixtureSpec, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    for _ in range(n):
-        c = _pick_component(spec.components, rng)
-        xs.append(_sample_component(c, rng))
-        ys.append(c.label)
-    return np.stack(xs), np.array(ys, dtype=np.int64)
+    rows, pick = _sample_pool(spec.components, n, rng)
+    labels = np.array([c.label for c in spec.components], dtype=np.int64)
+    return rows, labels[pick]
 
 
 def generate(spec: GaussianMixtureSpec, m: int, n: int, n_test: int,
@@ -250,26 +265,81 @@ def split_validation(data: PuDataset, fraction: float, seed: int) -> PuDataset:
                    val_positive=val_p, val_unlabeled=val_u)
 
 
+# rows formatted, or parsed, at a time; a chunk of raw CSV fields takes
+# about 0.3 MB, which bounds what a load holds beyond its arrays
+_CHUNK_ROWS = 1024
+
+
+def _write_rows(fh, row_format: str, x: np.ndarray, labels=None) -> None:
+    """One line per row of `x`: `row_format` % (the row's values, then its
+    label when `labels` is given), formatted a chunk of rows at a time."""
+    for start in range(0, x.shape[0], _CHUNK_ROWS):
+        rows = x[start:start + _CHUNK_ROWS].tolist()
+        if labels is not None:
+            for row, label in zip(rows, labels[start:start + _CHUNK_ROWS].tolist()):
+                row.append(label)
+        fh.write((row_format * len(rows)) % tuple(chain.from_iterable(rows)))
+
+
 def write_csv(data: PuDataset, path: str) -> None:
-    dim = data.dim
     has_test = data.test_x is not None
-    header = ["set"] + [f"x{i}" for i in range(dim)] + (["y"] if has_test else [])
-
-    def fmt(row):
-        return [f"{v:.17g}" for v in row]
-
+    header = ["set"] + [f"x{i}" for i in range(data.dim)] + (["y"] if has_test else [])
+    # "%.17g" formats a float exactly as f"{v:.17g}" does
+    fields = ",".join(["%.17g"] * data.dim)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for tag, pool in (("P", data.positive), ("U", data.unlabeled),
                           ("VP", data.val_positive), ("VU", data.val_unlabeled)):
-            if pool is None:
-                continue
-            for row in pool:
-                writer.writerow([tag] + fmt(row) + ([""] if has_test else []))
+            if pool is not None:
+                _write_rows(fh, f"{tag},{fields}{',' if has_test else ''}\n", pool)
         if has_test:
-            for row, label in zip(data.test_x, data.test_y):
-                writer.writerow(["T"] + fmt(row) + [f"{int(label):+d}"])
+            _write_rows(fh, f"T,{fields},%+d\n", data.test_x, data.test_y)
+
+
+def _check_row(path: str, lineno: int, row: list[str], dim: int, has_label: bool) -> None:
+    """Raise the first error of one nonblank data row, if it has one."""
+    tag = row[0]
+    if tag not in _SET_TAGS:
+        raise ValueError(f"{path}:{lineno}: unknown set tag {tag!r}")
+    expected = 1 + dim + (1 if has_label else 0)
+    if len(row) != expected:
+        raise ValueError(f"{path}:{lineno}: expected {expected} fields, got {len(row)}")
+    try:
+        for v in row[1:dim + 1]:
+            float(v)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: bad number ({exc})") from None
+    if tag == "T":
+        if not has_label or row[-1] == "":
+            raise ValueError(f"{path}:{lineno}: test row without label")
+        int(float(row[-1]))  # a bad label raises float's or int's own error
+
+
+def _parse_rows(rows: list[list[str]], dim: int, has_label: bool,
+                pools: dict[str, list], labels: list[int]) -> None:
+    """Append the features of the nonblank `rows` to their pools, a column
+    at a time, and the labels of their T rows to `labels`.  Raises
+    ValueError or OverflowError if any row is bad, without naming it."""
+    rows = [row for row in rows if row]
+    if not rows:
+        return
+    expected = 1 + dim + (1 if has_label else 0)
+    if set(map(len, rows)) != {expected}:
+        raise ValueError("wrong field count")
+    columns = list(zip(*rows))
+    if not set(columns[0]) <= set(_SET_TAGS):
+        raise ValueError("unknown set tag")
+    tags = np.array(columns[0], dtype=object)
+    x = np.column_stack([np.fromiter(map(float, col), np.float64, len(rows))
+                         for col in columns[1:dim + 1]])
+    for tag in _SET_TAGS:
+        mask = tags == tag
+        if mask.any():
+            pools[tag].append(x[mask])
+    test_labels = list(compress(columns[-1], (tags == "T").tolist()))
+    if test_labels and (not has_label or "" in test_labels):
+        raise ValueError("test row without label")
+    labels.extend(map(int, map(float, test_labels)))
 
 
 def load_csv(path: str) -> PuDataset:
@@ -285,31 +355,24 @@ def load_csv(path: str) -> PuDataset:
         dim = len(header) - 1 - (1 if has_label else 0)
         if dim < 1 or header[0] != "set" or header[1:dim + 1] != [f"x{i}" for i in range(dim)]:
             raise ValueError(f"{path}: malformed header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            tag = row[0]
-            if tag not in _SET_TAGS:
-                raise ValueError(f"{path}:{lineno}: unknown set tag {tag!r}")
-            expected = 1 + dim + (1 if has_label else 0)
-            if len(row) != expected:
-                raise ValueError(f"{path}:{lineno}: expected {expected} fields, got {len(row)}")
+        first_line = 2
+        while rows := list(islice(reader, _CHUNK_ROWS)):
             try:
-                features = [float(v) for v in row[1:dim + 1]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad number ({exc})") from None
-            pools[tag].append(features)
-            if tag == "T":
-                if not has_label or row[-1] == "":
-                    raise ValueError(f"{path}:{lineno}: test row without label")
-                labels.append(int(float(row[-1])))
+                _parse_rows(rows, dim, has_label, pools, labels)
+            except (ValueError, OverflowError):
+                # name the first bad row, with the error a row-by-row read gives
+                for lineno, row in enumerate(rows, start=first_line):
+                    if row:
+                        _check_row(path, lineno, row, dim, has_label)
+                raise
+            first_line += len(rows)
     if not pools["P"]:
         raise ValueError(f"{path}: positive set empty")
     if not pools["U"]:
         raise ValueError(f"{path}: unlabeled set empty")
 
     def arr(tag):
-        return np.array(pools[tag], dtype=np.float64) if pools[tag] else None
+        return np.concatenate(pools[tag]) if pools[tag] else None
 
     test_x = arr("T")
     test_y = np.array(labels, dtype=np.int64) if labels else None

@@ -60,14 +60,12 @@ def average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged (midrank convention)."""
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(scores, kind="mergesort")
+    ordered = scores[order]
+    # sorted positions i..j of each tie group (NaN ties with nothing)
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    last = np.append(first[1:], scores.size) - 1
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average of positions i..j
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .sampling import Rng
+from .sampling import Rng, _uniforms
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -145,8 +145,7 @@ def init(arch: MlpArchitecture, seed: int) -> ClassifierModel:
     for i, (fan_in, fan_out) in enumerate(arch.layer_dims):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         seg = params.segment(f"w{i}")
-        for j in range(seg.start, seg.stop):
-            values[j] = (2.0 * rng.uniform() - 1.0) * bound
+        values[seg.start:seg.stop] = (2.0 * _uniforms(rng, seg.stop - seg.start) - 1.0) * bound
     return ClassifierModel(arch=arch, params=ad.ParameterVector(values, layout))
 
 
@@ -163,11 +162,11 @@ def normalize(model: ClassifierModel, dataset) -> ClassifierModel:
 def save_model(model: ClassifierModel, path: str) -> None:
     """Flat text format: one header line, then one weight per line."""
     widths = ",".join(str(w) for w in model.arch.hidden_widths)
-    lines = [f"vpu-model v1 {model.arch.input_dim} {widths} "
-             f"{model.arch.activation} {model.normalization_scale:.17g}"]
-    lines.extend(f"{v:.17g}" for v in model.params.values)
+    values = model.params.values.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"vpu-model v1 {model.arch.input_dim} {widths} "
+                 f"{model.arch.activation} {model.normalization_scale:.17g}\n")
+        fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 def load_model(path: str) -> ClassifierModel:

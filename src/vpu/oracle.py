@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .losses import variational_loss_values
-from .sampling import Rng, sample_gamma
+from .sampling import Rng, _uniforms, sample_gamma
 
 
 @dataclass(frozen=True)
@@ -252,15 +252,14 @@ def random_instance(rng: Rng, k_max: int = 32, anchor: bool = False) -> Discrete
 
 
 def random_phi(k: int, rng: Rng, lo: float = 1e-3, hi: float = 1.0) -> np.ndarray:
-    return np.array([lo + (hi - lo) * rng.uniform() for _ in range(k)])
+    return lo + (hi - lo) * _uniforms(rng, k)
 
 
 def random_biased_labeled(d: DiscreteJoint, rng: Rng,
                           spread: float = 0.3) -> np.ndarray:
     """A labeled distribution inside a multiplicative envelope of f_p,
     renormalized; zero exactly where f_p is zero."""
-    factors = np.array([1.0 - spread + 2.0 * spread * rng.uniform()
-                        for _ in range(d.k)])
+    factors = 1.0 - spread + 2.0 * spread * _uniforms(rng, d.k)
     raw = d.f_p * factors
     return raw / raw.sum()
 

@@ -5,6 +5,12 @@ The generator is SplitMix64 run in counter mode: output i is
 ``mix64(seed + (i+1) * 0x9E3779B97F4A7C15)`` where ``mix64`` is the standard
 SplitMix64 finalizer.  The algorithm is fixed and documented so that golden
 values are reproducible across implementations and platforms.
+
+Output i is a pure function of the seed and i, so any run of outputs can be
+computed in one numpy call (`_outputs`) and consumed in order.  Every
+sampler here and in `data`, `model` and `oracle` draws in such blocks, and
+leaves ``Rng.counter`` (and the cached Box-Muller normal) exactly where
+one-draw-at-a-time code would, so outputs do not depend on the block sizes.
 """
 
 from __future__ import annotations
@@ -17,12 +23,7 @@ from .losses import Batch
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+_BLOCK = 64  # outputs mixed at once for the scalar draws of `Rng.next_u64`
 
 
 class Rng:
@@ -30,16 +31,25 @@ class Rng:
 
     Identical seed and call sequence give identical outputs.  Workers must
     not share an instance; derive child streams as ``Rng(seed + index)``.
+    ``counter`` is the number of outputs consumed; code that takes outputs
+    with `_take` advances it past them.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self.counter = 0
         self._cached_normal: float | None = None
+        self._block: list[int] = []  # outputs _block_at + 1, _block_at + 2, ...
+        self._block_at = 0
 
     def next_u64(self) -> int:
+        i = self.counter - self._block_at
+        if not 0 <= i < len(self._block):
+            self._block = _outputs(self, _BLOCK).tolist()
+            self._block_at = self.counter
+            i = 0
         self.counter += 1
-        return _mix64((self.seed + self.counter * _GOLDEN) & _MASK64)
+        return self._block[i]
 
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random bits."""
@@ -72,8 +82,31 @@ class Rng:
         self._cached_normal = r * math.sin(theta)
         return r * math.cos(theta)
 
-    def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+    def normals(self, n: int, pairs: np.ndarray | None = None) -> np.ndarray:
+        """`n` draws of `normal`, bit for bit: the cached value first, then
+        Box-Muller pairs (cos, sin), the last sine cached when one is left.
+
+        `pairs` holds the pairs' outputs (u1, u2, u1, u2, ...) when the
+        caller has taken them from the stream itself, interleaved with other
+        draws; it must hold ``_pairs_needed(n, cached)`` pairs.  Without it
+        they are taken here.  ``math.log``, ``math.cos`` and ``math.sin`` are
+        applied per element: numpy's versions differ from them in the last
+        bit for some inputs.
+        """
+        k = _pairs_needed(n, self._cached_normal is not None)
+        if pairs is None:
+            pairs = _take(self, 2 * k)
+        u1 = ((pairs[0::2] >> np.uint64(12)) + 0.5) * 2.0**-52
+        u2 = _as_uniform(pairs[1::2])
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, k))
+        theta = (2.0 * math.pi * u2).tolist()
+        cos = r * np.fromiter(map(math.cos, theta), np.float64, k)
+        sin = r * np.fromiter(map(math.sin, theta), np.float64, k)
+        z = np.column_stack((cos, sin)).ravel()
+        if self._cached_normal is not None:
+            z = np.concatenate(([self._cached_normal], z))
+        self._cached_normal = float(z[n]) if z.size > n else None
+        return z[:n]
 
 
 def sample_gamma(shape: float, rng: Rng) -> float:
@@ -111,13 +144,46 @@ def sample_beta(alpha: float, rng: Rng) -> float:
             return g1 / total
 
 
+# the SplitMix64 constants as numpy scalars, built once rather than per call
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFT27, _SHIFT30, _SHIFT31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+
 def _outputs(rng: Rng, k: int) -> np.ndarray:
     """The next `k` outputs of `rng` as uint64, without advancing it."""
     z = np.arange(rng.counter + 1, rng.counter + k + 1, dtype=np.uint64)
-    z = np.uint64(rng.seed) + z * np.uint64(_GOLDEN)  # wraps mod 2^64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z *= _GOLDEN_U64  # uint64 arithmetic wraps mod 2^64
+    z += np.uint64(rng.seed)
+    z ^= z >> _SHIFT30
+    z *= _MUL1
+    z ^= z >> _SHIFT27
+    z *= _MUL2
+    z ^= z >> _SHIFT31
+    return z
+
+
+def _take(rng: Rng, k: int) -> np.ndarray:
+    """The next `k` outputs of `rng` as uint64, advancing it past them."""
+    x = _outputs(rng, k)
+    rng.counter += k
+    return x
+
+
+def _pairs_needed(n, cached: bool):
+    """How many Box-Muller pairs `n` draws of `Rng.normal` take, with or
+    without a cached normal to start from (`n` may be an int array)."""
+    return (n - int(cached) + 1) // 2
+
+
+def _as_uniform(x: np.ndarray) -> np.ndarray:
+    """What `Rng.uniform` makes of each output in `x`."""
+    return (x >> np.uint64(11)) * 2.0**-53
+
+
+def _uniforms(rng: Rng, k: int) -> np.ndarray:
+    """``[rng.uniform() for _ in range(k)]``, bit for bit, in one block."""
+    return _as_uniform(_take(rng, k))
 
 
 def _randbelow_each(rng: Rng, bounds: np.ndarray) -> np.ndarray:

@@ -5,8 +5,11 @@ add / activation nodes, the way `ClassifierModel.logits` did before it
 became one node with a hand-written backward; the tape ops it needs beyond
 those the losses use (`matmul`, `tanh`, `reshape`) are defined here.
 `sample_indices_loop` draws one `Rng.randbelow` per index, the way
-`sampling.sample_indices` did before its draws were vectorised.  Both must
-agree with the optimised code bit for bit.
+`sampling.sample_indices` did before its draws were vectorised.
+`ScalarRng` mixes one SplitMix64 output per `next_u64` call; the row-by-row
+samplers, `normals_loop` and `average_ranks_loop` are the scalar forms of
+the block code in `data`, `sampling` and `metrics`.  All must agree with
+the optimised code bit for bit, which `bits` and `same_state` compare.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from vpu import autodiff as ad
 from vpu import model as md
+from vpu import sampling as sp
 
 
 def matmul(a, b) -> ad.Tensor:
@@ -96,3 +100,84 @@ def sample_indices_loop(n: int, size: int, rng) -> np.ndarray:
         j = i + rng.randbelow(n - i)
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:size]
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z: int) -> int:
+    """The SplitMix64 finalizer on one Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def bits(x) -> np.ndarray:
+    """Float64 values as uint64, so that equality is bit equality."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def same_state(fast, slow) -> bool:
+    """Equal counters and bit-equal cached normals (or none on both)."""
+    a, b = fast._cached_normal, slow._cached_normal
+    if a is None or b is None:
+        return fast.counter == slow.counter and a is b
+    return fast.counter == slow.counter and bits(a) == bits(b)
+
+
+class ScalarRng(sp.Rng):
+    """An `Rng` that mixes each output when it is drawn."""
+
+    def next_u64(self) -> int:
+        self.counter += 1
+        return mix64((self.seed + self.counter * _GOLDEN) & _MASK64)
+
+
+def normals_loop(rng, n: int) -> np.ndarray:
+    return np.array([rng.normal() for _ in range(n)], dtype=np.float64)
+
+
+def pick_component_loop(comps, rng):
+    total = sum(c.weight for c in comps)
+    u = rng.uniform() * total
+    acc = 0.0
+    for c in comps:
+        acc += c.weight
+        if u < acc:
+            return c
+    return comps[-1]
+
+
+def sample_component_loop(comp, rng) -> np.ndarray:
+    z = normals_loop(rng, comp.mean.size)
+    return comp.mean + np.sqrt(comp.cov_diag) * z
+
+
+def sample_class_conditional_loop(spec, label: int, n: int, rng) -> np.ndarray:
+    comps = [c for c in spec.components if c.label == label]
+    return np.stack([sample_component_loop(pick_component_loop(comps, rng), rng)
+                     for _ in range(n)])
+
+
+def sample_joint_loop(spec, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    xs, ys = [], []
+    for _ in range(n):
+        c = pick_component_loop(spec.components, rng)
+        xs.append(sample_component_loop(c, rng))
+        ys.append(c.label)
+    return np.stack(xs), np.array(ys, dtype=np.int64)
+
+
+def average_ranks_loop(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average of positions i..j
+        i = j + 1
+    return ranks

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from vpu import data as dt
+from vpu import sampling as sp
+
+from reference import (ScalarRng, bits, pick_component_loop, same_state,
+                       sample_class_conditional_loop, sample_joint_loop)
 
 
 def two_gaussian_spec(sep=2.0):
@@ -207,6 +211,94 @@ class TestPuDataset:
             dt.PuDataset(**pools, test_y=np.ones(3, dtype=np.int64))
 
 
+WEIGHTS = {1: [1.0], 2: [1 / 3, 2 / 3], 3: [1 / 6, 1 / 3, 0.5], 4: [1 / 6, 1 / 6, 1 / 6, 0.5]}
+
+
+def mixture(dim: int, k: int) -> dt.GaussianMixtureSpec:
+    """`k` components in `dim` dimensions, labels alternating from +1."""
+    return dt.GaussianMixtureSpec(tuple(
+        dt.GaussianComponent(np.arange(dim) * (i + 1.0) - i, 0.5 + i + 0.25 * np.arange(dim),
+                             1 if i % 2 == 0 else -1, w)
+        for i, w in enumerate(WEIGHTS[k])))
+
+
+class FixedOutputs(sp.Rng):
+    """An `Rng` that returns the given outputs, in order."""
+
+    def __init__(self, outputs):
+        super().__init__(0)
+        self.outputs = iter(outputs)
+
+    def next_u64(self) -> int:
+        self.counter += 1
+        return next(self.outputs)
+
+
+class TestBlockSamplers:
+    """One stream block per pool against the row-by-row samplers."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_pools_from_one_rng(self, dim, k, cached):
+        # pools of 1 and 2 rows, and several pools in a row, as bias-exp
+        # draws them: with an odd dim the cached normal crosses rows and calls
+        spec = mixture(dim, k)
+        fast, slow = sp.Rng(dim * 10 + k), ScalarRng(dim * 10 + k)
+        if cached:
+            assert fast.normal() == slow.normal()
+        for n in (1, 2, 37, 1):
+            x, y = dt.sample_joint(spec, n, fast)
+            want_x, want_y = sample_joint_loop(spec, n, slow)
+            assert np.array_equal(bits(x), bits(want_x)) and np.array_equal(y, want_y)
+            assert y.dtype == want_y.dtype and x.shape == want_x.shape
+            assert same_state(fast, slow)
+            x = dt.sample_class_conditional(spec, 1, n, fast)
+            assert np.array_equal(bits(x), bits(sample_class_conditional_loop(spec, 1, n, slow)))
+            assert same_state(fast, slow)
+
+    def test_generate_matches_loop(self):
+        spec = three_cluster_spec()
+        data = dt.generate(spec, 50, 300, 200, seed=9)
+        rng = ScalarRng(9)
+        positive = sample_class_conditional_loop(spec, 1, 50, rng)
+        unlabeled, _ = sample_joint_loop(spec, 300, rng)
+        test_x, test_y = sample_joint_loop(spec, 200, rng)
+        for got, want in ((data.positive, positive), (data.unlabeled, unlabeled),
+                          (data.test_x, test_x)):
+            assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(data.test_y, test_y)
+
+    @pytest.mark.parametrize("weights", [[1 / 6, 1 / 6, 1 / 6, 0.5], [1 / 3, 2 / 3], [0.1] * 10,
+                                         [1e-300, 1.0], [0.7, 0.2, 0.1], [1.0]])
+    def test_picks_at_the_thresholds(self, weights):
+        # uniforms just below, at and above each cumulative weight, and the
+        # largest uniform, which can round u * total up to the total
+        total = sum(weights)
+        acc, top = 0.0, 2**53 - 1
+        ks = {0, top}
+        for w in weights:
+            acc += w
+            k0 = int(acc / total * 2**53)
+            ks.update(min(max(k, 0), top) for k in range(k0 - 2, k0 + 3))
+        x = [(k << 11) | 0x5A5 for k in sorted(ks)]
+        comps = [dt.GaussianComponent(np.full(1, i), np.ones(1), 1, w) for i, w in enumerate(weights)]
+        rng = FixedOutputs(x)
+        want = [int(pick_component_loop(comps, rng).mean[0]) for _ in x]
+        assert dt._picks(weights, np.array(x, dtype=np.uint64)).tolist() == want
+
+    def test_pick_past_the_last_threshold(self, monkeypatch):
+        # a total above the last cumulative weight (a compensated sum() can
+        # give one) lets u pass every threshold: the last component is picked
+        monkeypatch.setattr(dt, "sum", lambda weights: 2.0, raising=False)
+        x = np.array([0, (2**53 - 1) << 11], dtype=np.uint64)
+        assert dt._picks([0.25, 0.75], x).tolist() == [0, 1]
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            dt.sample_joint(two_gaussian_spec(), 0, sp.Rng(0))
+
+
 class TestCsv:
     def test_roundtrip_exact(self, tmp_path):
         data = dt.generate(two_gaussian_spec(), 12, 17, 9, seed=5)
@@ -256,3 +348,80 @@ class TestCsv:
         path.write_text("set,x0,x1\nP,1.0,2.0\nU,1.0\n")
         with pytest.raises(ValueError, match=":3"):
             dt.load_csv(str(path))
+
+
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    """A generated file of 8501 lines (P 500, U 2000, T 6000), so the rows
+    span several of the chunks that `load_csv` parses a column at a time."""
+    path = tmp_path_factory.mktemp("csv") / "long.csv"
+    dt.write_csv(dt.generate(two_gaussian_spec(), 500, 2000, 6000, seed=1), str(path))
+    return path.read_text().splitlines(keepends=True)
+
+
+class TestCsvErrorLines:
+    """A bad row is named by its `path:line`, wherever it falls."""
+
+    def load(self, tmp_path, lines):
+        path = tmp_path / "d.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
+            dt.load_csv(str(path))
+        return str(err.value), str(path)
+
+    def test_bad_number_on_late_test_row(self, tmp_path, long_csv):
+        lines = list(long_csv)
+        assert lines[8495].startswith("T,")
+        fields = lines[8495].split(",")
+        lines[8495] = ",".join([fields[0], fields[1], "1.5x", fields[3]])
+        message, path = self.load(tmp_path, lines)
+        assert message == f"{path}:8496: bad number (could not convert string to float: '1.5x')"
+
+    def test_unknown_tag_after_1000_good_rows(self, tmp_path, long_csv):
+        lines = long_csv[:1001] + ["Q,1.0,2.0,\n"] + long_csv[1001:]
+        message, path = self.load(tmp_path, lines)
+        assert message == f"{path}:1002: unknown set tag 'Q'"
+
+    def test_first_bad_row_wins(self, tmp_path, long_csv):
+        lines = list(long_csv)
+        lines[7000] = "T,1.0,2.0,\n"  # a test row without label, in a later chunk
+        lines[3000] = "T,1.0\n"
+        message, path = self.load(tmp_path, lines)
+        assert message == f"{path}:3001: expected 4 fields, got 2"
+
+    def test_blank_lines_count(self, tmp_path, long_csv):
+        lines = long_csv[:10] + ["\n"] * 5000 + long_csv[10:]
+        lines[6000] = "U,1.0,x,\n"
+        message, path = self.load(tmp_path, lines)
+        assert message == f"{path}:6001: bad number (could not convert string to float: 'x')"
+
+    def test_late_label_parse_error_is_its_own(self, tmp_path, long_csv):
+        lines = list(long_csv)
+        lines[8000] = "T,1.0,2.0,one\n"
+        message, _ = self.load(tmp_path, lines)
+        assert message == "could not convert string to float: 'one'"
+
+    def test_roundtrip_bits_over_chunks(self, tmp_path, long_csv):
+        path = tmp_path / "long.csv"
+        path.write_text("".join(long_csv))
+        got = dt.load_csv(str(path))
+        want = dt.generate(two_gaussian_spec(), 500, 2000, 6000, seed=1)
+        for name in ("positive", "unlabeled", "test_x"):
+            assert np.array_equal(bits(getattr(got, name)), bits(getattr(want, name))), name
+        assert np.array_equal(got.test_y, want.test_y) and got.test_y.dtype == np.int64
+
+    def test_blank_lines_and_mixed_tags_load(self, tmp_path, long_csv):
+        # rows of every tag interleaved and blank lines between them load
+        # in file order within each set
+        head, body = long_csv[0], long_csv[1:]
+        p_rows, u_rows, t_rows = body[:500], body[500:2500], body[2500:]
+        mixed = [head]
+        for i in range(2000):
+            mixed += [u_rows[i], "\n", t_rows[i]] + ([p_rows[i // 4]] if i % 4 == 0 else [])
+        path = tmp_path / "mixed.csv"
+        path.write_text("".join(mixed))
+        got = dt.load_csv(str(path))
+        path.write_text("".join([head] + p_rows + u_rows + t_rows[:2000]))
+        want = dt.load_csv(str(path))
+        for name in ("positive", "unlabeled", "test_x", "test_y"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from vpu import metrics as mt
 from vpu import model as md
 
+from reference import average_ranks_loop
+
 
 class TestAccuracyFromScores:
     def test_perfect(self):
@@ -26,6 +28,29 @@ class TestAccuracyFromScores:
         acc = mt.accuracy_from_scores(scores, labels)
         flipped = mt.accuracy_from_scores(1.0 - scores, -labels)
         assert flipped == pytest.approx(acc)
+
+
+class TestAverageRanks:
+    """Tie groups in one pass against the loop over sorted positions."""
+
+    @pytest.mark.parametrize("scores", [
+        [0.5],
+        [0.5] * 1000,
+        [0.0, -0.0, 0.0, 1.0, -0.0],
+        [np.nan, 1.0, np.nan, 0.0, 1.0, np.nan],
+        np.random.default_rng(0).integers(0, 4, 5000) / 4.0,
+        np.random.default_rng(1).uniform(size=5000).round(2),
+        np.random.default_rng(2).uniform(size=5000),
+        np.repeat([0.9, 0.1, 0.5, 0.1], [1, 3000, 2, 1]),
+    ], ids=["one", "all-tied", "signed-zeros", "nans", "four-values", "rounded",
+            "distinct", "runs"])
+    def test_matches_loop(self, scores):
+        got = mt.average_ranks(scores)
+        want = average_ranks_loop(scores)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_empty(self):
+        assert mt.average_ranks(np.array([])).shape == (0,)
 
 
 class TestAuc:

@@ -11,7 +11,7 @@ from vpu import model as md
 from vpu import sampling as sp
 from vpu.losses import Batch
 
-from reference import sample_indices_loop
+from reference import ScalarRng, bits, normals_loop, same_state, sample_indices_loop
 
 
 class TestRng:
@@ -147,6 +147,65 @@ class TestSampleIndices:
         want = [slow.randbelow(int(b)) for b in bounds]
         assert [int(v) for v in got] == want
         assert fast.counter == slow.counter > bounds.size
+
+
+class TestBlockDraws:
+    """The block-buffered `Rng` against one mixed output per draw."""
+
+    def test_scalar_draws_across_block_boundaries(self):
+        fast, slow = sp.Rng(5), ScalarRng(5)
+        n = 3 * sp._BLOCK + 5
+        assert [fast.next_u64() for _ in range(n)] == [slow.next_u64() for _ in range(n)]
+        assert [fast.uniform() for _ in range(n)] == [slow.uniform() for _ in range(n)]
+        assert fast.counter == slow.counter == 2 * n
+
+    def test_counter_moved_by_hand(self):
+        fast, slow = sp.Rng(8), ScalarRng(8)
+        for start in (10, 3, 3 + sp._BLOCK, 2**40, 0):
+            fast.counter = slow.counter = start
+            assert [fast.next_u64() for _ in range(9)] == [slow.next_u64() for _ in range(9)]
+
+    def test_after_randbelow_fall_back(self):
+        bounds = np.array([5, 2**63 + 1, 2**64 - 3, 9] * 10, dtype=np.uint64)
+        fast, slow = sp.Rng(3), ScalarRng(3)
+        assert fast.next_u64() == slow.next_u64()
+        got = sp._randbelow_each(fast, bounds)
+        assert [int(v) for v in got] == [slow.randbelow(int(b)) for b in bounds]
+        assert [fast.next_u64() for _ in range(100)] == [slow.next_u64() for _ in range(100)]
+        assert same_state(fast, slow)
+
+    def test_interleaved_with_block_takes(self):
+        fast, slow = sp.Rng(11), ScalarRng(11)
+        for k in (1, 7, sp._BLOCK, 2 * sp._BLOCK + 1):
+            assert [fast.next_u64() for _ in range(k)] == [slow.next_u64() for _ in range(k)]
+            ahead = sp._outputs(fast, 3)  # looks ahead without advancing
+            taken = sp._take(fast, k)
+            assert [int(v) for v in ahead[:k]] == [int(v) for v in taken[:3]]
+            assert [int(v) for v in taken] == [slow.next_u64() for _ in range(k)]
+            assert fast.counter == slow.counter
+
+    def test_uniforms_block(self):
+        fast, slow = sp.Rng(2), ScalarRng(2)
+        fast.uniform(), slow.uniform()
+        assert np.array_equal(bits(sp._uniforms(fast, 300)),
+                              bits([slow.uniform() for _ in range(300)]))
+        assert same_state(fast, slow)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_normals_block(self, cached):
+        fast, slow = sp.Rng(4), ScalarRng(4)
+        if cached:
+            assert fast.normal() == slow.normal()
+        for n in (0, 1, 2, 3, 4, 7, 1, 0, 130):
+            assert np.array_equal(bits(fast.normals(n)), bits(normals_loop(slow, n))), n
+            assert same_state(fast, slow), n
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 4.5])
+    def test_beta_draws(self, alpha):
+        fast, slow = sp.Rng(6), ScalarRng(6)
+        for _ in range(200):
+            assert sp.sample_beta(alpha, fast) == sp.sample_beta(alpha, slow)
+            assert same_state(fast, slow)
 
 
 @pytest.fixture(scope="module")
