@@ -226,6 +226,10 @@ def write_resolved(cfg: Config, out_dir: str) -> None:
 
 def _load_training_data(cfg: Config) -> PuDataset:
     data = load_csv(cfg["data"])
+    if data.test_y is not None and data.test_y.min() == data.test_y.max():
+        # the test AUC is reported after training: fail before any of it
+        raise ConfigError(f"{cfg['data']}: the T rows hold one class; "
+                          "AUC needs both classes present")
     if cfg.train.early_stop_metric == "val_lvar" and not data.has_validation():
         data = split_validation(data, cfg["val_fraction"], cfg["seed"])
     return data

@@ -2,11 +2,13 @@
 and ablation variants, the large-margin regularizer, the weighted-L2
 variational loss, and the uPU / nnPU baseline risks.
 
-All functions return differentiable scalars (autodiff Tensors) built on a
-flat parameter Tensor `theta`; pass `theta=None` to evaluate at the model's
-own parameters.  Value-level cores (`*_values`, `*_from_margins`,
-`mixup_reg_from_pairs`) operate directly on probability / margin vectors and
-are what the batch-level wrappers and the exactness tests share.
+`total_loss` is the one place that runs the network on a training batch:
+it forwards the positive rows, then the unlabeled rows, once each, and hands
+the outputs to the heads.  The heads (`*_values`, `*_from_margins`) take
+probability or margin vectors; the regularizers that need outputs at other
+points (`mixup_consistency_reg`, the large-margin term) forward those rows
+themselves.  Everything returns a differentiable scalar (an autodiff Tensor)
+on the flat parameter Tensor `theta`.
 """
 
 from __future__ import annotations
@@ -22,23 +24,7 @@ OBJECTIVES = ("vpu", "vpu_l2", "upu", "nnpu")
 REG_VARIANTS = ("msle_mixup_pu", "none", "msle_mixup_p_only",
                 "msle_mixup_pupu", "mse_mixup_pu", "large_margin")
 _MIXUP_VARIANTS = ("msle_mixup_pu", "msle_mixup_p_only", "msle_mixup_pupu", "mse_mixup_pu")
-
-
-@dataclass(frozen=True)
-class Batch:
-    features: np.ndarray
-    origin: str  # "positive" | "unlabeled"
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            raise ValueError("batch must be a nonempty 2-D array")
-        if self.origin not in ("positive", "unlabeled"):
-            raise ValueError(f"unknown batch origin {self.origin!r}")
-        object.__setattr__(self, "features", feats)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
+PU_TARGET_VARIANTS = ("msle_mixup_pu", "mse_mixup_pu")  # targets built from the U outputs
 
 
 @dataclass(frozen=True)
@@ -65,24 +51,20 @@ class LossSpec:
             raise ValueError("lambda must be finite and >= 0")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be finite and > 0")
-        baseline = self.objective in ("upu", "nnpu")
-        if baseline and (self.pi_p is None or not 0.0 < self.pi_p < 1.0):
+        if not self.variational and (self.pi_p is None or not 0.0 < self.pi_p < 1.0):
             raise ValueError("baseline objectives require pi_p in (0, 1)")
-        if not baseline and self.pi_p is not None:
+        if self.variational and self.pi_p is not None:
             raise ValueError("pi_p is only meaningful for upu/nnpu")
 
     @property
+    def variational(self) -> bool:
+        """vpu or vpu_l2: scale-free outputs, regularized, normalized after
+        training; otherwise a baseline risk on the margins."""
+        return self.objective in ("vpu", "vpu_l2")
+
+    @property
     def needs_gamma(self) -> bool:
-        return self.objective in ("vpu", "vpu_l2") and self.reg_variant in _MIXUP_VARIANTS
-
-
-def _check_origins(batch_p: Batch, batch_u: Batch) -> None:
-    if batch_p.origin != "positive" or batch_u.origin != "unlabeled":
-        raise ValueError("batches passed with wrong origins")
-
-
-def _theta(model, theta):
-    return ad.as_tensor(model.params.values if theta is None else theta)
+        return self.variational and self.reg_variant in _MIXUP_VARIANTS
 
 
 # -- variational objectives ----------------------------------------------------
@@ -93,26 +75,11 @@ def variational_loss_values(phi_p, phi_u) -> ad.Tensor:
     return ad.log(ad.mean(ad.as_tensor(phi_u))) - ad.mean(ad.log(ad.as_tensor(phi_p)))
 
 
-def variational_loss(model, theta, batch_p: Batch, batch_u: Batch) -> ad.Tensor:
-    """Empirical variational loss on raw (pre-normalization) outputs."""
-    _check_origins(batch_p, batch_u)
-    t = _theta(model, theta)
-    return variational_loss_values(model.raw(t, batch_p.features),
-                                   model.raw(t, batch_u.features))
-
-
 def l2_variational_loss_values(phi_p, phi_u) -> ad.Tensor:
     """mean_u(phi^2)/mean_u(phi)^2 - 2 mean_p(phi)/mean_u(phi)."""
     phi_p, phi_u = ad.as_tensor(phi_p), ad.as_tensor(phi_u)
     m_u = ad.mean(phi_u)
     return ad.mean(phi_u * phi_u) / (m_u * m_u) - 2.0 * ad.mean(phi_p) / m_u
-
-
-def l2_variational_loss(model, theta, batch_p: Batch, batch_u: Batch) -> ad.Tensor:
-    _check_origins(batch_p, batch_u)
-    t = _theta(model, theta)
-    return l2_variational_loss_values(model.raw(t, batch_p.features),
-                                      model.raw(t, batch_u.features))
 
 
 # -- regularizers ---------------------------------------------------------------
@@ -125,7 +92,7 @@ def mixup_reg_from_pairs(model, theta, x_mix: np.ndarray, phi_tilde,
     for mse.  `phi_tilde` may be a constant array (stop-gradient targets) or
     a Tensor when the target should stay differentiable.
     """
-    phi_mix = model.raw(_theta(model, theta), x_mix)
+    phi_mix = model.raw(theta, x_mix)
     t = ad.as_tensor(phi_tilde)
     if kind == "msle":
         d = ad.log(t) - ad.log(phi_mix)
@@ -140,72 +107,61 @@ def _rotate(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a[1:], a[:1]], axis=0)
 
 
-def mixup_consistency_reg(model, theta, batch_p: Batch, batch_u: Batch, gamma,
+def mixup_consistency_reg(model, theta, xp: np.ndarray, xu: np.ndarray, phi_u, gamma,
                           variant: str = "msle_mixup_pu",
                           target_stop_gradient: bool = True) -> ad.Tensor:
     """MixUp consistency regularizer in one of its ablation variants.
 
-    gamma may be a scalar (one draw per batch, the default training path) or
-    a per-pair vector.  Pairing is positional; the randomness comes from
-    batch sampling.  The pupu variant pairs the concatenated batch with its
-    rotation, so both endpoints range over positives and unlabeled points.
+    `xp` and `xu` are the positive and unlabeled rows.  `phi_u` is
+    ``model.raw(theta, xu)``: the `PU_TARGET_VARIANTS` build their target
+    from it (from its values when the target stops the gradient), and the
+    other variants ignore it.  gamma may be a scalar (one draw per batch, the
+    default training path) or a per-pair vector.  Pairing is positional; the
+    randomness comes from batch sampling.  The pupu variant pairs the
+    concatenated rows with their rotation, so both endpoints range over
+    positives and unlabeled points.
     """
     if variant not in _MIXUP_VARIANTS:
         raise ValueError(f"not a mixup variant: {variant!r}")
-    _check_origins(batch_p, batch_u)
-    t = _theta(model, theta)
+    t = ad.as_tensor(theta)
     g = np.asarray(gamma, dtype=np.float64)
 
     def spread(n):
         return np.full(n, float(g)) if g.ndim == 0 else g
 
-    def phi_of(x):
-        if target_stop_gradient:
-            return model.raw(t.value, x).value
-        return model.raw(t, x)
-
-    if variant in ("msle_mixup_pu", "mse_mixup_pu"):
-        xp, xu = batch_p.features, batch_u.features
+    if variant in PU_TARGET_VARIANTS:
         if xp.shape != xu.shape:
             raise ValueError("pu mixup needs equal-size batches")
-        gv = spread(len(batch_p))
+        gv = spread(xp.shape[0])
         x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * xu
-        target = gv + (1.0 - gv) * phi_of(xu)
+        phi_u = ad.as_tensor(phi_u)
+        target = gv + (1.0 - gv) * (phi_u.value if target_stop_gradient else phi_u)
         kind = "msle" if variant == "msle_mixup_pu" else "mse"
         return mixup_reg_from_pairs(model, t, x_mix, target, kind)
 
     if variant == "msle_mixup_p_only":
-        xp = batch_p.features
-        gv = spread(len(batch_p))
+        gv = spread(xp.shape[0])
         x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * _rotate(xp)
-        target = np.ones(len(batch_p))  # both endpoints carry label 1
+        target = np.ones(xp.shape[0])  # both endpoints carry label 1
         return mixup_reg_from_pairs(model, t, x_mix, target, "msle")
 
     # msle_mixup_pupu: endpoints drawn from the union of both batches
-    union = np.concatenate([batch_p.features, batch_u.features], axis=0)
+    union = np.concatenate([xp, xu], axis=0)
     n = union.shape[0]
     gv = spread(n)
     x_mix = gv[:, None] * union + (1.0 - gv[:, None]) * _rotate(union)
     # per-point target: 1 for positive-origin points, phi(x) otherwise
     mask_p = np.zeros(n)
-    mask_p[:len(batch_p)] = 1.0
+    mask_p[:xp.shape[0]] = 1.0
+    # the union's own forward: its U half matches phi_u only up to the
+    # rounding that a different matrix shape gives
     if target_stop_gradient:
-        labels = np.where(mask_p > 0, 1.0, np.asarray(phi_of(union), dtype=np.float64))
+        labels = np.where(mask_p > 0, 1.0, model.raw(t.value, union).value)
         target = gv * labels + (1.0 - gv) * np.concatenate([labels[1:], labels[:1]])
     else:
-        labels = phi_of(union) * (1.0 - mask_p) + mask_p
+        labels = model.raw(t, union) * (1.0 - mask_p) + mask_p
         target = ad.as_tensor(gv) * labels + ad.as_tensor(1.0 - gv) * labels[np.roll(np.arange(n), -1)]
     return mixup_reg_from_pairs(model, t, x_mix, target, "msle")
-
-
-def large_margin_reg(model, theta, batch_p: Batch, alpha: float) -> ad.Tensor:
-    """Smooth margin penalty on positives: mean log(1 + alpha (1-phi)/phi)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    if batch_p.origin != "positive":
-        raise ValueError("large-margin regularizer expects the positive batch")
-    phi = model.raw(_theta(model, theta), batch_p.features)
-    return large_margin_values(phi, alpha)
 
 
 def large_margin_values(phi, alpha: float) -> ad.Tensor:
@@ -238,47 +194,36 @@ def nnpu_risk_from_margins(margins_p, margins_u, pi_p: float) -> ad.Tensor:
     return pi_p * ad.mean(ad.sigmoid(-gp)) + ad.positive_part(neg)
 
 
-def upu_risk(model, theta, batch_p: Batch, batch_u: Batch, pi_p: float) -> ad.Tensor:
-    _check_origins(batch_p, batch_u)
-    t = _theta(model, theta)
-    return upu_risk_from_margins(model.logits(t, batch_p.features),
-                                 model.logits(t, batch_u.features), pi_p)
-
-
-def nnpu_risk(model, theta, batch_p: Batch, batch_u: Batch, pi_p: float) -> ad.Tensor:
-    _check_origins(batch_p, batch_u)
-    t = _theta(model, theta)
-    return nnpu_risk_from_margins(model.logits(t, batch_p.features),
-                                  model.logits(t, batch_u.features), pi_p)
-
-
 # -- combined objective -----------------------------------------------------------
 
 
-def total_loss(spec: LossSpec, model, theta, batch_p: Batch, batch_u: Batch,
+def total_loss(spec: LossSpec, model, theta, xp: np.ndarray, xu: np.ndarray,
                gamma=None, target_stop_gradient: bool = True) -> ad.Tensor:
-    """Objective plus lambda times the configured regularizer.
+    """Objective plus lambda times the configured regularizer, on the
+    positive rows `xp` and the unlabeled rows `xu`.
 
-    Baseline objectives (upu, nnpu) ignore the regularizer entirely.
+    The objective forwards each set of rows once, positives first (margins
+    for the baselines, sigmoid outputs otherwise), and the pu MixUp target
+    reuses the unlabeled outputs.  Baseline objectives (upu, nnpu) ignore
+    the regularizer entirely.
     """
-    t = _theta(model, theta)
-    if spec.objective == "upu":
-        return upu_risk(model, t, batch_p, batch_u, spec.pi_p)
-    if spec.objective == "nnpu":
-        return nnpu_risk(model, t, batch_p, batch_u, spec.pi_p)
+    t = ad.as_tensor(theta)
+    if not spec.variational:
+        risk = upu_risk_from_margins if spec.objective == "upu" else nnpu_risk_from_margins
+        return risk(model.logits(t, xp), model.logits(t, xu), spec.pi_p)
 
-    if spec.objective == "vpu":
-        base = variational_loss(model, t, batch_p, batch_u)
-    else:
-        base = l2_variational_loss(model, t, batch_p, batch_u)
-
+    phi_p, phi_u = model.raw(t, xp), model.raw(t, xu)
+    head = variational_loss_values if spec.objective == "vpu" else l2_variational_loss_values
+    base = head(phi_p, phi_u)
     if spec.reg_variant == "none" or spec.lam == 0.0:
         return base
     if spec.reg_variant == "large_margin":
-        reg = large_margin_reg(model, t, batch_p, spec.alpha)
+        # its own forward of the positives: sharing phi_p would sum the two
+        # heads' gradients before the network's backward and round differently
+        reg = large_margin_values(model.raw(t, xp), spec.alpha)
     else:
         if gamma is None:
             raise ValueError("mixup regularizers need a gamma draw")
-        reg = mixup_consistency_reg(model, t, batch_p, batch_u, gamma,
+        reg = mixup_consistency_reg(model, t, xp, xu, phi_u, gamma,
                                     spec.reg_variant, target_stop_gradient)
     return base + spec.lam * reg

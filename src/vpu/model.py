@@ -59,8 +59,8 @@ class ClassifierModel:
     normalization_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.normalization_scale > 0.0):
-            raise ValueError("normalization_scale must be positive")
+        if not 0.0 < self.normalization_scale < np.inf:
+            raise ValueError("normalization_scale must be positive and finite")
 
     def logits(self, theta, x: np.ndarray) -> ad.Tensor:
         """Pre-sigmoid network output as one differentiable node on `theta`.

@@ -218,13 +218,14 @@ def exact_pu_risks(scores, d: DiscreteJoint, pi_p: float) -> tuple[float, float]
 
 
 def random_dirichlet(k: int, rng: Rng) -> np.ndarray:
-    """Dirichlet(1, ..., 1) via normalized unit exponentials."""
+    """Dirichlet(1, ..., 1) via normalized unit exponentials.
+
+    Every entry is positive: a Gamma(1) draw is ``d * v`` with d = 2/3 and
+    ``v = (1 + c x)^3 >= 2^-159``, since a positive ``1 + c x`` is exact and
+    a multiple of 2^-53.
+    """
     draws = np.array([sample_gamma(1.0, rng) for _ in range(k)])
-    total = draws.sum()
-    while total <= 0.0:
-        draws = np.array([sample_gamma(1.0, rng) for _ in range(k)])
-        total = draws.sum()
-    return draws / total
+    return draws / draws.sum()
 
 
 def random_instance(rng: Rng, k_max: int = 32, anchor: bool = False) -> DiscreteJoint:
@@ -237,17 +238,10 @@ def random_instance(rng: Rng, k_max: int = 32, anchor: bool = False) -> Discrete
     f_n = random_dirichlet(k, rng)
     pi_p = 0.1 + 0.8 * rng.uniform()
     if anchor:
+        # k >= 2 positive entries: f_n keeps positive mass and f_p[i] > 0
         i = rng.randbelow(k)
         f_n[i] = 0.0
-        total = f_n.sum()
-        if total <= 0.0:
-            f_n = np.full(k, 1.0 / k)
-            f_n[i] = 0.0
-            total = f_n.sum()
-        f_n = f_n / total
-        if f_p[i] <= 0.0:
-            f_p[i] = 1.0 / k
-            f_p = f_p / f_p.sum()
+        f_n = f_n / f_n.sum()
     return DiscreteJoint.from_conditionals(f_p, f_n, pi_p)
 
 

@@ -19,8 +19,6 @@ import math
 
 import numpy as np
 
-from .losses import Batch
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 64  # outputs mixed at once for the scalar draws of `Rng.next_u64`
@@ -225,8 +223,8 @@ def shuffled_indices(n: int, rng: Rng) -> np.ndarray:
     return sample_indices(n, n, rng)
 
 
-def sample_minibatch(pool: np.ndarray, size: int, rng: Rng, origin: str) -> Batch:
-    """Draw a mini-batch from `pool` (rows are feature vectors).
+def sample_minibatch(pool: np.ndarray, size: int, rng: Rng) -> np.ndarray:
+    """Draw a mini-batch of rows from `pool` (rows are feature vectors).
 
     Deterministic given the rng state; see `sample_indices` for the
     with/without replacement rule.
@@ -235,4 +233,4 @@ def sample_minibatch(pool: np.ndarray, size: int, rng: Rng, origin: str) -> Batc
     if pool.ndim != 2 or pool.shape[0] == 0:
         raise ValueError("pool must be a nonempty 2-D array")
     idx = sample_indices(pool.shape[0], size, rng)
-    return Batch(features=pool[idx], origin=origin)
+    return pool[idx]

@@ -133,7 +133,7 @@ def _eval_epoch(model: md.ClassifierModel, values: np.ndarray, data: PuDataset,
     if data.test_x is not None:
         # baselines threshold the raw sigmoid (sign of the margin); the
         # variational objectives are scale-free and need the normalization
-        snapshot = md.normalize(current, data) if spec.objective in ("vpu", "vpu_l2") else current
+        snapshot = md.normalize(current, data) if spec.variational else current
         test_acc = mt.accuracy(snapshot, data.test_x, data.test_y)
     return EpochStats(epoch, train_lvar, val_lvar, val_reg, test_acc)
 
@@ -142,16 +142,17 @@ def _eval_reg(current: md.ClassifierModel, data: PuDataset,
               spec: ls.LossSpec) -> float:
     """Reporting-only regularizer value on the validation split (gamma fixed
     at 0.5 so the curve is deterministic); 0 when no regularizer applies."""
-    if spec.objective not in ("vpu", "vpu_l2") or spec.reg_variant == "none":
+    if not spec.variational or spec.reg_variant == "none":
         return 0.0
+    theta = current.params.values
     vp, vu = data.val_positive, data.val_unlabeled
-    k = min(vp.shape[0], vu.shape[0])
-    bp = ls.Batch(vp[:k], "positive")
-    bu = ls.Batch(vu[:k], "unlabeled")
     if spec.reg_variant == "large_margin":
-        reg = ls.large_margin_reg(current, None, ls.Batch(vp, "positive"), spec.alpha)
+        reg = ls.large_margin_values(current.raw(theta, vp), spec.alpha)
     else:
-        reg = ls.mixup_consistency_reg(current, None, bp, bu, 0.5, spec.reg_variant)
+        k = min(vp.shape[0], vu.shape[0])
+        phi_u = current.raw(theta, vu[:k]) if spec.reg_variant in ls.PU_TARGET_VARIANTS else None
+        reg = ls.mixup_consistency_reg(current, theta, vp[:k], vu[:k], phi_u, 0.5,
+                                       spec.reg_variant)
     return float(reg.value)
 
 
@@ -181,12 +182,12 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     for epoch in range(1, config.epochs + 1):
         try:
             for it in range(iters_per_epoch):
-                batch_p = sample_minibatch(data.positive, config.batch_size, rng, "positive")
-                batch_u = sample_minibatch(data.unlabeled, config.batch_size, rng, "unlabeled")
+                xp = sample_minibatch(data.positive, config.batch_size, rng)
+                xu = sample_minibatch(data.unlabeled, config.batch_size, rng)
                 gamma = sample_beta(spec.alpha, rng) if spec.needs_gamma else None
 
                 def loss_fn(theta):
-                    return ls.total_loss(spec, base, theta, batch_p, batch_u, gamma)
+                    return ls.total_loss(spec, base, theta, xp, xu, gamma)
 
                 _, grads = ad.value_and_gradient(loss_fn, base.params.replaced(values))
                 values, adam = adam_step(adam, values, grads, config.learning_rate)
@@ -208,7 +209,7 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
         final_values = values
         best_epoch = config.epochs
     final = base.with_params(final_values)
-    if spec.objective in ("vpu", "vpu_l2"):
+    if spec.variational:
         final = md.normalize(final, data)
     return TrainReport(history=history, best_epoch=best_epoch, final_model=final)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from vpu import autodiff as ad
+from vpu import losses as ls
 from vpu import model as md
 from vpu import sampling as sp
 
@@ -181,3 +182,69 @@ def average_ranks_loop(scores) -> np.ndarray:
         ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average of positions i..j
         i = j + 1
     return ranks
+
+
+def _rotate(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([a[1:], a[:1]], axis=0)
+
+
+def _mixup_reg_two_forwards(model, t, xp, xu, gamma, variant, target_stop_gradient):
+    g = np.asarray(gamma, dtype=np.float64)
+
+    def spread(n):
+        return np.full(n, float(g)) if g.ndim == 0 else g
+
+    def phi_of(x):
+        if target_stop_gradient:
+            return model.raw(t.value, x).value
+        return model.raw(t, x)
+
+    def penalty(x_mix, target, kind):
+        phi_mix = model.raw(t, x_mix)
+        target = ad.as_tensor(target)
+        d = ad.log(target) - ad.log(phi_mix) if kind == "msle" else target - phi_mix
+        return ad.mean(d * d)
+
+    if variant in ("msle_mixup_pu", "mse_mixup_pu"):
+        gv = spread(xp.shape[0])
+        x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * xu
+        target = gv + (1.0 - gv) * phi_of(xu)
+        return penalty(x_mix, target, "msle" if variant == "msle_mixup_pu" else "mse")
+    if variant == "msle_mixup_p_only":
+        gv = spread(xp.shape[0])
+        x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * _rotate(xp)
+        return penalty(x_mix, np.ones(xp.shape[0]), "msle")
+    union = np.concatenate([xp, xu], axis=0)
+    n = union.shape[0]
+    gv = spread(n)
+    x_mix = gv[:, None] * union + (1.0 - gv[:, None]) * _rotate(union)
+    mask_p = np.zeros(n)
+    mask_p[:xp.shape[0]] = 1.0
+    if target_stop_gradient:
+        labels = np.where(mask_p > 0, 1.0, np.asarray(phi_of(union), dtype=np.float64))
+        target = gv * labels + (1.0 - gv) * np.concatenate([labels[1:], labels[:1]])
+    else:
+        labels = phi_of(union) * (1.0 - mask_p) + mask_p
+        target = ad.as_tensor(gv) * labels + ad.as_tensor(1.0 - gv) * labels[np.roll(np.arange(n), -1)]
+    return penalty(x_mix, target, "msle")
+
+
+def total_loss_two_forwards(spec, model, theta, xp, xu, gamma=None,
+                            target_stop_gradient: bool = True) -> ad.Tensor:
+    """`losses.total_loss` as it was when each head forwarded its own rows:
+    the MixUp target of the pu variants runs the U rows through the network
+    a second time instead of reusing the objective's U outputs."""
+    t = ad.as_tensor(theta)
+    if spec.objective in ("upu", "nnpu"):
+        risk = ls.upu_risk_from_margins if spec.objective == "upu" else ls.nnpu_risk_from_margins
+        return risk(model.logits(t, xp), model.logits(t, xu), spec.pi_p)
+    head = ls.variational_loss_values if spec.objective == "vpu" else ls.l2_variational_loss_values
+    base = head(model.raw(t, xp), model.raw(t, xu))
+    if spec.reg_variant == "none" or spec.lam == 0.0:
+        return base
+    if spec.reg_variant == "large_margin":
+        reg = ls.large_margin_values(model.raw(t, xp), spec.alpha)
+    else:
+        reg = _mixup_reg_two_forwards(model, t, xp, xu, gamma, spec.reg_variant,
+                                      target_stop_gradient)
+    return base + spec.lam * reg

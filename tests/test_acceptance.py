@@ -68,19 +68,22 @@ def test_criterion_5_irreducibility_equivalence():
 
 
 LOSS_VARIANTS = {
-    "vpu": lambda m, bp, bu: (lambda t: ls.variational_loss(m, t, bp, bu)),
-    "vpu_l2": lambda m, bp, bu: (lambda t: ls.l2_variational_loss(m, t, bp, bu)),
-    "upu": lambda m, bp, bu: (lambda t: ls.upu_risk(m, t, bp, bu, 0.4)),
-    "nnpu": lambda m, bp, bu: (lambda t: ls.nnpu_risk(m, t, bp, bu, 0.4)),
-    "reg_large_margin": lambda m, bp, bu: (lambda t: ls.large_margin_reg(m, t, bp, 0.3)),
-    "reg_msle_mixup_pu": lambda m, bp, bu: (lambda t: ls.mixup_consistency_reg(
-        m, t, bp, bu, 0.3, "msle_mixup_pu", target_stop_gradient=False)),
-    "reg_msle_mixup_p_only": lambda m, bp, bu: (lambda t: ls.mixup_consistency_reg(
-        m, t, bp, bu, 0.3, "msle_mixup_p_only")),
-    "reg_msle_mixup_pupu": lambda m, bp, bu: (lambda t: ls.mixup_consistency_reg(
-        m, t, bp, bu, 0.3, "msle_mixup_pupu", target_stop_gradient=False)),
-    "reg_mse_mixup_pu": lambda m, bp, bu: (lambda t: ls.mixup_consistency_reg(
-        m, t, bp, bu, 0.3, "mse_mixup_pu", target_stop_gradient=False)),
+    "vpu": lambda m, xp, xu: (lambda t: ls.variational_loss_values(m.raw(t, xp), m.raw(t, xu))),
+    "vpu_l2": lambda m, xp, xu: (lambda t: ls.l2_variational_loss_values(
+        m.raw(t, xp), m.raw(t, xu))),
+    "upu": lambda m, xp, xu: (lambda t: ls.upu_risk_from_margins(
+        m.logits(t, xp), m.logits(t, xu), 0.4)),
+    "nnpu": lambda m, xp, xu: (lambda t: ls.nnpu_risk_from_margins(
+        m.logits(t, xp), m.logits(t, xu), 0.4)),
+    "reg_large_margin": lambda m, xp, xu: (lambda t: ls.large_margin_values(m.raw(t, xp), 0.3)),
+    "reg_msle_mixup_pu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
+        m, t, xp, xu, m.raw(t, xu), 0.3, "msle_mixup_pu", target_stop_gradient=False)),
+    "reg_msle_mixup_p_only": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
+        m, t, xp, xu, None, 0.3, "msle_mixup_p_only")),
+    "reg_msle_mixup_pupu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
+        m, t, xp, xu, None, 0.3, "msle_mixup_pupu", target_stop_gradient=False)),
+    "reg_mse_mixup_pu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
+        m, t, xp, xu, m.raw(t, xu), 0.3, "mse_mixup_pu", target_stop_gradient=False)),
 }
 
 
@@ -96,26 +99,25 @@ def _fd_point(variant, seed):
         rng = Rng(seed)
         values = 0.6 * np.array([2.0 * rng.uniform() - 1.0 for _ in range(len(base.params))])
         params = base.params.replaced(values)
-        bp = ls.Batch(np.array([[rng.normal(), rng.normal()] for _ in range(5)]) + [1.5, 0],
-                      "positive")
-        bu = ls.Batch(np.array([[rng.normal(), rng.normal()] for _ in range(5)]), "unlabeled")
+        xp = np.array([[rng.normal(), rng.normal()] for _ in range(5)]) + [1.5, 0]
+        xu = np.array([[rng.normal(), rng.normal()] for _ in range(5)])
         if variant == "nnpu":
             m = base.with_params(values)
-            gu = m.logits(values, bu.features).value
-            gp = m.logits(values, bp.features).value
+            gu = m.logits(values, xu).value
+            gp = m.logits(values, xp).value
             margin = np.mean(1 / (1 + np.exp(-gu))) - 0.4 * np.mean(1 / (1 + np.exp(-gp)))
             if abs(margin) < 1e-4:
                 seed += 10_000
                 continue
-        return base, params, bp, bu
+        return base, params, xp, xu
 
 
 def test_criterion_6_gradient_correctness():
     worst = 0.0
     for variant, make in sorted(LOSS_VARIANTS.items()):
         for trial in range(100):
-            base, params, bp, bu = _fd_point(variant, 1000 * trial + 7)
-            fn = make(base, bp, bu)
+            base, params, xp, xu = _fd_point(variant, 1000 * trial + 7)
+            fn = make(base, xp, xu)
             g = ad.gradient(fn, params)
             fd = ad.finite_diff_gradient(fn, params, 1e-6)
             ok = np.isclose(g, fd, rtol=1e-5, atol=1e-8).all()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpu import cli
+from vpu import model as md
 from vpu.data import load_csv
 
 
@@ -185,6 +186,8 @@ class TestTrain:
                      id="nan-learning_rate"),
         pytest.param(["train", "--adam_epsilon", "nan"], "epsilon", id="nan-adam_epsilon"),
         pytest.param(["train", "--data", "{nan_csv}"], "nan.csv", id="nan-feature"),
+        pytest.param(["train", "--data", "{one_class_csv}"], "T rows", id="train-one-class-test"),
+        pytest.param(["sweep", "--data", "{one_class_csv}"], "T rows", id="sweep-one-class-test"),
         pytest.param(["generate", "--m", "0"], "'m'", id="generate-zero-m"),
         pytest.param(["generate", "--n", "-5"], "'n'", id="generate-negative-n"),
         pytest.param(["oracle-check", "--trials", "0"], "'trials'", id="zero-trials"),
@@ -199,17 +202,21 @@ class TestTrain:
         # failed late as numeric errors (exit 3), or were accepted
         command, *flags = argv
         dataset = make_dataset(tmp_path)
-        nan_csv = tmp_path / "nan.csv"
         rows = dataset.read_text().splitlines()
+        one_class_csv = tmp_path / "one_class.csv"
+        one_class_csv.write_text("\n".join(
+            r for r in rows if not (r.startswith("T,") and r.endswith(",-1"))) + "\n")
+        nan_csv = tmp_path / "nan.csv"
         rows[1] = ",".join(["P", "nan"] + rows[1].split(",")[2:])
         nan_csv.write_text("\n".join(rows) + "\n")
-        flags = [f.format(nan_csv=nan_csv) for f in flags]
+        flags = [f.format(nan_csv=nan_csv, one_class_csv=one_class_csv) for f in flags]
         if command in ("train", "sweep"):
             flags = ["--data", str(dataset), "--out", str(tmp_path / "t"), *QUICK, *flags]
         elif command in ("generate", "bias-exp"):
             flags = ["--out", str(tmp_path / "g"), *flags]
         assert run(command, *flags) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "t").exists() and not (tmp_path / "g").exists()
 
     def test_overflowing_weights_exit_3(self, tmp_path, capsys):
         # the first Adam step moves every weight by about the learning rate,
@@ -301,6 +308,20 @@ class TestEval:
         run("train", "--data", str(dataset), "--out", str(out), *QUICK)
         assert run("eval", "--model", str(out / "model.txt"),
                    "--data", str(dataset)) == 2
+
+    def test_infinite_scale_is_usage_error(self, tmp_path, capsys):
+        # such a model used to load and score every test row -1 (exit 0)
+        dataset = make_dataset(tmp_path)
+        path = tmp_path / "model.txt"
+        md.save_model(md.init(md.MlpArchitecture(2, (8, 8)), seed=0), str(path))
+        lines = path.read_text().splitlines()
+        lines[0] = " ".join(lines[0].split()[:5] + ["inf"])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--model", str(path), "--data", str(dataset),
+                   "--out", str(tmp_path / "e")) == 2
+        assert "normalization_scale" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
 
 class TestOracleCheck:

@@ -1,10 +1,11 @@
-"""Golden sha256 values of the outputs that are bit-exact everywhere.
+"""Golden sha256 values of the program's outputs.
 
 Generated datasets, initial models and the oracle's random instances are
 built from uint64 arithmetic, `math.*` and correctly rounded IEEE operations
-only, so their bytes depend neither on numpy's SIMD kernels nor on the BLAS.
-A change to one of these digests is a change of output and must be recorded
-as one.
+only, so their bytes depend neither on numpy's SIMD kernels nor on the BLAS,
+and their digests are asserted everywhere.  Trained outputs are asserted in
+the environment they were recorded in (see `FINGERPRINT`).  A change to one
+of these digests is a change of output and must be recorded as one.
 """
 
 import hashlib
@@ -63,3 +64,114 @@ def test_initial_model(tmp_path):
     path = tmp_path / "model.txt"
     md.save_model(md.init(md.MlpArchitecture(2, (64, 64), "relu"), seed=0), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_MODEL
+
+
+# Trained outputs go through np.exp / np.log (numpy's SIMD kernels) and the
+# BLAS, whose kernels depend on the CPU and the matrix shape: their digests
+# are asserted only in the environment they were recorded in, and elsewhere
+# two runs must still give the same bytes.
+FINGERPRINT = ("2.4.6", "scipy-openblas 0.3.31.188.0",
+               ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+
+TRAIN = ["--epochs", "3", "--batch_size", "40"]
+TRAINED_FILES = ("model.txt", "history.csv", "metrics.csv")
+TRAINED = {
+    "default": [],
+    "mse-mixup-pu-tanh": ["--reg", "mse_mixup_pu", "--activation", "tanh"],
+    "vpu-l2-pupu": ["--objective", "vpu_l2", "--reg", "msle_mixup_pupu"],
+    "large-margin": ["--reg", "large_margin"],
+    "p-only": ["--reg", "msle_mixup_p_only"],
+    "none": ["--reg", "none"],
+    # at pi_p 0.5 the nnpu clamp never acts in these steps, and nnpu then
+    # gives the same bytes as upu
+    "nnpu": ["--objective", "nnpu", "--pi_p", "0.5"],
+    "upu": ["--objective", "upu", "--pi_p", "0.5"],
+}
+TRAINED_DIGESTS = {  # model.txt, history.csv, metrics.csv
+    "default": dict(zip(TRAINED_FILES, (
+        "c910c3a16ff581343ae496c793b7f548dc2e62fa86a065737a48e49e2df2f147",
+        "c38f6bb0a54bce184c82b7f9243888749528168f1db433735bd12f8acf370ac9",
+        "323230ad5c3fc0765484d465b63cff7fc2e0f5153697870168cb6a26394f43b6",
+    ))),
+    "large-margin": dict(zip(TRAINED_FILES, (
+        "c130a3b4ab46ed6af13183ead8b31a355c641759dadfc76fde1b0531f03df983",
+        "69b4200428a4c77a567a07442e15a4218dbf358cbc97eec8a968e2c6b3deb17d",
+        "b79c0ef00648ba26a833a78881bf38ea7e2c879c354695bd527b28457eba42c0",
+    ))),
+    "mse-mixup-pu-tanh": dict(zip(TRAINED_FILES, (
+        "7bfa4d78621bd8c417e4975749856e7ecead2ae66e4e54243ea51fa62628506b",
+        "83593c3be07529ededa23eeffeae08eeda14ad98e6a05a5a495719ad45014310",
+        "e862f7be0bbb172ebbbc8972b8aea03fecf0fe72d4e8c0d43a1ce540b5213311",
+    ))),
+    "nnpu": dict(zip(TRAINED_FILES, (
+        "98c7d4e350347fc0b8e400c4a7ad10490274e4d47c7ca593a44b9de57b60fdea",
+        "e03f986e621cdd30d859f38221cd06e0e62307e8e5ffb5314dfc6878d740a9e7",
+        "2c826f99865ed6ec1e811b97ed6acf0d367b72281cc92151e199e4681069d21c",
+    ))),
+    "none": dict(zip(TRAINED_FILES, (
+        "f891b13a21e8e4a016f9e5f2deec0729d77fd3616a385abbb2e16c01b29ba400",
+        "3bac7b6e95639e3a7b831f63425d2013c9ac84e0a626994e212d41eeadeaa9aa",
+        "b79c0ef00648ba26a833a78881bf38ea7e2c879c354695bd527b28457eba42c0",
+    ))),
+    "p-only": dict(zip(TRAINED_FILES, (
+        "bcbd26c1f625ac7f049f3efc1c934b5cf0763572fdb45d2ace97eee552da24b5",
+        "b33a0157da2e8834c44ca7976d6ec7afbfba31091c88112f4f4338b6c6e43472",
+        "323230ad5c3fc0765484d465b63cff7fc2e0f5153697870168cb6a26394f43b6",
+    ))),
+    "upu": dict(zip(TRAINED_FILES, (
+        "98c7d4e350347fc0b8e400c4a7ad10490274e4d47c7ca593a44b9de57b60fdea",
+        "e03f986e621cdd30d859f38221cd06e0e62307e8e5ffb5314dfc6878d740a9e7",
+        "2c826f99865ed6ec1e811b97ed6acf0d367b72281cc92151e199e4681069d21c",
+    ))),
+    "vpu-l2-pupu": dict(zip(TRAINED_FILES, (
+        "fe0c39fb3d9235522b513be85422b7036c34ea41d3fee5c78d1f1b9869a493b0",
+        "2003a85332d572ecb8e7d916f119efa1f6efb07bb1ca42069286d1d73fefbe9f",
+        "323230ad5c3fc0765484d465b63cff7fc2e0f5153697870168cb6a26394f43b6",
+    ))),
+}
+
+SWEEP = ["--lambda_grid", "0.1,0.3"]
+SWEEP_DIGEST = "241eec81ae6a06b94086e1a9925bdf0bf82393ecbfbee8c18c6a07d113977082"
+
+
+def environment_fingerprint():
+    """numpy version, BLAS name and version, and the SIMD features numpy
+    dispatches to on this CPU; None where numpy cannot report them."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.25 only prints its configuration
+        return None
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return (np.__version__, f"{blas.get('name')} {blas.get('version')}",
+            tuple(config.get("SIMD Extensions", {}).get("found", ())))
+
+
+@pytest.fixture(scope="module")
+def pinned_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pinned")
+    assert cli.main(["generate", "--out", str(out), *SIZES]) == 0
+    return out / "dataset.csv"
+
+
+def _digests(command, argv, out, names):
+    assert cli.main([command, "--out", str(out), *argv]) == 0
+    return {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
+
+
+def _check(tmp_path, command, argv, names, recorded):
+    got = _digests(command, argv, tmp_path / "a", names)
+    if environment_fingerprint() == FINGERPRINT:
+        assert got == recorded
+    else:
+        assert got == _digests(command, argv, tmp_path / "b", names)
+
+
+@pytest.mark.parametrize("name", sorted(TRAINED))
+def test_trained_outputs(tmp_path, pinned_dataset, name):
+    argv = ["--data", str(pinned_dataset), *TRAIN, *TRAINED[name]]
+    _check(tmp_path, "train", argv, TRAINED_FILES, TRAINED_DIGESTS[name])
+
+
+def test_sweep_table(tmp_path, pinned_dataset):
+    argv = ["--data", str(pinned_dataset), *TRAIN, *SWEEP]
+    _check(tmp_path, "sweep", argv, ("sweep.csv",), {"sweep.csv": SWEEP_DIGEST})

@@ -9,6 +9,8 @@ from vpu import autodiff as ad
 from vpu import losses as ls
 from vpu import model as md
 
+from reference import bits, total_loss_two_forwards
+
 
 def value(t):
     return float(t.value)
@@ -26,9 +28,9 @@ def net():
 @pytest.fixture(scope="module")
 def batches():
     rng = np.random.default_rng(5)
-    bp = ls.Batch(rng.normal(size=(6, 2)) + [2, 0], "positive")
-    bu = ls.Batch(rng.normal(size=(6, 2)), "unlabeled")
-    return bp, bu
+    xp = rng.normal(size=(6, 2)) + [2, 0]
+    xu = rng.normal(size=(6, 2))
+    return xp, xu
 
 
 def saturated_model(input_dim=2):
@@ -41,9 +43,9 @@ def saturated_model(input_dim=2):
 
 class TestVariationalLoss:
     def test_phi_one_gives_zero(self, batches):
-        bp, bu = batches
+        xp, xu = batches
         m = saturated_model()
-        assert value(ls.variational_loss(m, None, bp, bu)) == 0.0
+        assert value(ls.variational_loss_values(m.raw_values(xp), m.raw_values(xu))) == 0.0
 
     def test_direct_substitution(self):
         # log mean(0.25, 0.75) - mean(log 0.5) = log 0.5 - log 0.5 = 0
@@ -76,18 +78,13 @@ class TestVariationalLoss:
                                                 rng.permutation(phi_u)))
         assert perm == pytest.approx(base, abs=1e-12)
 
-    def test_wrong_origin_rejected(self, net, batches):
-        bp, bu = batches
-        with pytest.raises(ValueError):
-            ls.variational_loss(net, None, bu, bp)
-
 
 class TestMixupReg:
     def test_zero_residual(self):
         # phi(x_mix) == target everywhere -> penalty 0
         m = saturated_model()
         x = np.zeros((3, 2))
-        assert value(ls.mixup_reg_from_pairs(m, None, x, np.ones(3))) == 0.0
+        assert value(ls.mixup_reg_from_pairs(m, m.params.values, x, np.ones(3))) == 0.0
 
     def test_underestimation_blows_up(self):
         # (log 0.9 - log 1e-12)^2 =~ 757: the msle penalty explodes as phi -> 0
@@ -97,12 +94,12 @@ class TestMixupReg:
         assert value(ad.mean(d * d)) > 100.0
 
     def test_guessed_probability_value(self, net):
-        bp = ls.Batch(np.array([[1.0, 0.0]]), "positive")
-        bu = ls.Batch(np.array([[0.0, 1.0]]), "unlabeled")
+        xp, xu = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
         # mse penalty of the single pair: (t - phi(x_mix))^2 with the mixed
         # point (0.3, 0.7) and the guessed target t = 0.3 + 0.7 phi(u)
-        reg = ls.mixup_consistency_reg(net, None, bp, bu, 0.3, "mse_mixup_pu")
-        phi_u = float(net.raw_values(bu.features)[0])
+        reg = ls.mixup_consistency_reg(net, net.params.values, xp, xu, net.raw_values(xu),
+                                       0.3, "mse_mixup_pu")
+        phi_u = float(net.raw_values(xu)[0])
         phi_mix = float(net.raw_values(np.array([[0.3, 0.7]]))[0])
         assert value(reg) == pytest.approx((0.3 + 0.7 * phi_u - phi_mix) ** 2)
 
@@ -114,33 +111,36 @@ class TestMixupReg:
         assert msle / mse > 100.0
 
     def test_stop_gradient_default(self, net, batches):
-        bp, bu = batches
-        frozen = ls.mixup_consistency_reg(net, None, bp, bu, 0.4, "msle_mixup_pu")
+        xp, xu = batches
+        theta = ad.Tensor(net.params.values)
+        phi_u = net.raw(theta, xu)
+        frozen = ls.mixup_consistency_reg(net, theta, xp, xu, phi_u, 0.4, "msle_mixup_pu")
         # same value as the non-stop variant, but the target subtree is constant
-        live = ls.mixup_consistency_reg(net, None, bp, bu, 0.4, "msle_mixup_pu",
+        live = ls.mixup_consistency_reg(net, theta, xp, xu, phi_u, 0.4, "msle_mixup_pu",
                                         target_stop_gradient=False)
         assert value(frozen) == pytest.approx(value(live), abs=1e-15)
 
     def test_p_only_targets_one(self, net):
-        bp = ls.Batch(np.array([[1.0, 0.0], [0.0, 1.0]]), "positive")
-        bu = ls.Batch(np.array([[9.9, 9.9], [9.9, 9.9]]), "unlabeled")
-        reg = ls.mixup_consistency_reg(net, None, bp, bu, 0.5, "msle_mixup_p_only")
-        mixed = 0.5 * bp.features + 0.5 * np.roll(bp.features, -1, axis=0)
+        xp = np.array([[1.0, 0.0], [0.0, 1.0]])
+        xu = np.array([[9.9, 9.9], [9.9, 9.9]])
+        reg = ls.mixup_consistency_reg(net, net.params.values, xp, xu, None, 0.5,
+                                       "msle_mixup_p_only")
+        mixed = 0.5 * xp + 0.5 * np.roll(xp, -1, axis=0)
         expected = np.mean(np.log(net.raw_values(mixed)) ** 2)
         assert value(reg) == pytest.approx(expected, abs=1e-12)
 
     def test_size_mismatch_rejected(self, net):
-        bp = ls.Batch(np.zeros((2, 2)), "positive")
-        bu = ls.Batch(np.zeros((3, 2)), "unlabeled")
+        xp, xu = np.zeros((2, 2)), np.zeros((3, 2))
         with pytest.raises(ValueError):
-            ls.mixup_consistency_reg(net, None, bp, bu, 0.5, "msle_mixup_pu")
+            ls.mixup_consistency_reg(net, net.params.values, xp, xu, net.raw_values(xu),
+                                     0.5, "msle_mixup_pu")
 
 
 class TestLargeMargin:
     def test_zero_at_confident_positive(self):
         m = saturated_model()
-        bp = ls.Batch(np.zeros((4, 2)), "positive")
-        assert value(ls.large_margin_reg(m, None, bp, alpha=1.0)) == 0.0
+        xp = np.zeros((4, 2))
+        assert value(ls.large_margin_values(m.raw_values(xp), alpha=1.0)) == 0.0
 
     def test_half_alpha_one(self):
         # phi 0.5, alpha 1 -> log 2
@@ -236,59 +236,127 @@ class TestL2Loss:
         assert abs(scaled - base) <= 1e-10
 
 
+def objective_value(net, xp, xu):
+    return value(ls.variational_loss_values(net.raw_values(xp), net.raw_values(xu)))
+
+
+class CountingModel(md.ClassifierModel):
+    """A ClassifierModel that counts its `logits` calls."""
+
+    calls = 0
+
+    def logits(self, theta, x):
+        CountingModel.calls += 1
+        return super().logits(theta, x)
+
+
 class TestTotalLoss:
     def test_lambda_zero_is_objective(self, net, batches):
-        bp, bu = batches
+        xp, xu = batches
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.0)
-        got = value(ls.total_loss(spec, net, None, bp, bu, gamma=0.3))
-        want = value(ls.variational_loss(net, None, bp, bu))
-        assert got == want
+        got = value(ls.total_loss(spec, net, net.params.values, xp, xu, gamma=0.3))
+        assert got == objective_value(net, xp, xu)
 
     def test_zero_reg_residual_equals_objective(self, batches):
-        bp, bu = batches
+        xp, xu = batches
         m = saturated_model()
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.3)
-        got = value(ls.total_loss(spec, m, None, bp, bu, gamma=0.6))
-        assert got == value(ls.variational_loss(m, None, bp, bu))
+        got = value(ls.total_loss(spec, m, m.params.values, xp, xu, gamma=0.6))
+        assert got == objective_value(m, xp, xu)
 
     def test_linear_combination(self, net, batches):
-        bp, bu = batches
+        xp, xu = batches
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.3)
-        v = value(ls.variational_loss(net, None, bp, bu))
-        r = value(ls.mixup_consistency_reg(net, None, bp, bu, 0.5, "msle_mixup_pu"))
-        got = value(ls.total_loss(spec, net, None, bp, bu, gamma=0.5))
+        theta = net.params.values
+        v = objective_value(net, xp, xu)
+        r = value(ls.mixup_consistency_reg(net, theta, xp, xu, net.raw_values(xu), 0.5,
+                                           "msle_mixup_pu"))
+        got = value(ls.total_loss(spec, net, theta, xp, xu, gamma=0.5))
         assert got == pytest.approx(v + 0.3 * r, abs=1e-12)
 
     def test_baselines_ignore_reg(self, net, batches):
-        bp, bu = batches
+        xp, xu = batches
         spec = ls.LossSpec("nnpu", "msle_mixup_pu", lam=0.3, pi_p=0.4)
-        got = value(ls.total_loss(spec, net, None, bp, bu, gamma=0.5))
-        assert got == value(ls.nnpu_risk(net, None, bp, bu, 0.4))
+        theta = net.params.values
+        got = value(ls.total_loss(spec, net, theta, xp, xu, gamma=0.5))
+        assert got == value(ls.nnpu_risk_from_margins(
+            net.logits(theta, xp), net.logits(theta, xu), 0.4))
 
     def test_mixup_needs_gamma(self, net, batches):
-        bp, bu = batches
+        xp, xu = batches
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.3)
         with pytest.raises(ValueError):
-            ls.total_loss(spec, net, None, bp, bu, gamma=None)
+            ls.total_loss(spec, net, net.params.values, xp, xu, gamma=None)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_matches_two_forward_reference(self, activation):
+        # the pu MixUp target reuses the objective's U outputs: with a
+        # constant target that is the same rows through the same theta, so
+        # every bit agrees; a differentiated target sums both heads'
+        # gradients before the network's backward, which rounds differently
+        net = md.init(md.MlpArchitecture(2, (8, 5), activation), seed=1)
+        rng = np.random.default_rng(4)
+        net = net.with_params(net.params.values + rng.normal(scale=0.3, size=len(net.params)))
+        xp, xu = rng.normal(size=(7, 2)) + 1.0, rng.normal(size=(7, 2))
+        for objective in ls.OBJECTIVES:
+            for reg in ls.REG_VARIANTS:
+                for stop in (True, False):
+                    spec = ls.LossSpec(objective, reg, lam=0.3, alpha=0.3,
+                                       pi_p=None if objective in ("vpu", "vpu_l2") else 0.4)
+                    v_new, g_new = ad.value_and_gradient(
+                        lambda th: ls.total_loss(spec, net, th, xp, xu, 0.37, stop),
+                        net.params)
+                    v_ref, g_ref = ad.value_and_gradient(
+                        lambda th: total_loss_two_forwards(spec, net, th, xp, xu, 0.37, stop),
+                        net.params)
+                    case = (objective, reg, stop)
+                    assert bits(v_new) == bits(v_ref), case
+                    if not stop and reg in ("msle_mixup_pu", "mse_mixup_pu") \
+                            and spec.variational:
+                        np.testing.assert_allclose(g_new, g_ref, rtol=1e-12, atol=0.0,
+                                                   err_msg=str(case))
+                    else:
+                        assert np.array_equal(bits(g_new), bits(g_ref)), case
+
+    # P and U once each, plus the MixUp points or the large-margin
+    # positives; the pupu target forwards the stacked union on top
+    @pytest.mark.parametrize("objective, reg, calls", [
+        ("vpu", "msle_mixup_pu", 3), ("vpu", "mse_mixup_pu", 3),
+        ("vpu_l2", "msle_mixup_pupu", 4), ("vpu", "msle_mixup_p_only", 3),
+        ("vpu", "large_margin", 3), ("vpu", "none", 2), ("upu", "none", 2),
+        ("nnpu", "msle_mixup_pu", 2),
+    ])
+    def test_forwards_each_batch_once(self, batches, objective, reg, calls):
+        xp, xu = batches
+        base = md.init(md.MlpArchitecture(2, (4, 3), "tanh"), seed=3)
+        m = CountingModel(base.arch, base.params)
+        spec = ls.LossSpec(objective, reg, pi_p=None if objective in ("vpu", "vpu_l2") else 0.4)
+        CountingModel.calls = 0
+        ad.value_and_gradient(lambda th: ls.total_loss(spec, m, th, xp, xu, 0.5), m.params)
+        assert CountingModel.calls == calls
 
 
 class TestGradientsAgainstFiniteDiff:
     """Every loss variant passes the central-difference check."""
 
     CASES = {
-        "vpu": lambda m, bp, bu: (lambda t: ls.variational_loss(m, t, bp, bu)),
-        "vpu_l2": lambda m, bp, bu: (lambda t: ls.l2_variational_loss(m, t, bp, bu)),
-        "upu": lambda m, bp, bu: (lambda t: ls.upu_risk(m, t, bp, bu, 0.4)),
-        "nnpu": lambda m, bp, bu: (lambda t: ls.nnpu_risk(m, t, bp, bu, 0.4)),
-        "large_margin": lambda m, bp, bu: (lambda t: ls.large_margin_reg(m, t, bp, 0.3)),
-        "msle_mixup_pu": lambda m, bp, bu: (lambda t: ls.mixup_consistency_reg(
-            m, t, bp, bu, 0.3, "msle_mixup_pu", target_stop_gradient=False)),
-        "msle_mixup_p_only": lambda m, bp, bu: (lambda t: ls.mixup_consistency_reg(
-            m, t, bp, bu, 0.3, "msle_mixup_p_only")),
-        "msle_mixup_pupu": lambda m, bp, bu: (lambda t: ls.mixup_consistency_reg(
-            m, t, bp, bu, 0.3, "msle_mixup_pupu", target_stop_gradient=False)),
-        "mse_mixup_pu": lambda m, bp, bu: (lambda t: ls.mixup_consistency_reg(
-            m, t, bp, bu, 0.3, "mse_mixup_pu", target_stop_gradient=False)),
+        "vpu": lambda m, xp, xu: (lambda t: ls.variational_loss_values(
+            m.raw(t, xp), m.raw(t, xu))),
+        "vpu_l2": lambda m, xp, xu: (lambda t: ls.l2_variational_loss_values(
+            m.raw(t, xp), m.raw(t, xu))),
+        "upu": lambda m, xp, xu: (lambda t: ls.upu_risk_from_margins(
+            m.logits(t, xp), m.logits(t, xu), 0.4)),
+        "nnpu": lambda m, xp, xu: (lambda t: ls.nnpu_risk_from_margins(
+            m.logits(t, xp), m.logits(t, xu), 0.4)),
+        "large_margin": lambda m, xp, xu: (lambda t: ls.large_margin_values(m.raw(t, xp), 0.3)),
+        "msle_mixup_pu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
+            m, t, xp, xu, m.raw(t, xu), 0.3, "msle_mixup_pu", target_stop_gradient=False)),
+        "msle_mixup_p_only": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
+            m, t, xp, xu, None, 0.3, "msle_mixup_p_only")),
+        "msle_mixup_pupu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
+            m, t, xp, xu, None, 0.3, "msle_mixup_pupu", target_stop_gradient=False)),
+        "mse_mixup_pu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
+            m, t, xp, xu, m.raw(t, xu), 0.3, "mse_mixup_pu", target_stop_gradient=False)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -297,9 +365,9 @@ class TestGradientsAgainstFiniteDiff:
         m = md.init(md.MlpArchitecture(2, (4, 3), "tanh"), seed=7)
         for trial in range(5):
             params = m.params.replaced(rng.normal(scale=0.6, size=len(m.params)))
-            bp = ls.Batch(rng.normal(size=(5, 2)) + [1.5, 0], "positive")
-            bu = ls.Batch(rng.normal(size=(5, 2)), "unlabeled")
-            fn = self.CASES[name](m, bp, bu)
+            xp = rng.normal(size=(5, 2)) + [1.5, 0]
+            xu = rng.normal(size=(5, 2))
+            fn = self.CASES[name](m, xp, xu)
             g = ad.gradient(fn, params)
             fd = ad.finite_diff_gradient(fn, params, 1e-6)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8,
@@ -309,16 +377,16 @@ class TestGradientsAgainstFiniteDiff:
         # the trainer's default gradient: targets held constant
         rng = np.random.default_rng(9)
         m = md.init(md.MlpArchitecture(2, (4, 3), "tanh"), seed=9)
-        bp = ls.Batch(rng.normal(size=(5, 2)) + [1.5, 0], "positive")
-        bu = ls.Batch(rng.normal(size=(5, 2)), "unlabeled")
-        x_mix = 0.4 * bp.features + (1.0 - 0.4) * bu.features
-        t_const = 0.4 + (1.0 - 0.4) * m.raw_values(bu.features)
+        xp = rng.normal(size=(5, 2)) + [1.5, 0]
+        xu = rng.normal(size=(5, 2))
+        x_mix = 0.4 * xp + (1.0 - 0.4) * xu
+        t_const = 0.4 + (1.0 - 0.4) * m.raw_values(xu)
         fn = lambda th: ls.mixup_reg_from_pairs(m, th, x_mix, t_const, "msle")
         g = ad.gradient(fn, m.params)
         fd = ad.finite_diff_gradient(fn, m.params, 1e-6)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
         full = ad.gradient(lambda th: ls.mixup_consistency_reg(
-            m, th, bp, bu, 0.4, "msle_mixup_pu"), m.params)
+            m, th, xp, xu, m.raw(th, xu), 0.4, "msle_mixup_pu"), m.params)
         assert np.array_equal(g, full)
 
     def test_full_vpu_loss_seed7(self):
@@ -326,10 +394,10 @@ class TestGradientsAgainstFiniteDiff:
         rng = np.random.default_rng(7)
         m = md.init(md.MlpArchitecture(2, (6, 4), "tanh"), seed=7)
         params = m.params.replaced(rng.normal(scale=0.5, size=len(m.params)))
-        bp = ls.Batch(rng.normal(size=(8, 2)) + [2, 0], "positive")
-        bu = ls.Batch(rng.normal(size=(8, 2)), "unlabeled")
+        xp = rng.normal(size=(8, 2)) + [2, 0]
+        xu = rng.normal(size=(8, 2))
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.3)
-        fn = lambda t: ls.total_loss(spec, m, t, bp, bu, gamma=0.35,
+        fn = lambda t: ls.total_loss(spec, m, t, xp, xu, gamma=0.35,
                                      target_stop_gradient=False)
         g = ad.gradient(fn, params)
         fd = ad.finite_diff_gradient(fn, params, 1e-6)

@@ -178,6 +178,18 @@ class TestSerialization:
         header = path.read_text().splitlines()[0].split()
         assert header[:5] == ["vpu-model", "v1", "2", "4,4", "relu"]
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_bad_scale_rejected(self, tmp_path, scale):
+        # an infinite scale would load and turn every prediction into 0
+        m = md.init(md.MlpArchitecture(2, (4,)), seed=0)
+        path = tmp_path / "model.txt"
+        md.save_model(m, str(path))
+        lines = path.read_text().splitlines()
+        lines[0] = " ".join(lines[0].split()[:5] + [scale])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="normalization_scale"):
+            md.load_model(str(path))
+
     def test_truncated_file_rejected(self, tmp_path):
         m = md.init(md.MlpArchitecture(2, (4,)), seed=0)
         path = tmp_path / "model.txt"
@@ -209,8 +221,8 @@ class TestLogitsNode:
         rng = np.random.default_rng(10 * depth + batch)
         net = net.with_params(net.params.values + rng.normal(scale=0.3, size=len(net.params)))
         tape = as_tape_model(net)
-        bp = ls.Batch(rng.normal(size=(batch, dim)) + 1.0, "positive")
-        bu = ls.Batch(rng.normal(size=(batch, dim)), "unlabeled")
+        xp = rng.normal(size=(batch, dim)) + 1.0
+        xu = rng.normal(size=(batch, dim))
         x = rng.normal(scale=3.0, size=(4 * batch, dim))
         assert np.array_equal(_bits(net.raw_values(x)), _bits(tape.raw_values(x)))
         for objective, reg, stop in LOSS_CASES:
@@ -218,7 +230,7 @@ class TestLogitsNode:
                                pi_p=0.4 if objective in ("upu", "nnpu") else None)
             (v_new, g_new), (v_ref, g_ref) = (
                 ad.value_and_gradient(
-                    lambda th, m=m: ls.total_loss(spec, m, th, bp, bu, 0.37, stop), m.params)
+                    lambda th, m=m: ls.total_loss(spec, m, th, xp, xu, 0.37, stop), m.params)
                 for m in (net, tape))
             case = (objective, reg, stop)
             assert _bits(v_new) == _bits(v_ref), case

@@ -9,7 +9,6 @@ from scipy import stats
 from vpu import losses as ls
 from vpu import model as md
 from vpu import sampling as sp
-from vpu.losses import Batch
 
 from reference import ScalarRng, bits, normals_loop, same_state, sample_indices_loop
 
@@ -96,33 +95,33 @@ class TestMinibatch:
 
     def test_full_batch_is_permutation(self):
         pool = self.pool(8)
-        batch = sp.sample_minibatch(pool, 8, sp.Rng(0), "positive")
-        assert sorted(map(tuple, batch.features)) == sorted(map(tuple, pool))
+        batch = sp.sample_minibatch(pool, 8, sp.Rng(0))
+        assert sorted(map(tuple, batch)) == sorted(map(tuple, pool))
 
     def test_single_element_pool(self):
         pool = self.pool(1)
-        batch = sp.sample_minibatch(pool, 1, sp.Rng(0), "unlabeled")
-        np.testing.assert_array_equal(batch.features, pool)
+        batch = sp.sample_minibatch(pool, 1, sp.Rng(0))
+        np.testing.assert_array_equal(batch, pool)
 
     def test_reproducible(self):
         pool = self.pool(20)
-        b1 = sp.sample_minibatch(pool, 5, sp.Rng(4), "positive")
-        b2 = sp.sample_minibatch(pool, 5, sp.Rng(4), "positive")
-        np.testing.assert_array_equal(b1.features, b2.features)
+        b1 = sp.sample_minibatch(pool, 5, sp.Rng(4))
+        b2 = sp.sample_minibatch(pool, 5, sp.Rng(4))
+        np.testing.assert_array_equal(b1, b2)
 
     def test_without_replacement_no_duplicates(self):
         pool = self.pool(30)
-        batch = sp.sample_minibatch(pool, 30, sp.Rng(1), "positive")
-        assert len({tuple(r) for r in batch.features}) == 30
+        batch = sp.sample_minibatch(pool, 30, sp.Rng(1))
+        assert len({tuple(r) for r in batch}) == 30
 
     def test_oversized_batch_resamples(self):
         pool = self.pool(3)
-        batch = sp.sample_minibatch(pool, 10, sp.Rng(2), "unlabeled")
+        batch = sp.sample_minibatch(pool, 10, sp.Rng(2))
         assert len(batch) == 10
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            sp.sample_minibatch(np.zeros((0, 2)), 1, sp.Rng(0), "positive")
+            sp.sample_minibatch(np.zeros((0, 2)), 1, sp.Rng(0))
 
 
 class TestSampleIndices:
@@ -220,11 +219,15 @@ class TestMixupPairs:
 
     def batches(self, n=5, seed=0):
         rng = np.random.default_rng(seed)
-        bp = Batch(rng.normal(size=(n, 2)), "positive")
-        bu = Batch(rng.normal(size=(n, 2)), "unlabeled")
-        return bp, bu
+        return rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
 
-    def pairs(self, model, bp, bu, gamma):
+    @staticmethod
+    def reg(model, xp, xu, gamma, variant="msle_mixup_pu"):
+        theta = model.params.values
+        return ls.mixup_consistency_reg(model, theta, xp, xu, model.raw(theta, xu),
+                                        gamma, variant)
+
+    def pairs(self, model, xp, xu, gamma):
         """(x_mix, target) of the msle_mixup_pu regularizer."""
         seen = []
         original = ls.mixup_reg_from_pairs
@@ -235,43 +238,43 @@ class TestMixupPairs:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ls, "mixup_reg_from_pairs", capture)
-            ls.mixup_consistency_reg(model, None, bp, bu, gamma)
+            self.reg(model, xp, xu, gamma)
         [(x_mix, target)] = seen
         return x_mix, target
 
     def test_gamma_one_endpoint(self, small_model):
-        bp, bu = self.batches()
-        x_mix, t = self.pairs(small_model, bp, bu, 1.0)
-        np.testing.assert_array_equal(x_mix, bp.features)
-        np.testing.assert_array_equal(t, np.ones(len(bp)))
+        xp, xu = self.batches()
+        x_mix, t = self.pairs(small_model, xp, xu, 1.0)
+        np.testing.assert_array_equal(x_mix, xp)
+        np.testing.assert_array_equal(t, np.ones(len(xp)))
         # target 1 at every positive: the penalty is mean (log phi(p))^2
-        reg = ls.mixup_consistency_reg(small_model, None, bp, bu, 1.0)
-        expected = np.mean(np.log(small_model.raw_values(bp.features)) ** 2)
+        reg = self.reg(small_model, xp, xu, 1.0)
+        expected = np.mean(np.log(small_model.raw_values(xp)) ** 2)
         assert float(reg.value) == pytest.approx(expected, rel=1e-14)
 
     def test_gamma_zero_endpoint(self, small_model):
-        bp, bu = self.batches()
-        x_mix, t = self.pairs(small_model, bp, bu, 0.0)
-        np.testing.assert_array_equal(x_mix, bu.features)
-        np.testing.assert_array_equal(t, small_model.raw_values(bu.features))
+        xp, xu = self.batches()
+        x_mix, t = self.pairs(small_model, xp, xu, 0.0)
+        np.testing.assert_array_equal(x_mix, xu)
+        np.testing.assert_array_equal(t, small_model.raw_values(xu))
         # target phi(u) at u itself: no penalty in either residual
         for variant in ("msle_mixup_pu", "mse_mixup_pu"):
-            reg = ls.mixup_consistency_reg(small_model, None, bp, bu, 0.0, variant)
+            reg = self.reg(small_model, xp, xu, 0.0, variant)
             assert float(reg.value) == 0.0
 
     def test_guessed_target_value(self, small_model):
         # gamma 0.3 and phi(x'') = 0.5 gives 0.3 + 0.7*0.5 = 0.65
-        bp, bu = self.batches(n=1)
-        phi_u = float(small_model.raw_values(bu.features)[0])
-        _, t = self.pairs(small_model, bp, bu, 0.3)
+        xp, xu = self.batches(n=1)
+        phi_u = float(small_model.raw_values(xu)[0])
+        _, t = self.pairs(small_model, xp, xu, 0.3)
         assert t[0] == pytest.approx(0.3 + 0.7 * phi_u, abs=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(gamma=st.floats(0.0, 1.0), seed=st.integers(0, 100))
     def test_target_dominates_unlabeled_phi(self, gamma, seed, small_model):
-        bp, bu = self.batches(seed=seed)
-        _, t = self.pairs(small_model, bp, bu, gamma)
-        phi_u = small_model.raw_values(bu.features)
+        xp, xu = self.batches(seed=seed)
+        _, t = self.pairs(small_model, xp, xu, gamma)
+        phi_u = small_model.raw_values(xu)
         assert np.all(t >= phi_u - 1e-15)
         if gamma > 0:
             assert np.all(t[phi_u < 1.0] > phi_u[phi_u < 1.0] - 1e-15)
@@ -279,14 +282,14 @@ class TestMixupPairs:
     @settings(max_examples=50, deadline=None)
     @given(gamma=st.floats(0.0, 1.0), seed=st.integers(0, 100))
     def test_mixed_point_on_segment(self, gamma, seed, small_model):
-        bp, bu = self.batches(seed=seed)
-        x_mix, _ = self.pairs(small_model, bp, bu, gamma)
-        lo = np.minimum(bp.features, bu.features) - 1e-12
-        hi = np.maximum(bp.features, bu.features) + 1e-12
+        xp, xu = self.batches(seed=seed)
+        x_mix, _ = self.pairs(small_model, xp, xu, gamma)
+        lo = np.minimum(xp, xu) - 1e-12
+        hi = np.maximum(xp, xu) + 1e-12
         assert np.all((x_mix >= lo) & (x_mix <= hi))
 
     def test_size_mismatch_rejected(self, small_model):
-        bp, _ = self.batches(n=4)
-        _, bu = self.batches(n=5)
+        xp, _ = self.batches(n=4)
+        _, xu = self.batches(n=5)
         with pytest.raises(ValueError):
-            ls.mixup_consistency_reg(small_model, None, bp, bu, 0.5)
+            self.reg(small_model, xp, xu, 0.5)
