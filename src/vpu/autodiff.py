@@ -14,7 +14,6 @@ sigmoid output underflows; below the floor the derivative is zero
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -225,66 +224,19 @@ def take(a, key) -> Tensor:
     return Tensor(value, (a,), backward, "take")
 
 
-# -- flat parameter vectors ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Segment:
-    name: str
-    start: int
-    stop: int
-    shape: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ParameterVector:
-    """Flat float64 weights plus a named-segment layout covering them."""
-
-    values: np.ndarray
-    layout: tuple[Segment, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=np.float64).ravel())
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("parameter vector contains non-finite entries")
-        if self.layout:
-            covered = 0
-            for seg in sorted(self.layout, key=lambda s: s.start):
-                if seg.start != covered:
-                    raise ValueError("layout segments must be disjoint and contiguous")
-                if seg.stop - seg.start != int(np.prod(seg.shape)):
-                    raise ValueError(f"segment {seg.name} shape does not match its span")
-                covered = seg.stop
-            if covered != self.values.size:
-                raise ValueError("layout does not cover the parameter vector")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def segment(self, name: str) -> Segment:
-        for seg in self.layout:
-            if seg.name == name:
-                return seg
-        raise KeyError(name)
-
-    def replaced(self, values: np.ndarray) -> "ParameterVector":
-        return replace(self, values=values)
-
-
 LossFn = Callable[[Tensor], Tensor]
 
 
-def evaluate(loss_fn: LossFn, params: ParameterVector) -> float:
+def evaluate(loss_fn: LossFn, params: np.ndarray) -> float:
     """Scalar value of the expression at `params`; deterministic."""
-    out = loss_fn(Tensor(params.values.copy(), name="params"))
+    out = loss_fn(Tensor(np.array(params, dtype=np.float64), name="params"))
     if out.value.size != 1:
         raise ValueError("loss expression must be scalar")
     return float(out.value)
 
 
-def value_and_gradient(loss_fn: LossFn, params: ParameterVector) -> tuple[float, np.ndarray]:
-    leaf = Tensor(params.values.copy(), name="params")
+def value_and_gradient(loss_fn: LossFn, params: np.ndarray) -> tuple[float, np.ndarray]:
+    leaf = Tensor(np.array(params, dtype=np.float64), name="params")
     out = loss_fn(leaf)
     if out.value.size != 1:
         raise ValueError("loss expression must be scalar")
@@ -293,23 +245,23 @@ def value_and_gradient(loss_fn: LossFn, params: ParameterVector) -> tuple[float,
     return float(out.value), _checked(grad, "gradient")
 
 
-def gradient(loss_fn: LossFn, params: ParameterVector) -> np.ndarray:
+def gradient(loss_fn: LossFn, params: np.ndarray) -> np.ndarray:
     """Exact reverse-mode derivatives of the scalar loss at `params`."""
     return value_and_gradient(loss_fn, params)[1]
 
 
-def finite_diff_gradient(loss_fn: LossFn, params: ParameterVector,
+def finite_diff_gradient(loss_fn: LossFn, params: np.ndarray,
                          step: float = 1e-6) -> np.ndarray:
     """Central differences (L(x+h e_i) - L(x-h e_i)) / 2h, per coordinate."""
     if step <= 0:
         raise ValueError("step must be positive")
-    base = params.values
+    base = np.asarray(params, dtype=np.float64)
     grad = np.zeros_like(base)
     for i in range(base.size):
         bumped = base.copy()
         bumped[i] = base[i] + step
-        hi = evaluate(loss_fn, params.replaced(bumped))
+        hi = evaluate(loss_fn, bumped)
         bumped[i] = base[i] - step
-        lo = evaluate(loss_fn, params.replaced(bumped))
+        lo = evaluate(loss_fn, bumped)
         grad[i] = (hi - lo) / (2.0 * step)
     return grad

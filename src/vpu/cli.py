@@ -34,7 +34,8 @@ from .data import (GaussianComponent, GaussianMixtureSpec, PuDataset, check_frac
                    true_posterior, write_csv)
 from .losses import LossSpec
 from .sampling import Rng
-from .trainer import TrainConfig, TrainingDiverged, sweep_lambda, train
+from .trainer import (TrainConfig, TrainingDiverged, TrainReport, sweep_csv,
+                      sweep_lambda, train)
 
 
 class ConfigError(ValueError):
@@ -242,6 +243,21 @@ def _write_metrics(report_dir: str, rep: mt.MetricsReport) -> None:
         fh.write(mt.MetricsReport.CSV_HEADER + "\n" + rep.as_csv_row() + "\n")
 
 
+def _write_trained(out: str, report: TrainReport,
+                   data: PuDataset) -> mt.MetricsReport | None:
+    """model.txt and history.csv, then metrics.{txt,csv} on the test rows;
+    returns those metrics, or None when the data has no test rows."""
+    os.makedirs(out, exist_ok=True)
+    md.save_model(report.final_model, os.path.join(out, "model.txt"))
+    with open(os.path.join(out, "history.csv"), "w", encoding="utf-8") as fh:
+        fh.write(report.history_csv())
+    if data.test_x is None:
+        return None
+    rep = mt.report(report.final_model, data.test_x, data.test_y)
+    _write_metrics(out, rep)
+    return rep
+
+
 def cmd_generate(cfg: Config) -> int:
     out = cfg["out"]
     data = generate(cfg["mixture"], m=cfg["m"], n=cfg["n"], n_test=cfg["n_test"],
@@ -260,17 +276,12 @@ def cmd_train(cfg: Config) -> int:
     out = cfg["out"]
     data = _load_training_data(cfg)
     report = train(cfg.train, data)
-    os.makedirs(out, exist_ok=True)
-    md.save_model(report.final_model, os.path.join(out, "model.txt"))
-    with open(os.path.join(out, "history.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report.history_csv())
+    rep = _write_trained(out, report, data)
     line = f"trained {cfg['objective']}: best_epoch={report.best_epoch}"
     best = report.history[report.best_epoch]
     if not math.isnan(best.val_lvar):
         line += f" val_lvar={best.val_lvar:.6g}"
-    if data.test_x is not None:
-        rep = mt.report(report.final_model, data.test_x, data.test_y)
-        _write_metrics(out, rep)
+    if rep is not None:
         line += f" test_acc={rep.accuracy:.4f} auc={rep.auc:.4f}"
     write_resolved(cfg, out)
     print(line)
@@ -286,23 +297,9 @@ def cmd_sweep(cfg: Config) -> int:
                           "none the data needs VP/VU rows")
     grid = cfg["lambda_grid"]
     report, cells = sweep_lambda(cfg.train, grid, data)
-    os.makedirs(out, exist_ok=True)
-
-    def cell_text(v):
-        return "" if math.isnan(v) else f"{v:.17g}"
-
-    lines = ["lambda,val_lvar,test_acc,best"]
-    for cell in cells:
-        marker = "*" if cell.best else ""
-        lines.append(f"{cell.lam!r},{cell_text(cell.val_lvar)},"
-                     f"{cell_text(cell.test_acc)},{marker}")
+    _write_trained(out, report, data)
     with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    md.save_model(report.final_model, os.path.join(out, "model.txt"))
-    with open(os.path.join(out, "history.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report.history_csv())
-    if data.test_x is not None:
-        _write_metrics(out, mt.report(report.final_model, data.test_x, data.test_y))
+        fh.write(sweep_csv(cells))
     write_resolved(cfg, out)
     print(f"swept {len(grid)} cells: best lambda={report.selected_lambda:g}")
     print(f"table -> {os.path.join(out, 'sweep.csv')}")

@@ -312,14 +312,16 @@ def _check_row(path: str, lineno: int, row: list[str], dim: int, has_label: bool
     if tag == "T":
         if not has_label or row[-1] == "":
             raise ValueError(f"{path}:{lineno}: test row without label")
-        int(float(row[-1]))  # a bad label raises float's or int's own error
+        # a label that is no number raises float's own error
+        if float(row[-1]) not in (1.0, -1.0):
+            raise ValueError(f"{path}:{lineno}: test label {row[-1]!r} is not +1 or -1")
 
 
 def _parse_rows(rows: list[list[str]], dim: int, has_label: bool,
                 pools: dict[str, list], labels: list[int]) -> None:
     """Append the features of the nonblank `rows` to their pools, a column
     at a time, and the labels of their T rows to `labels`.  Raises
-    ValueError or OverflowError if any row is bad, without naming it."""
+    ValueError if any row is bad, without naming it."""
     rows = [row for row in rows if row]
     if not rows:
         return
@@ -339,7 +341,10 @@ def _parse_rows(rows: list[list[str]], dim: int, has_label: bool,
     test_labels = list(compress(columns[-1], (tags == "T").tolist()))
     if test_labels and (not has_label or "" in test_labels):
         raise ValueError("test row without label")
-    labels.extend(map(int, map(float, test_labels)))
+    values = list(map(float, test_labels))
+    if not set(values) <= {1.0, -1.0}:
+        raise ValueError("test label not +1 or -1")
+    labels.extend(map(int, values))
 
 
 def load_csv(path: str) -> PuDataset:
@@ -359,7 +364,7 @@ def load_csv(path: str) -> PuDataset:
         while rows := list(islice(reader, _CHUNK_ROWS)):
             try:
                 _parse_rows(rows, dim, has_label, pools, labels)
-            except (ValueError, OverflowError):
+            except ValueError:
                 # name the first bad row, with the error a row-by-row read gives
                 for lineno, row in enumerate(rows, start=first_line):
                     if row:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -10,6 +12,12 @@ from . import autodiff as ad
 from .sampling import Rng, _uniforms
 
 _ACTIVATIONS = ("relu", "tanh")
+
+
+class Layer(NamedTuple):
+    weight: slice
+    shape: tuple[int, int]  # (fan_in, fan_out) of the weight matrix
+    bias: slice
 
 
 @dataclass(frozen=True)
@@ -29,25 +37,22 @@ class MlpArchitecture:
             raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
 
-    @property
-    def layer_dims(self) -> list[tuple[int, int]]:
+    @cached_property
+    def layers(self) -> tuple[Layer, ...]:
+        """Where each layer's weights and bias sit in the flat parameter
+        array: the weights row-major, then the bias, layer after layer."""
         dims = [self.input_dim, *self.hidden_widths, 1]
-        return list(zip(dims[:-1], dims[1:]))
-
-
-def mlp_layout(arch: MlpArchitecture) -> tuple[ad.Segment, ...]:
-    segments = []
-    offset = 0
-    for i, (fan_in, fan_out) in enumerate(arch.layer_dims):
-        segments.append(ad.Segment(f"w{i}", offset, offset + fan_in * fan_out, (fan_in, fan_out)))
-        offset += fan_in * fan_out
-        segments.append(ad.Segment(f"b{i}", offset, offset + fan_out, (fan_out,)))
-        offset += fan_out
-    return tuple(segments)
+        table, offset = [], 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            stop = offset + fan_in * fan_out
+            table.append(Layer(slice(offset, stop), (fan_in, fan_out),
+                               slice(stop, stop + fan_out)))
+            offset = stop + fan_out
+        return tuple(table)
 
 
 def parameter_count(arch: MlpArchitecture) -> int:
-    return sum(fi * fo + fo for fi, fo in arch.layer_dims)
+    return arch.layers[-1].bias.stop
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,17 @@ class ClassifierModel:
     """MLP with sigmoid head; output is min(raw / normalization_scale, 1)."""
 
     arch: MlpArchitecture
-    params: ad.ParameterVector
+    params: np.ndarray  # flat float64, laid out by `arch.layers`
     normalization_scale: float = 1.0
 
     def __post_init__(self):
+        params = np.asarray(self.params, dtype=np.float64)
+        if params.shape != (parameter_count(self.arch),):
+            raise ValueError(f"expected a flat array of {parameter_count(self.arch)} "
+                             f"parameters, got shape {params.shape}")
+        if not np.isfinite(params).all():
+            raise ValueError("parameters contain non-finite entries")
+        object.__setattr__(self, "params", params)
         if not 0.0 < self.normalization_scale < np.inf:
             raise ValueError("normalization_scale must be positive and finite")
 
@@ -81,15 +93,12 @@ class ClassifierModel:
             raise ValueError(f"expected features of dimension {self.arch.input_dim}")
         ad._checked(X, "features")
         act = self.arch.activation
-        layers = []  # (weight segment, bias segment, W, b) per layer
-        for i in range(len(self.arch.layer_dims)):
-            sw, sb = self.params.segment(f"w{i}"), self.params.segment(f"b{i}")
-            layers.append((sw, sb, t.value[sw.start:sw.stop].reshape(sw.shape),
-                           t.value[sb.start:sb.stop]))
+        layers = [(layer, t.value[layer.weight].reshape(layer.shape), t.value[layer.bias])
+                  for layer in self.arch.layers]
         inputs = []  # the input of each layer, kept for the backward pass
         h = X
         with ad._quiet():  # overflow surfaces as NumericError, not a warning
-            for i, (_, _, w, b) in enumerate(layers):
+            for i, (_, w, b) in enumerate(layers):
                 inputs.append(h)
                 h = ad._checked(h @ w, "matmul")
                 h += b
@@ -107,9 +116,9 @@ class ClassifierModel:
             grad = np.zeros_like(t.value)
             g = g.reshape((X.shape[0], 1))
             for i in range(len(layers) - 1, -1, -1):
-                (sw, sb, w, _), h_in = layers[i], inputs[i]
-                grad[sb.start:sb.stop] = g.sum(axis=0)
-                grad[sw.start:sw.stop] = (h_in.T @ g).ravel()
+                (layer, w, _), h_in = layers[i], inputs[i]
+                grad[layer.bias] = g.sum(axis=0)
+                grad[layer.weight] = (h_in.T @ g).ravel()
                 if i == 0:
                     break
                 g = g @ w.T
@@ -123,7 +132,7 @@ class ClassifierModel:
         return ad.sigmoid(self.logits(theta, x))
 
     def raw_values(self, x: np.ndarray) -> np.ndarray:
-        return self.raw(self.params.values, np.atleast_2d(np.asarray(x, dtype=np.float64))).value
+        return self.raw(self.params, np.atleast_2d(np.asarray(x, dtype=np.float64))).value
 
     def predict_proba(self, x: np.ndarray):
         """Normalized probability min(raw/scale, 1) in (0, 1]."""
@@ -133,20 +142,18 @@ class ClassifierModel:
         return float(p[0]) if single else p
 
     def with_params(self, values: np.ndarray) -> "ClassifierModel":
-        return replace(self, params=self.params.replaced(values))
+        return replace(self, params=values)
 
 
 def init(arch: MlpArchitecture, seed: int) -> ClassifierModel:
     """Glorot-uniform weights, zero biases, scale 1; deterministic per seed."""
     rng = Rng(seed)
     values = np.zeros(parameter_count(arch), dtype=np.float64)
-    layout = mlp_layout(arch)
-    params = ad.ParameterVector(values, layout)
-    for i, (fan_in, fan_out) in enumerate(arch.layer_dims):
+    for layer in arch.layers:
+        fan_in, fan_out = layer.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        seg = params.segment(f"w{i}")
-        values[seg.start:seg.stop] = (2.0 * _uniforms(rng, seg.stop - seg.start) - 1.0) * bound
-    return ClassifierModel(arch=arch, params=ad.ParameterVector(values, layout))
+        values[layer.weight] = (2.0 * _uniforms(rng, fan_in * fan_out) - 1.0) * bound
+    return ClassifierModel(arch=arch, params=values)
 
 
 def normalize(model: ClassifierModel, dataset) -> ClassifierModel:
@@ -162,7 +169,7 @@ def normalize(model: ClassifierModel, dataset) -> ClassifierModel:
 def save_model(model: ClassifierModel, path: str) -> None:
     """Flat text format: one header line, then one weight per line."""
     widths = ",".join(str(w) for w in model.arch.hidden_widths)
-    values = model.params.values.tolist()
+    values = model.params.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"vpu-model v1 {model.arch.input_dim} {widths} "
                  f"{model.arch.activation} {model.normalization_scale:.17g}\n")
@@ -183,10 +190,8 @@ def load_model(path: str) -> ClassifierModel:
         activation=header[4],
     )
     scale = float(header[5])
-    expected = parameter_count(arch)
-    weights = lines[1:]
-    if len(weights) != expected:
-        raise ValueError(f"{path}: expected {expected} weights, found {len(weights)}")
-    values = np.array([float(w) for w in weights], dtype=np.float64)
-    params = ad.ParameterVector(values, mlp_layout(arch))
-    return ClassifierModel(arch=arch, params=params, normalization_scale=scale)
+    values = np.array([float(w) for w in lines[1:]], dtype=np.float64)
+    try:
+        return ClassifierModel(arch=arch, params=values, normalization_scale=scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

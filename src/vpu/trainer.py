@@ -105,14 +105,16 @@ class TrainReport:
     selected_lambda: float | None = None
 
     def history_csv(self) -> str:
-        def cell(v):
-            return "" if math.isnan(v) else f"{v:.17g}"
-
         lines = ["epoch,train_lvar,val_lvar,val_reg,test_acc"]
         for row in self.history:
-            lines.append(f"{row.epoch},{cell(row.train_lvar)},{cell(row.val_lvar)},"
-                         f"{cell(row.val_reg)},{cell(row.test_acc)}")
+            lines.append(f"{row.epoch},{_cell(row.train_lvar)},{_cell(row.val_lvar)},"
+                         f"{_cell(row.val_reg)},{_cell(row.test_acc)}")
         return "\n".join(lines) + "\n"
+
+
+def _cell(v: float) -> str:
+    """A CSV cell: the exact float, or empty for nan."""
+    return "" if math.isnan(v) else f"{v:.17g}"
 
 
 def _eval_epoch(model: md.ClassifierModel, values: np.ndarray, data: PuDataset,
@@ -144,7 +146,7 @@ def _eval_reg(current: md.ClassifierModel, data: PuDataset,
     at 0.5 so the curve is deterministic); 0 when no regularizer applies."""
     if not spec.variational or spec.reg_variant == "none":
         return 0.0
-    theta = current.params.values
+    theta = current.params
     vp, vu = data.val_positive, data.val_unlabeled
     if spec.reg_variant == "large_margin":
         reg = ls.large_margin_values(current.raw(theta, vp), spec.alpha)
@@ -169,7 +171,7 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
                               hidden_widths=config.hidden_widths,
                               activation=config.activation)
     base = md.init(arch, seed=config.seed)
-    values = base.params.values.copy()
+    values = base.params.copy()
     adam = AdamState.zeros(values.size, config.adam_beta1, config.adam_beta2,
                            config.adam_epsilon)
     iters_per_epoch = max(1, math.ceil(data.n / config.batch_size))
@@ -189,7 +191,7 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
                 def loss_fn(theta):
                     return ls.total_loss(spec, base, theta, xp, xu, gamma)
 
-                _, grads = ad.value_and_gradient(loss_fn, base.params.replaced(values))
+                _, grads = ad.value_and_gradient(loss_fn, values)
                 values, adam = adam_step(adam, values, grads, config.learning_rate)
                 if not np.all(np.isfinite(values)):
                     raise ad.NumericError("parameters became non-finite")
@@ -237,6 +239,15 @@ class SweepCell:
     test_acc: float
     error: str = ""
     best: bool = False  # the cell the sweep selected
+
+
+def sweep_csv(cells: list[SweepCell]) -> str:
+    """One row per lambda; `*` marks the selected cell."""
+    lines = ["lambda,val_lvar,test_acc,best"]
+    for cell in cells:
+        lines.append(f"{cell.lam!r},{_cell(cell.val_lvar)},{_cell(cell.test_acc)},"
+                     f"{'*' if cell.best else ''}")
+    return "\n".join(lines) + "\n"
 
 
 def sweep_lambda(base_config: TrainConfig, grid: Sequence[float],

@@ -66,14 +66,12 @@ def tape_logits(model: md.ClassifierModel, theta, x: np.ndarray) -> ad.Tensor:
         raise ValueError(f"expected features of dimension {model.arch.input_dim}")
     act = _ACTIVATIONS[model.arch.activation]
     h = ad.Tensor(X, name="features")
-    n_layers = len(model.arch.layer_dims)
-    for i, (fan_in, fan_out) in enumerate(model.arch.layer_dims):
-        seg_w = model.params.segment(f"w{i}")
-        seg_b = model.params.segment(f"b{i}")
-        w = reshape(t[seg_w.start:seg_w.stop], (fan_in, fan_out))
-        b = t[seg_b.start:seg_b.stop]
+    layers = model.arch.layers
+    for i, layer in enumerate(layers):
+        w = reshape(t[layer.weight], layer.shape)
+        b = t[layer.bias]
         h = matmul(h, w) + b
-        if i < n_layers - 1:
+        if i < len(layers) - 1:
             h = act(h)
     return reshape(h, (X.shape[0],))
 

@@ -98,7 +98,7 @@ def _fd_point(variant, seed):
     while True:
         rng = Rng(seed)
         values = 0.6 * np.array([2.0 * rng.uniform() - 1.0 for _ in range(len(base.params))])
-        params = base.params.replaced(values)
+        params = values
         xp = np.array([[rng.normal(), rng.normal()] for _ in range(5)]) + [1.5, 0]
         xu = np.array([[rng.normal(), rng.normal()] for _ in range(5)])
         if variant == "nnpu":

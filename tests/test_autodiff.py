@@ -9,7 +9,7 @@ import reference as ref
 
 
 def flat_params(values):
-    return ad.ParameterVector(np.asarray(values, dtype=np.float64))
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestEvaluate:
@@ -91,6 +91,12 @@ class TestGradient:
         g = ad.gradient(lambda t: ad.positive_part(t[0]), flat_params([-0.7]))
         assert g[0] == 0.0
 
+    def test_gradient_shape_matches(self):
+        params = flat_params(np.linspace(-1, 1, 7))
+        g = ad.gradient(lambda t: ad.mean(t * t), params)
+        assert g.shape == params.shape
+        assert np.all(np.isfinite(g))
+
 
 class TestGuardedLog:
     def test_floor_applies(self):
@@ -116,28 +122,3 @@ class TestFiniteDiff:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             ad.finite_diff_gradient(lambda t: t[0], flat_params([1.0]), 0.0)
-
-
-class TestParameterVector:
-    def test_layout_must_cover(self):
-        layout = (ad.Segment("w", 0, 2, (2,)),)
-        with pytest.raises(ValueError):
-            ad.ParameterVector(np.zeros(3), layout)
-
-    def test_layout_views(self):
-        layout = (ad.Segment("w", 0, 4, (2, 2)), ad.Segment("b", 4, 6, (2,)))
-        pv = ad.ParameterVector(np.arange(6.0), layout)
-        w, b = pv.segment("w"), pv.segment("b")
-        np.testing.assert_array_equal(pv.values[w.start:w.stop].reshape(w.shape),
-                                      [[0, 1], [2, 3]])
-        np.testing.assert_array_equal(pv.values[b.start:b.stop], [4, 5])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ad.ParameterVector(np.array([1.0, np.nan]))
-
-    def test_gradient_shape_matches(self):
-        pv = flat_params(np.linspace(-1, 1, 7))
-        g = ad.gradient(lambda t: ad.mean(t * t), pv)
-        assert g.shape == pv.values.shape
-        assert np.all(np.isfinite(g))

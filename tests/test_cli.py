@@ -324,6 +324,41 @@ class TestEval:
         assert not (tmp_path / "e").exists()
 
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_is_usage_error(self, tmp_path, capsys, weight):
+        dataset = make_dataset(tmp_path)
+        path = tmp_path / "model.txt"
+        md.save_model(md.init(md.MlpArchitecture(2, (8, 8)), seed=0), str(path))
+        lines = path.read_text().splitlines()
+        lines[7] = weight
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--model", str(path), "--data", str(dataset),
+                   "--out", str(tmp_path / "e")) == 2
+        captured = capsys.readouterr()
+        assert f"{path}: parameters contain non-finite entries" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_non_integral_label_is_usage_error(self, tmp_path, capsys, command):
+        # a label of 1.5 used to load as +1
+        dataset = make_dataset(tmp_path)
+        lines = dataset.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("T,"))
+        lines[row] = lines[row].rsplit(",", 1)[0] + ",1.5"
+        dataset.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.txt"
+        md.save_model(md.init(md.MlpArchitecture(2, (8, 8)), seed=0), str(model))
+        capsys.readouterr()
+        assert run(command, "--model", str(model), "--data", str(dataset),
+                   "--out", str(tmp_path / "e"), *QUICK) == 2
+        captured = capsys.readouterr()
+        assert f"{dataset}:{row + 1}: test label '1.5' is not +1 or -1" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "e").exists()
+
+
 class TestOracleCheck:
     def test_passes_and_prints_table(self, capsys):
         assert run("oracle-check", "--trials", "40") == 0
@@ -431,7 +466,20 @@ class TestAnyConfig:
                 "epochs": "1", "batch_size": "30", "hidden": "4", "lambda_grid": "0.3",
                 "trials": "1", "ratios": "1", "bias_total": "40"}
         argv = [f"--{key}={value}" for key, value in {**base, **texts}.items()]
-        assert run(command, *argv) in (0, 2, 3)
+        code = run(command, *argv)
+        assert code in (0, 2, 3)
+        if any(not _parses(key, text) for key, text in texts.items()):
+            assert code == 2, texts
+        if code == 3:  # only training overflows
+            assert command in ("train", "sweep", "bias-exp")
+
+
+def _parses(key: str, text: str) -> bool:
+    try:
+        cli.KEYS[key][1](text)
+    except ValueError:
+        return False
+    return True
 
 
 class TestUsage:

@@ -325,6 +325,19 @@ class TestCsv:
         data = dt.load_csv(str(path))
         assert list(data.test_y) == [1, -1]
 
+    def test_label_spellings_of_plus_minus_one(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("set,x0,y\nP,1.0,\nU,0.0,\nT,1,1.0\nT,2,-1e0\nT,3,+1.00\n")
+        assert dt.load_csv(str(path)).test_y.tolist() == [1, -1, 1]
+
+    @pytest.mark.parametrize("label", ["1.5", "1.9", "-0.5", "0", "2", "nan", "inf"])
+    def test_label_not_plus_minus_one_rejected(self, tmp_path, label):
+        path = tmp_path / "t.csv"
+        path.write_text(f"set,x0,y\nP,1.0,\nU,0.0,\nT,2.0,+1\nT,-2.0,{label}\n")
+        with pytest.raises(ValueError) as err:
+            dt.load_csv(str(path))
+        assert str(err.value) == f"{path}:5: test label '{label}' is not +1 or -1"
+
     def test_empty_positive_rejected(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("set,x0\nU,0.0\n")
@@ -400,6 +413,12 @@ class TestCsvErrorLines:
         lines[8000] = "T,1.0,2.0,one\n"
         message, _ = self.load(tmp_path, lines)
         assert message == "could not convert string to float: 'one'"
+
+    def test_non_integral_label_on_late_test_row(self, tmp_path, long_csv):
+        lines = list(long_csv)
+        lines[8000] = "T,1.0,2.0,1.5\n"
+        message, path = self.load(tmp_path, lines)
+        assert message == f"{path}:8001: test label '1.5' is not +1 or -1"
 
     def test_roundtrip_bits_over_chunks(self, tmp_path, long_csv):
         path = tmp_path / "long.csv"

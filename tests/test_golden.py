@@ -18,6 +18,8 @@ from vpu import model as md
 from vpu import oracle as oc
 from vpu.sampling import Rng
 
+from test_cli import BIAS_QUICK
+
 SIZES = ["--m", "40", "--n", "120", "--n_test", "60", "--seed", "3"]
 
 # an odd dimension carries the Box-Muller cache from one row to the next;
@@ -175,3 +177,35 @@ def test_trained_outputs(tmp_path, pinned_dataset, name):
 def test_sweep_table(tmp_path, pinned_dataset):
     argv = ["--data", str(pinned_dataset), *TRAIN, *SWEEP]
     _check(tmp_path, "sweep", argv, ("sweep.csv",), {"sweep.csv": SWEEP_DIGEST})
+
+
+@pytest.fixture(scope="module")
+def pinned_model(tmp_path_factory, pinned_dataset):
+    out = tmp_path_factory.mktemp("pinned-model")
+    assert cli.main(["train", "--out", str(out), "--data", str(pinned_dataset),
+                     *TRAIN]) == 0
+    return out / "model.txt"
+
+
+# the model is the "default" train run above; evaluated on the same test
+# rows it gives the metrics.csv that train wrote
+EVAL_DIGEST = "323230ad5c3fc0765484d465b63cff7fc2e0f5153697870168cb6a26394f43b6"
+ORACLE_REPORT_DIGEST = "d00bdb4f06d3a639d1c48b42a199e9feedd4963b1128556c2e999a71484f8790"
+BIAS_DIGESTS = {
+    "bias.csv": "7199051e69e7de88bed595b1f0241c2012040f1c9a584de635ef9729ac3870e6",
+    "bias_bounds.csv": "6dc365086aa90a6efc2d8ebaf1b4f84a77d0e49fa234d63e3c31690addf78c74",
+}
+
+
+def test_eval_metrics(tmp_path, pinned_dataset, pinned_model):
+    argv = ["--data", str(pinned_dataset), "--model", str(pinned_model)]
+    _check(tmp_path, "eval", argv, ("metrics.csv",), {"metrics.csv": EVAL_DIGEST})
+
+
+def test_oracle_report(tmp_path):
+    _check(tmp_path, "oracle-check", ["--trials", "20"], ("oracle_report.txt",),
+           {"oracle_report.txt": ORACLE_REPORT_DIGEST})
+
+
+def test_bias_tables(tmp_path):
+    _check(tmp_path, "bias-exp", BIAS_QUICK, tuple(BIAS_DIGESTS), BIAS_DIGESTS)

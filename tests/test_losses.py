@@ -36,8 +36,8 @@ def batches():
 def saturated_model(input_dim=2):
     """All raw outputs exactly 1.0 (output bias 40)."""
     base = md.init(md.MlpArchitecture(input_dim, (4,), "relu"), seed=0)
-    values = np.zeros_like(base.params.values)
-    values[base.params.segment("b1").start] = 40.0
+    values = np.zeros_like(base.params)
+    values[base.arch.layers[1].bias] = 40.0
     return base.with_params(values)
 
 
@@ -84,7 +84,7 @@ class TestMixupReg:
         # phi(x_mix) == target everywhere -> penalty 0
         m = saturated_model()
         x = np.zeros((3, 2))
-        assert value(ls.mixup_reg_from_pairs(m, m.params.values, x, np.ones(3))) == 0.0
+        assert value(ls.mixup_reg_from_pairs(m, m.params, x, np.ones(3))) == 0.0
 
     def test_underestimation_blows_up(self):
         # (log 0.9 - log 1e-12)^2 =~ 757: the msle penalty explodes as phi -> 0
@@ -97,7 +97,7 @@ class TestMixupReg:
         xp, xu = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
         # mse penalty of the single pair: (t - phi(x_mix))^2 with the mixed
         # point (0.3, 0.7) and the guessed target t = 0.3 + 0.7 phi(u)
-        reg = ls.mixup_consistency_reg(net, net.params.values, xp, xu, net.raw_values(xu),
+        reg = ls.mixup_consistency_reg(net, net.params, xp, xu, net.raw_values(xu),
                                        0.3, "mse_mixup_pu")
         phi_u = float(net.raw_values(xu)[0])
         phi_mix = float(net.raw_values(np.array([[0.3, 0.7]]))[0])
@@ -112,7 +112,7 @@ class TestMixupReg:
 
     def test_stop_gradient_default(self, net, batches):
         xp, xu = batches
-        theta = ad.Tensor(net.params.values)
+        theta = ad.Tensor(net.params)
         phi_u = net.raw(theta, xu)
         frozen = ls.mixup_consistency_reg(net, theta, xp, xu, phi_u, 0.4, "msle_mixup_pu")
         # same value as the non-stop variant, but the target subtree is constant
@@ -123,7 +123,7 @@ class TestMixupReg:
     def test_p_only_targets_one(self, net):
         xp = np.array([[1.0, 0.0], [0.0, 1.0]])
         xu = np.array([[9.9, 9.9], [9.9, 9.9]])
-        reg = ls.mixup_consistency_reg(net, net.params.values, xp, xu, None, 0.5,
+        reg = ls.mixup_consistency_reg(net, net.params, xp, xu, None, 0.5,
                                        "msle_mixup_p_only")
         mixed = 0.5 * xp + 0.5 * np.roll(xp, -1, axis=0)
         expected = np.mean(np.log(net.raw_values(mixed)) ** 2)
@@ -132,7 +132,7 @@ class TestMixupReg:
     def test_size_mismatch_rejected(self, net):
         xp, xu = np.zeros((2, 2)), np.zeros((3, 2))
         with pytest.raises(ValueError):
-            ls.mixup_consistency_reg(net, net.params.values, xp, xu, net.raw_values(xu),
+            ls.mixup_consistency_reg(net, net.params, xp, xu, net.raw_values(xu),
                                      0.5, "msle_mixup_pu")
 
 
@@ -254,20 +254,20 @@ class TestTotalLoss:
     def test_lambda_zero_is_objective(self, net, batches):
         xp, xu = batches
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.0)
-        got = value(ls.total_loss(spec, net, net.params.values, xp, xu, gamma=0.3))
+        got = value(ls.total_loss(spec, net, net.params, xp, xu, gamma=0.3))
         assert got == objective_value(net, xp, xu)
 
     def test_zero_reg_residual_equals_objective(self, batches):
         xp, xu = batches
         m = saturated_model()
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.3)
-        got = value(ls.total_loss(spec, m, m.params.values, xp, xu, gamma=0.6))
+        got = value(ls.total_loss(spec, m, m.params, xp, xu, gamma=0.6))
         assert got == objective_value(m, xp, xu)
 
     def test_linear_combination(self, net, batches):
         xp, xu = batches
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.3)
-        theta = net.params.values
+        theta = net.params
         v = objective_value(net, xp, xu)
         r = value(ls.mixup_consistency_reg(net, theta, xp, xu, net.raw_values(xu), 0.5,
                                            "msle_mixup_pu"))
@@ -277,7 +277,7 @@ class TestTotalLoss:
     def test_baselines_ignore_reg(self, net, batches):
         xp, xu = batches
         spec = ls.LossSpec("nnpu", "msle_mixup_pu", lam=0.3, pi_p=0.4)
-        theta = net.params.values
+        theta = net.params
         got = value(ls.total_loss(spec, net, theta, xp, xu, gamma=0.5))
         assert got == value(ls.nnpu_risk_from_margins(
             net.logits(theta, xp), net.logits(theta, xu), 0.4))
@@ -286,7 +286,7 @@ class TestTotalLoss:
         xp, xu = batches
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.3)
         with pytest.raises(ValueError):
-            ls.total_loss(spec, net, net.params.values, xp, xu, gamma=None)
+            ls.total_loss(spec, net, net.params, xp, xu, gamma=None)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_matches_two_forward_reference(self, activation):
@@ -296,7 +296,7 @@ class TestTotalLoss:
         # gradients before the network's backward, which rounds differently
         net = md.init(md.MlpArchitecture(2, (8, 5), activation), seed=1)
         rng = np.random.default_rng(4)
-        net = net.with_params(net.params.values + rng.normal(scale=0.3, size=len(net.params)))
+        net = net.with_params(net.params + rng.normal(scale=0.3, size=len(net.params)))
         xp, xu = rng.normal(size=(7, 2)) + 1.0, rng.normal(size=(7, 2))
         for objective in ls.OBJECTIVES:
             for reg in ls.REG_VARIANTS:
@@ -364,7 +364,7 @@ class TestGradientsAgainstFiniteDiff:
         rng = np.random.default_rng(7)
         m = md.init(md.MlpArchitecture(2, (4, 3), "tanh"), seed=7)
         for trial in range(5):
-            params = m.params.replaced(rng.normal(scale=0.6, size=len(m.params)))
+            params = rng.normal(scale=0.6, size=len(m.params))
             xp = rng.normal(size=(5, 2)) + [1.5, 0]
             xu = rng.normal(size=(5, 2))
             fn = self.CASES[name](m, xp, xu)
@@ -393,7 +393,7 @@ class TestGradientsAgainstFiniteDiff:
         # complete training objective on a 2-layer MLP, random params, seed 7
         rng = np.random.default_rng(7)
         m = md.init(md.MlpArchitecture(2, (6, 4), "tanh"), seed=7)
-        params = m.params.replaced(rng.normal(scale=0.5, size=len(m.params)))
+        params = rng.normal(scale=0.5, size=len(m.params))
         xp = rng.normal(size=(8, 2)) + [2, 0]
         xu = rng.normal(size=(8, 2))
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.3)

@@ -104,11 +104,10 @@ class TestReport:
     def trained_like_model(self):
         # a linear-ish net that separates x0 > 0 from x0 < 0
         m = md.init(md.MlpArchitecture(2, (4,), "tanh"), seed=1)
-        values = np.zeros_like(m.params.values)
-        w0 = m.params.segment("w0")
-        values[w0.start:w0.stop] = np.array([[3.0, 3.0, 3.0, 3.0], [0, 0, 0, 0]]).ravel()
-        w1 = m.params.segment("w1")
-        values[w1.start:w1.stop] = 2.0
+        values = np.zeros_like(m.params)
+        w0, w1 = m.arch.layers[0].weight, m.arch.layers[1].weight
+        values[w0] = np.array([[3.0, 3.0, 3.0, 3.0], [0, 0, 0, 0]]).ravel()
+        values[w1] = 2.0
         return m.with_params(values)
 
     def test_counts_sum(self, trained_like_model):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,9 @@ from reference import as_tape_model
 def constant_output_model(bias_logit: float, input_dim: int = 2) -> md.ClassifierModel:
     """Zero weights everywhere, output bias fixed: raw = sigmoid(bias_logit)."""
     base = md.init(md.MlpArchitecture(input_dim, (4,), "relu"), seed=0)
-    values = np.zeros_like(base.params.values)
-    seg = base.params.segment("b1")
-    values[seg.start] = bias_logit
+    values = np.zeros_like(base.params)
+    values[base.arch.layers[1].bias] = bias_logit
     return base.with_params(values)
-
-
-def segment_values(params, name: str) -> np.ndarray:
-    seg = params.segment(name)
-    return params.values[seg.start:seg.stop].reshape(seg.shape)
 
 
 class TestArchitecture:
@@ -39,27 +35,57 @@ class TestArchitecture:
         assert md.parameter_count(md.MlpArchitecture(4, (64, 64))) == 4545
         assert md.parameter_count(md.MlpArchitecture(3, (5,))) == 3 * 5 + 5 + 5 + 1
 
+    def test_layer_table_tiles_the_parameters(self):
+        # each layer: its weights, row-major, then its bias, back to back
+        layers = md.MlpArchitecture(3, (5, 4)).layers
+        assert [layer.shape for layer in layers] == [(3, 5), (5, 4), (4, 1)]
+        offset = 0
+        for layer in layers:
+            fan_in, fan_out = layer.shape
+            assert layer.weight == slice(offset, offset + fan_in * fan_out)
+            offset += fan_in * fan_out
+            assert layer.bias == slice(offset, offset + fan_out)
+            offset += fan_out
+        assert offset == md.parameter_count(md.MlpArchitecture(3, (5, 4)))
+
+
+class TestParams:
+    def test_rejects_non_finite(self):
+        arch = md.MlpArchitecture(2, (4,))
+        values = np.zeros(md.parameter_count(arch))
+        for bad in (np.nan, np.inf, -np.inf):
+            values[3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                md.ClassifierModel(arch, values)
+
+    def test_rejects_wrong_length(self):
+        arch = md.MlpArchitecture(2, (4,))
+        with pytest.raises(ValueError, match=r"expected a flat array of 17 parameters"):
+            md.ClassifierModel(arch, np.zeros(16))
+        with pytest.raises(ValueError, match=r"expected a flat array of 17 parameters"):
+            md.ClassifierModel(arch, np.zeros((1, 17)))
+
 
 class TestInit:
     def test_deterministic_per_seed(self):
         arch = md.MlpArchitecture(2, (8, 8))
         a = md.init(arch, seed=5)
         b = md.init(arch, seed=5)
-        assert np.array_equal(a.params.values, b.params.values)
+        assert np.array_equal(a.params, b.params)
 
     def test_seeds_differ(self):
         arch = md.MlpArchitecture(2, (8, 8))
-        assert not np.array_equal(md.init(arch, 1).params.values,
-                                  md.init(arch, 2).params.values)
+        assert not np.array_equal(md.init(arch, 1).params,
+                                  md.init(arch, 2).params)
 
     def test_biases_zero(self):
         m = md.init(md.MlpArchitecture(3, (16, 8)), seed=9)
-        for name in ("b0", "b1", "b2"):
-            assert np.all(segment_values(m.params, name) == 0.0)
+        for layer in m.arch.layers:
+            assert np.all(m.params[layer.bias] == 0.0)
 
     def test_glorot_bounds(self):
         m = md.init(md.MlpArchitecture(10, (20,)), seed=2)
-        w0 = segment_values(m.params, "w0")
+        w0 = m.params[m.arch.layers[0].weight]
         bound = np.sqrt(6.0 / 30.0)
         assert np.all(np.abs(w0) <= bound)
         assert np.abs(w0).max() > 0.5 * bound  # actually spread out
@@ -169,7 +195,7 @@ class TestSerialization:
         back = md.load_model(str(path))
         assert back.arch == m.arch
         assert back.normalization_scale == m.normalization_scale
-        assert np.array_equal(back.params.values, m.params.values)
+        assert np.array_equal(back.params, m.params)
 
     def test_header_format(self, tmp_path):
         m = md.init(md.MlpArchitecture(2, (4, 4)), seed=0)
@@ -190,13 +216,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match="normalization_scale"):
             md.load_model(str(path))
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        m = md.init(md.MlpArchitecture(2, (4,)), seed=0)
+        path = tmp_path / "model.txt"
+        md.save_model(m, str(path))
+        lines = path.read_text().splitlines()
+        lines[5] = weight
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: parameters contain non-finite")):
+            md.load_model(str(path))
+
     def test_truncated_file_rejected(self, tmp_path):
         m = md.init(md.MlpArchitecture(2, (4,)), seed=0)
         path = tmp_path / "model.txt"
         md.save_model(m, str(path))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(ValueError, match="expected"):
+        with pytest.raises(ValueError, match=r"expected a flat array of 17 parameters, "
+                                             r"got shape \(15,\)"):
             md.load_model(str(path))
 
 
@@ -219,7 +257,7 @@ class TestLogitsNode:
         widths, dim = ((64, 64, 64), 2) if batch == 500 else ((4, 3, 5), 3)
         net = md.init(md.MlpArchitecture(dim, widths[:depth], activation), seed=depth)
         rng = np.random.default_rng(10 * depth + batch)
-        net = net.with_params(net.params.values + rng.normal(scale=0.3, size=len(net.params)))
+        net = net.with_params(net.params + rng.normal(scale=0.3, size=len(net.params)))
         tape = as_tape_model(net)
         xp = rng.normal(size=(batch, dim)) + 1.0
         xu = rng.normal(size=(batch, dim))
@@ -238,7 +276,7 @@ class TestLogitsNode:
 
     def test_one_tensor_per_call(self):
         net = md.init(md.MlpArchitecture(2, (4, 4)), seed=0)
-        theta = ad.Tensor(net.params.values)
+        theta = ad.Tensor(net.params)
         out = net.logits(theta, np.ones((3, 2)))
         assert out.parents == (theta,) and out.shape == (3,)
 

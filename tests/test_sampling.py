@@ -223,7 +223,7 @@ class TestMixupPairs:
 
     @staticmethod
     def reg(model, xp, xu, gamma, variant="msle_mixup_pu"):
-        theta = model.params.values
+        theta = model.params
         return ls.mixup_consistency_reg(model, theta, xp, xu, model.raw(theta, xu),
                                         gamma, variant)
 

@@ -1,0 +1,93 @@
+"""The import graph of the `vpu` package, read from the source with `ast`.
+
+The modules form a DAG, and `vpu.autodiff` (the tape) depends on no other
+`vpu` module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vpu"
+
+
+def import_graph(src: Path = SRC) -> dict[str, set[str]]:
+    """Module name -> the package modules it imports, at any depth in the
+    file; `from . import x` counts as an import of `x`, not of the package."""
+    modules = {path.stem for path in src.glob("*.py")}
+    graph = {}
+    for name in sorted(modules):
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                full_names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # a relative import (level 1) is relative to the package
+                module = ".".join(filter(None, ["vpu" if node.level else "", node.module]))
+                full_names = [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for full in full_names:
+                parts = full.split(".")
+                if parts[0] == "vpu" and len(parts) > 1 and parts[1] in modules:
+                    deps.add(parts[1])
+        graph[name] = deps
+    return graph
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as a path that starts and ends at the same module,
+    or None when the graph is acyclic."""
+    state: dict[str, int] = {}  # 1 on the current path, 2 finished
+    path: list[str] = []
+
+    def visit(node):
+        state[node] = 1
+        path.append(node)
+        for dep in sorted(graph.get(node, ())):
+            if state.get(dep) == 1:
+                return path[path.index(dep):] + [dep]
+            if dep not in state and (cycle := visit(dep)):
+                return cycle
+        path.pop()
+        state[node] = 2
+        return None
+
+    for node in sorted(graph):
+        if node not in state and (cycle := visit(node)):
+            return cycle
+    return None
+
+
+def test_graph_is_read_from_the_source():
+    graph = import_graph()
+    assert {"autodiff", "sampling"} <= graph["model"]
+    assert "model" in graph["metrics"]
+    assert "trainer" in graph["cli"]
+
+
+def test_no_import_cycle():
+    assert find_cycle(import_graph()) is None
+
+
+def test_autodiff_imports_no_package_module():
+    assert import_graph()["autodiff"] == set()
+
+
+@pytest.mark.parametrize("graph, cycle", [
+    ({"a": {"b"}, "b": {"c"}, "c": {"a"}}, ["a", "b", "c", "a"]),
+    ({"a": {"a"}}, ["a", "a"]),
+    ({"a": {"b"}, "b": set(), "c": {"b", "d"}, "d": {"c"}}, ["c", "d", "c"]),
+    ({"a": {"b", "c"}, "b": {"c"}, "c": set()}, None),
+])
+def test_find_cycle(graph, cycle):
+    assert find_cycle(graph) == cycle
+
+
+def test_relative_and_absolute_imports_are_edges(tmp_path):
+    (tmp_path / "a.py").write_text("from . import b as bb\nfrom .c import f\n")
+    (tmp_path / "b.py").write_text("import vpu.c\n\ndef g():\n    from vpu import a\n")
+    (tmp_path / "c.py").write_text("import numpy as np\nfrom vpu.b import g\n")
+    assert import_graph(tmp_path) == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"b"}}

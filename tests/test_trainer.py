@@ -106,8 +106,7 @@ class TestTrain:
         data = quick_task()
         r1 = tr.train(quick_config(), data)
         r2 = tr.train(quick_config(), data)
-        assert np.array_equal(r1.final_model.params.values,
-                              r2.final_model.params.values)
+        assert np.array_equal(r1.final_model.params, r2.final_model.params)
         assert r1.history == r2.history
 
     def test_history_rows(self):
@@ -204,8 +203,7 @@ class TestSweep:
         cfg = quick_config(epochs=3)
         report, cells = tr.sweep_lambda(cfg, [0.3], data)
         direct = tr.train(replace(cfg, loss_spec=replace(cfg.loss_spec, lam=0.3)), data)
-        assert np.array_equal(report.final_model.params.values,
-                              direct.final_model.params.values)
+        assert np.array_equal(report.final_model.params, direct.final_model.params)
         assert len(cells) == 1
         assert report.selected_lambda == 0.3
 
