@@ -421,13 +421,18 @@ HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; only `command` (when one is named) gets
+    its flags, since the parser reads the flags of the invoked command only
+    and adding one flag per key to every command is most of the build."""
     parser = argparse.ArgumentParser(
         prog="vpu",
         description="Variational positive-unlabeled learning toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in HANDLERS:
         p = sub.add_parser(name)
+        if name != command:
+            continue
         p.add_argument("--config", help="flat key = value configuration file")
         for key in KEYS:
             p.add_argument(f"--{key}", dest=f"key_{key}", default=None)
@@ -435,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return HANDLERS[args.command](resolve_config(args))
     except (ValueError, OSError) as exc:

@@ -172,8 +172,8 @@ def _sample_pool(comps, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """`n` rows from the mixture of `comps`, and each row's component index.
 
     The stream layout is that of drawing row by row: one uniform picks the
-    component, then `dim` `Rng.normal` draws give its features, the cached
-    normal carrying across rows and calls.  All outputs come from one
+    component, then `dim` normals drawn one at a time give its features, the
+    cached normal carrying across rows and calls.  All outputs come from one
     block; `Rng.normals` turns the Box-Muller pairs among them into normals.
     """
     if n < 1:

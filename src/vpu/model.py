@@ -55,6 +55,21 @@ def parameter_count(arch: MlpArchitecture) -> int:
     return arch.layers[-1].bias.stop
 
 
+# Rows scored per block by `ClassifierModel.raw_values`; the last block also
+# takes the remainder, so it holds SCORE_ROWS to 2 * SCORE_ROWS - 1 rows.
+# Blocked values equal those of one pass over all rows, bit for bit, with
+# OpenBLAS 0.3.31 on one thread, because of two rules:
+# - every block starts at a multiple of 8 rows: the gemm kernel rounds a
+#   row by its position in a group of 8 (blocks of 777 rows changed 17-58
+#   of 1e5 rows; blocks of 1000, 4096 and 8192 rows changed none);
+# - no block is tiny: a 1-row block goes through gemv, not gemm (a 1-row
+#   block after 4096 rows changed that row).
+# On more threads OpenBLAS also splits the rows between them, and one pass
+# over 4097, 8193 or 12289 rows can change a row against one thread; blocked
+# and one-pass values then agree only to rounding.
+SCORE_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class ClassifierModel:
     """MLP with sigmoid head; output is min(raw / normalization_scale, 1)."""
@@ -132,7 +147,23 @@ class ClassifierModel:
         return ad.sigmoid(self.logits(theta, x))
 
     def raw_values(self, x: np.ndarray) -> np.ndarray:
-        return self.raw(self.params, np.atleast_2d(np.asarray(x, dtype=np.float64))).value
+        """sigmoid(logits) as plain values, one block of rows at a time (see
+        `SCORE_ROWS`): only one block's activations are alive at once."""
+        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        n = X.shape[0]
+        out = np.empty(n, dtype=np.float64)
+        start = 0
+        try:
+            for stop in [*range(SCORE_ROWS, n - SCORE_ROWS + 1, SCORE_ROWS), n]:
+                out[start:stop] = self.raw(self.params, X[start:stop]).value
+                start = stop
+        except ad.NumericError:
+            # a block names its own first failing node, which may come after
+            # the first one over all rows (a row here overflows at `+ b`, one
+            # in a later block at the matmul before it): one pass names that
+            self.raw(self.params, X)
+            raise
+        return out
 
     def predict_proba(self, x: np.ndarray):
         """Normalized probability min(raw/scale, 1) in (0, 1]."""

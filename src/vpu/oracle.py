@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .losses import variational_loss_values
-from .sampling import Rng, _uniforms, sample_gamma
+from .sampling import Rng, _uniforms, sample_gammas
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def random_dirichlet(k: int, rng: Rng) -> np.ndarray:
     ``v = (1 + c x)^3 >= 2^-159``, since a positive ``1 + c x`` is exact and
     a multiple of 2^-53.
     """
-    draws = np.array([sample_gamma(1.0, rng) for _ in range(k)])
+    draws = sample_gammas(1.0, k, rng)
     return draws / draws.sum()
 
 
@@ -234,8 +234,9 @@ def random_instance(rng: Rng, k_max: int = 32, anchor: bool = False) -> Discrete
     which plants an almost-surely-positive region.
     """
     k = 2 + rng.randbelow(k_max - 1)
-    f_p = random_dirichlet(k, rng)
-    f_n = random_dirichlet(k, rng)
+    # two `random_dirichlet` vectors, from one call
+    f_p, f_n = sample_gammas(1.0, 2 * k, rng).reshape(2, k)
+    f_p, f_n = f_p / f_p.sum(), f_n / f_n.sum()
     pi_p = 0.1 + 0.8 * rng.uniform()
     if anchor:
         # k >= 2 positive entries: f_n keeps positive mass and f_p[i] > 0

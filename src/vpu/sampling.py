@@ -7,10 +7,12 @@ SplitMix64 finalizer.  The algorithm is fixed and documented so that golden
 values are reproducible across implementations and platforms.
 
 Output i is a pure function of the seed and i, so any run of outputs can be
-computed in one numpy call (`_outputs`) and consumed in order.  Every
-sampler here and in `data`, `model` and `oracle` draws in such blocks, and
-leaves ``Rng.counter`` (and the cached Box-Muller normal) exactly where
-one-draw-at-a-time code would, so outputs do not depend on the block sizes.
+computed in one numpy call (`_outputs`) and consumed in order.  The
+samplers here and in `data`, `model` and `oracle` draw in such blocks; only
+`Rng.next_u64` and the scalar draws built on it mix one output at a time.
+Every sampler leaves ``Rng.counter`` (and the cached Box-Muller normal)
+exactly where one-draw-at-a-time code would, so outputs do not depend on
+the block sizes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_BLOCK = 64  # outputs mixed at once for the scalar draws of `Rng.next_u64`
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # the finalizer's multipliers
 
 
 class Rng:
@@ -37,25 +39,17 @@ class Rng:
         self.seed = int(seed) & _MASK64
         self.counter = 0
         self._cached_normal: float | None = None
-        self._block: list[int] = []  # outputs _block_at + 1, _block_at + 2, ...
-        self._block_at = 0
 
     def next_u64(self) -> int:
-        i = self.counter - self._block_at
-        if not 0 <= i < len(self._block):
-            self._block = _outputs(self, _BLOCK).tolist()
-            self._block_at = self.counter
-            i = 0
         self.counter += 1
-        return self._block[i]
+        z = (self.seed + self.counter * _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
 
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform_open(self) -> float:
-        """One double strictly inside (0, 1); safe under log()."""
-        return ((self.next_u64() >> 12) + 0.5) * 2.0**-52
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
@@ -67,22 +61,11 @@ class Rng:
             if x < limit:
                 return x % n
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; the second value is cached."""
-        if self._cached_normal is not None:
-            z = self._cached_normal
-            self._cached_normal = None
-            return z
-        u1 = self.uniform_open()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._cached_normal = r * math.sin(theta)
-        return r * math.cos(theta)
-
     def normals(self, n: int, pairs: np.ndarray | None = None) -> np.ndarray:
-        """`n` draws of `normal`, bit for bit: the cached value first, then
-        Box-Muller pairs (cos, sin), the last sine cached when one is left.
+        """`n` standard normals by Box-Muller: the cached value first, then
+        pairs (cos, sin), the last sine cached when one is left.  A pair
+        takes two outputs u1, u2: u1 as `_open` maps it, and u2 as
+        `uniform` does.
 
         `pairs` holds the pairs' outputs (u1, u2, u1, u2, ...) when the
         caller has taken them from the stream itself, interleaved with other
@@ -94,7 +77,7 @@ class Rng:
         k = _pairs_needed(n, self._cached_normal is not None)
         if pairs is None:
             pairs = _take(self, 2 * k)
-        u1 = ((pairs[0::2] >> np.uint64(12)) + 0.5) * 2.0**-52
+        u1 = _open(pairs[0::2])
         u2 = _as_uniform(pairs[1::2])
         r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, k))
         theta = (2.0 * math.pi * u2).tolist()
@@ -107,27 +90,56 @@ class Rng:
         return z[:n]
 
 
-def sample_gamma(shape: float, rng: Rng) -> float:
-    """One Gamma(shape, 1) draw via Marsaglia-Tsang squeeze.
+def sample_gammas(shape: float, n: int, rng: Rng) -> np.ndarray:
+    """`n` Gamma(shape, 1) draws via the Marsaglia-Tsang squeeze, in order.
 
-    Shapes below 1 use the boost ``Gamma(shape) = Gamma(shape+1) * U^(1/shape)``.
+    Each attempt takes a normal (the cached Box-Muller sine, or a new pair
+    of outputs as in `Rng.normals`) and, unless ``v <= 0`` rejects it at
+    once, one uniform strictly inside (0, 1).  Shapes below 1 use the boost
+    ``Gamma(shape) = Gamma(shape+1) * U^(1/shape)``, with one more such
+    uniform after the accepted attempt.  The outputs come from blocks of
+    `_outputs`, a new one whenever fewer than an attempt and a boost need
+    are left, and `rng` is left (``counter`` and the cached normal) where
+    the same draws taken one output at a time leave it.
     """
     if not 0.0 < shape < math.inf:
         raise ValueError("gamma shape must be positive and finite")
-    if shape < 1.0:
-        return sample_gamma(shape + 1.0, rng) * rng.uniform_open() ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
+    boost = shape < 1.0
+    d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.normal()
-        v = (1.0 + c * x) ** 3
-        if v <= 0.0:
-            continue
-        u = rng.uniform_open()
-        if u < 1.0 - 0.0331 * x**4:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
+    cached = rng._cached_normal
+    out = []
+    block: list[int] = []  # outputs rng.counter + 1, ...; the first `used` are taken
+    used, last = 0, -1  # `last`: the largest `used` that leaves 4 outputs
+    for remaining in range(n, 0, -1):
+        while True:
+            if used > last:  # an attempt takes up to 3 outputs, the boost 1 more
+                rng.counter += used
+                block = _outputs(rng, 2 * remaining + 8).tolist()
+                used, last = 0, 2 * remaining + 4
+            if cached is None:
+                u1 = _open(block[used])
+                theta = 2.0 * math.pi * ((block[used + 1] >> 11) * 2.0**-53)
+                used += 2
+                r = math.sqrt(-2.0 * math.log(u1))
+                x, cached = r * math.cos(theta), r * math.sin(theta)
+            else:
+                x, cached = cached, None
+            v = (1.0 + c * x) ** 3
+            if v <= 0.0:
+                continue
+            u = _open(block[used])
+            used += 1
+            if u < 1.0 - 0.0331 * x**4 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+                break
+        if boost:
+            out.append(d * v * _open(block[used]) ** (1.0 / shape))
+            used += 1
+        else:
+            out.append(d * v)
+    rng.counter += used
+    rng._cached_normal = cached
+    return np.array(out, dtype=np.float64)
 
 
 def sample_beta(alpha: float, rng: Rng) -> float:
@@ -135,8 +147,7 @@ def sample_beta(alpha: float, rng: Rng) -> float:
     if not 0.0 < alpha < math.inf:
         raise ValueError("beta shape must be positive and finite")
     while True:
-        g1 = sample_gamma(alpha, rng)
-        g2 = sample_gamma(alpha, rng)
+        g1, g2 = sample_gammas(alpha, 2, rng).tolist()
         total = g1 + g2
         if total > 0.0 and 0.0 < g1 < total:
             return g1 / total
@@ -144,7 +155,7 @@ def sample_beta(alpha: float, rng: Rng) -> float:
 
 # the SplitMix64 constants as numpy scalars, built once rather than per call
 _GOLDEN_U64 = np.uint64(_GOLDEN)
-_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_MUL1, _MUL2 = np.uint64(_MIX1), np.uint64(_MIX2)
 _SHIFT27, _SHIFT30, _SHIFT31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
@@ -169,9 +180,16 @@ def _take(rng: Rng, k: int) -> np.ndarray:
 
 
 def _pairs_needed(n, cached: bool):
-    """How many Box-Muller pairs `n` draws of `Rng.normal` take, with or
-    without a cached normal to start from (`n` may be an int array)."""
+    """How many Box-Muller pairs `n` normals take, drawn one at a time or
+    by `Rng.normals`, with or without a cached normal to start from (`n`
+    may be an int array)."""
     return (n - int(cached) + 1) // 2
+
+
+def _open(x):
+    """An output (an int, or uint64 array) as a double strictly inside
+    (0, 1), and so safe under log: ``((x >> 12) + 0.5) * 2^-52``."""
+    return ((x >> 12) + 0.5) * 2.0**-52
 
 
 def _as_uniform(x: np.ndarray) -> np.ndarray:

@@ -6,13 +6,18 @@ became one node with a hand-written backward; the tape ops it needs beyond
 those the losses use (`matmul`, `tanh`, `reshape`) are defined here.
 `sample_indices_loop` draws one `Rng.randbelow` per index, the way
 `sampling.sample_indices` did before its draws were vectorised.
-`ScalarRng` mixes one SplitMix64 output per `next_u64` call; the row-by-row
-samplers, `normals_loop` and `average_ranks_loop` are the scalar forms of
-the block code in `data`, `sampling` and `metrics`.  All must agree with
+`ScalarRng` mixes one SplitMix64 output per `next_u64` call with the
+reference finalizer `mix64`, and draws one Box-Muller normal or open
+uniform at a time; the row-by-row samplers, `normals_loop`,
+`sample_gamma_loop`, `sample_beta_loop` and `average_ranks_loop` are the
+scalar forms of the block code in `data`, `sampling`, `oracle` and
+`metrics`.  All must agree with
 the optimised code bit for bit, which `bits` and `same_state` compare.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -132,9 +137,58 @@ class ScalarRng(sp.Rng):
         self.counter += 1
         return mix64((self.seed + self.counter * _GOLDEN) & _MASK64)
 
+    def uniform_open(self) -> float:
+        """One double strictly inside (0, 1); safe under log()."""
+        return ((self.next_u64() >> 12) + 0.5) * 2.0**-52
+
+    def normal(self) -> float:
+        """Standard normal via Box-Muller; the second value is cached."""
+        if self._cached_normal is not None:
+            z = self._cached_normal
+            self._cached_normal = None
+            return z
+        u1 = self.uniform_open()
+        u2 = self.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self._cached_normal = r * math.sin(theta)
+        return r * math.cos(theta)
+
 
 def normals_loop(rng, n: int) -> np.ndarray:
     return np.array([rng.normal() for _ in range(n)], dtype=np.float64)
+
+
+def sample_gamma_loop(shape: float, rng: ScalarRng) -> float:
+    """One Gamma(shape, 1) draw via Marsaglia-Tsang squeeze.
+
+    Shapes below 1 use the boost ``Gamma(shape) = Gamma(shape+1) * U^(1/shape)``.
+    """
+    if not 0.0 < shape < math.inf:
+        raise ValueError("gamma shape must be positive and finite")
+    if shape < 1.0:
+        return sample_gamma_loop(shape + 1.0, rng) * rng.uniform_open() ** (1.0 / shape)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = rng.normal()
+        v = (1.0 + c * x) ** 3
+        if v <= 0.0:
+            continue
+        u = rng.uniform_open()
+        if u < 1.0 - 0.0331 * x**4:
+            return d * v
+        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+            return d * v
+
+
+def sample_beta_loop(alpha: float, rng: ScalarRng) -> float:
+    while True:
+        g1 = sample_gamma_loop(alpha, rng)
+        g2 = sample_gamma_loop(alpha, rng)
+        total = g1 + g2
+        if total > 0.0 and 0.0 < g1 < total:
+            return g1 / total
 
 
 def pick_component_loop(comps, rng):

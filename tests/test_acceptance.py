@@ -99,8 +99,8 @@ def _fd_point(variant, seed):
         rng = Rng(seed)
         values = 0.6 * np.array([2.0 * rng.uniform() - 1.0 for _ in range(len(base.params))])
         params = values
-        xp = np.array([[rng.normal(), rng.normal()] for _ in range(5)]) + [1.5, 0]
-        xu = np.array([[rng.normal(), rng.normal()] for _ in range(5)])
+        xp = rng.normals(10).reshape(5, 2) + [1.5, 0]
+        xu = rng.normals(10).reshape(5, 2)
         if variant == "nnpu":
             m = base.with_params(values)
             gu = m.logits(values, xu).value

@@ -483,10 +483,46 @@ def _parses(key: str, text: str) -> bool:
 
 
 class TestUsage:
-    def test_unknown_command(self):
+    """Usage errors exit 2 and print the usage to stderr; help exits 0 and
+    prints it to stdout.  Only the invoked command's parser gets its flags."""
+
+    def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vpu") and "invalid choice: 'frobnicate'" in err
+
+    def test_missing_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vpu") and "required: command" in err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: vpu") and all(name in out for name in cli.HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+    def test_command_help_lists_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: vpu {command}") and "--config" in out
+        assert all(f"--{key} " in out for key in cli.KEYS)
+
+    def test_flags_of_another_command_are_not_built(self, capsys):
+        parser = cli.build_parser("eval")
+        assert parser.parse_args(["eval", "--seed", "1"]).key_seed == "1"
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["train", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,8 @@ the environment they were recorded in (see `FINGERPRINT`).  A change to one
 of these digests is a change of output and must be recorded as one.
 """
 
+import contextlib
+import ctypes
 import hashlib
 
 import numpy as np
@@ -146,6 +148,43 @@ def environment_fingerprint():
     blas = config.get("Build Dependencies", {}).get("blas", {})
     return (np.__version__, f"{blas.get('name')} {blas.get('version')}",
             tuple(config.get("SIMD Extensions", {}).get("found", ())))
+
+
+def _openblas_threads():
+    """The loaded OpenBLAS's get and set functions for its thread count;
+    None where they cannot be found (no /proc/self/maps, or another BLAS)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore its thread
+    count; yields whether the BLAS runs on one thread in the body."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield False
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield get() == 1
+    finally:
+        set_(before)
 
 
 @pytest.fixture(scope="module")

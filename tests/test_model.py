@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from vpu import model as md
 from vpu.data import PuDataset
 
 from reference import as_tape_model
+from test_golden import FINGERPRINT, environment_fingerprint, one_blas_thread
 
 
 def constant_output_model(bias_logit: float, input_dim: int = 2) -> md.ClassifierModel:
@@ -290,3 +292,122 @@ class TestLogitsNode:
         for m in (net, as_tape_model(net)):
             with pytest.raises(ad.NumericError, match=f"'{node}'"):
                 m.raw_values(x)
+
+
+BLOCK_ROWS = [1, 7, 4095, 4096, 4097, 8191, 8192, 8193, 12289, 100_000]
+
+
+class TestBlockScoring:
+    """`raw_values` scores `SCORE_ROWS` rows at a time; the values are those
+    of one pass over all rows."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_blocked_equals_one_pass(self, activation, width):
+        net = md.init(md.MlpArchitecture(2, (width, width), activation), seed=1)
+        rng = np.random.default_rng(width)
+        net = net.with_params(net.params + rng.normal(scale=0.3, size=len(net.params)))
+        x = rng.normal(scale=3.0, size=(BLOCK_ROWS[-1], 2))
+        # BLAS rounding depends on the CPU, the kernel and how the rows are
+        # split between threads: the bits are asserted where the golden
+        # outputs were recorded, on one thread, and closeness elsewhere
+        with one_blas_thread() as one_thread:
+            exact = one_thread and environment_fingerprint() == FINGERPRINT
+            for n in BLOCK_ROWS:
+                blocked = net.raw_values(x[:n])
+                one_pass = net.raw(net.params, x[:n]).value
+                assert blocked.shape == (n,)
+                if exact:
+                    assert np.array_equal(_bits(blocked), _bits(one_pass)), n
+                else:
+                    np.testing.assert_allclose(blocked, one_pass, rtol=1e-12, atol=0.0)
+                    assert np.array_equal(_bits(net.raw_values(x[:n])), _bits(blocked)), n
+
+    @pytest.mark.parametrize("n,sizes", [
+        (0, [0]), (1, [1]), (4096, [4096]), (4097, [4097]), (8191, [8191]),
+        (8192, [4096, 4096]), (12289, [4096, 4096, 4097]),
+        (100_000, [4096] * 23 + [5792])])
+    def test_block_sizes(self, monkeypatch, n, sizes):
+        # every block starts at a multiple of 8 rows and none is tiny: the
+        # last one takes the remainder
+        net = md.init(md.MlpArchitecture(2, (4,)), seed=0)
+        seen = []
+        raw = md.ClassifierModel.raw
+
+        def recording(self, theta, x):
+            seen.append(x.shape[0])
+            return raw(self, theta, x)
+
+        monkeypatch.setattr(md.ClassifierModel, "raw", recording)
+        assert net.raw_values(np.zeros((n, 2))).shape == (n,)
+        assert seen == sizes and md.SCORE_ROWS % 8 == 0
+
+    def test_peak_memory_is_one_block(self):
+        # one pass over 1e5 rows kept both 1e5 x 64 activations alive: a
+        # tracemalloc peak of about 109 MB
+        net = md.init(md.MlpArchitecture(2, (64, 64)), seed=0)
+        x = np.random.default_rng(0).normal(size=(100_000, 2))
+        tracemalloc.start()
+        try:
+            net.raw_values(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @staticmethod
+    def overflow_net(case):
+        """A 2 -> 8 -> 8 -> 1 relu net that is finite on zero rows and
+        overflows as `case` describes on a row (1e200, 0), or (1e308, 0)
+        for "add"."""
+        net = md.init(md.MlpArchitecture(2, (8, 8)), seed=0)
+        (w0, b0), (w1, _), (w2, _) = [(layer.weight, layer.bias) for layer in net.arch.layers]
+        p = np.zeros(len(net.params))
+        p[w0] = p[w1] = p[w2] = 0.5
+        w0m, w1m, w2m = (p[w].reshape(layer.shape) for w, layer in zip((w0, w1, w2),
+                                                                        net.arch.layers))
+        if case == "inf":  # hidden unit 0 overflows to +inf ...
+            w0m[0, 0] = 1e200
+        elif case == "-inf":  # ... to -inf, which relu maps to 0
+            w0m[0, 0] = -1e200
+        elif case == "zero-out":  # +inf, and all its outgoing weights are 0.0
+            w0m[0, 0] = 1e200
+            w1m[0, :] = 0.0
+        elif case == "last-zero-out":  # +inf in the last hidden layer, output weight 0.0
+            w0m[0, 0] = 1e-100
+            w1m[0, 0] = 1e300
+            w2m[0, 0] = 0.0
+        elif case == "add":  # finite product, the bias overflows
+            w0m[0, :] = 1.0
+            p[b0] = 1e308
+            w1m[:] = 0.0
+        return net.with_params(p)
+
+    @pytest.mark.parametrize("case,node", [("inf", "matmul"), ("-inf", "matmul"),
+                                           ("zero-out", "matmul"),
+                                           ("last-zero-out", "matmul"), ("add", "add")])
+    def test_overflow_in_third_block_names_node(self, case, node):
+        net = self.overflow_net(case)
+        x = np.zeros((3 * md.SCORE_ROWS + 10, 2))
+        assert np.isfinite(net.raw_values(x)).all()
+        x[2 * md.SCORE_ROWS + 5, 0] = 1e200 if case != "add" else 1e308
+        for score in (net.raw_values, lambda x: net.raw(net.params, x),
+                      as_tape_model(net).raw_values):
+            with pytest.raises(ad.NumericError, match=f"'{node}'"):
+                score(x)
+
+    def test_first_failing_node_over_all_rows(self):
+        # a row of the first block overflows only at `+ b`, a row of the
+        # third block at the matmul before it: one pass over all rows, and
+        # so the blocked one, names 'matmul'
+        net = self.overflow_net("add")
+        net.params[net.arch.layers[0].weight].reshape(2, 8)[1, :] = 4.0
+        x = np.zeros((3 * md.SCORE_ROWS + 10, 2))
+        x[5, 0] = 1e308
+        with pytest.raises(ad.NumericError, match="'add'"):
+            net.raw_values(x[:md.SCORE_ROWS])
+        x[2 * md.SCORE_ROWS + 5, 1] = 1e308
+        for score in (net.raw_values, lambda x: net.raw(net.params, x),
+                      as_tape_model(net).raw_values):
+            with pytest.raises(ad.NumericError, match="'matmul'"):
+                score(x)

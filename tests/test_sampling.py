@@ -10,7 +10,8 @@ from vpu import losses as ls
 from vpu import model as md
 from vpu import sampling as sp
 
-from reference import ScalarRng, bits, normals_loop, same_state, sample_indices_loop
+from reference import (ScalarRng, bits, normals_loop, same_state, sample_beta_loop,
+                       sample_gamma_loop, sample_indices_loop)
 
 
 class TestRng:
@@ -28,8 +29,12 @@ class TestRng:
         assert all(0.0 <= u < 1.0 for u in draws)
 
     def test_uniform_open_strict(self):
-        rng = sp.Rng(7)
-        assert all(0.0 < rng.uniform_open() < 1.0 for _ in range(1000))
+        # the extreme outputs 0 and 2^64 - 1 as the Box-Muller u1: log(u1)
+        # stays finite, so u1 lies strictly inside (0, 1)
+        top = np.uint64(2**64 - 1)
+        pairs = np.array([0, 0, top, top], dtype=np.uint64)
+        z = sp.Rng(7).normals(4, pairs=pairs)
+        assert np.isfinite(z).all() and z[2] != 0.0
 
     def test_randbelow_bounds(self):
         rng = sp.Rng(3)
@@ -77,14 +82,14 @@ class TestBeta:
         with pytest.raises(ValueError):
             sp.sample_beta(shape, sp.Rng(0))
         with pytest.raises(ValueError):
-            sp.sample_gamma(shape, sp.Rng(0))
+            sp.sample_gammas(shape, 1, sp.Rng(0))
 
 
 class TestGamma:
     @pytest.mark.parametrize("shape", [0.3, 1.0, 4.5])
     def test_moments(self, shape):
         rng = sp.Rng(9)
-        draws = np.array([sp.sample_gamma(shape, rng) for _ in range(60_000)])
+        draws = sp.sample_gammas(shape, 60_000, rng)
         assert draws.mean() == pytest.approx(shape, rel=0.03)
         assert draws.var() == pytest.approx(shape, rel=0.05)
 
@@ -148,21 +153,44 @@ class TestSampleIndices:
         assert fast.counter == slow.counter > bounds.size
 
 
-class TestBlockDraws:
-    """The block-buffered `Rng` against one mixed output per draw."""
+def gamma_loop(shape, n, rng) -> np.ndarray:
+    return np.array([sample_gamma_loop(shape, rng) for _ in range(n)], dtype=np.float64)
 
-    def test_scalar_draws_across_block_boundaries(self):
+
+class TestBlockDraws:
+    """The block draws against one mixed output per draw."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The sizes of the `_outputs` blocks mixed, in order."""
+        sizes = []
+        original = sp._outputs
+
+        def counting(rng, k):
+            sizes.append(k)
+            return original(rng, k)
+
+        monkeypatch.setattr(sp, "_outputs", counting)
+        return sizes
+
+    def test_scalar_draws_across_block_boundaries(self, blocks):
         fast, slow = sp.Rng(5), ScalarRng(5)
-        n = 3 * sp._BLOCK + 5
+        n = 197
         assert [fast.next_u64() for _ in range(n)] == [slow.next_u64() for _ in range(n)]
         assert [fast.uniform() for _ in range(n)] == [slow.uniform() for _ in range(n)]
-        assert fast.counter == slow.counter == 2 * n
+        assert fast.counter == slow.counter == 2 * n and blocks == []
+        # a boosted Gamma draw takes about three outputs, so `n` of them
+        # run past sample_gammas' first block of 2n + 8 outputs
+        assert np.array_equal(bits(sp.sample_gammas(0.3, n, fast)), bits(gamma_loop(0.3, n, slow)))
+        assert same_state(fast, slow) and len(blocks) >= 2
 
     def test_counter_moved_by_hand(self):
         fast, slow = sp.Rng(8), ScalarRng(8)
-        for start in (10, 3, 3 + sp._BLOCK, 2**40, 0):
+        for start in (10, 3, 3 + 64, 2**40, 0):
             fast.counter = slow.counter = start
             assert [fast.next_u64() for _ in range(9)] == [slow.next_u64() for _ in range(9)]
+            assert np.array_equal(bits(sp.sample_gammas(1.0, 9, fast)), bits(gamma_loop(1.0, 9, slow)))
+            assert same_state(fast, slow)
 
     def test_after_randbelow_fall_back(self):
         bounds = np.array([5, 2**63 + 1, 2**64 - 3, 9] * 10, dtype=np.uint64)
@@ -175,13 +203,14 @@ class TestBlockDraws:
 
     def test_interleaved_with_block_takes(self):
         fast, slow = sp.Rng(11), ScalarRng(11)
-        for k in (1, 7, sp._BLOCK, 2 * sp._BLOCK + 1):
+        for k in (1, 7, 64, 129):
             assert [fast.next_u64() for _ in range(k)] == [slow.next_u64() for _ in range(k)]
             ahead = sp._outputs(fast, 3)  # looks ahead without advancing
             taken = sp._take(fast, k)
             assert [int(v) for v in ahead[:k]] == [int(v) for v in taken[:3]]
             assert [int(v) for v in taken] == [slow.next_u64() for _ in range(k)]
-            assert fast.counter == slow.counter
+            assert np.array_equal(bits(sp.sample_gammas(4.5, k, fast)), bits(gamma_loop(4.5, k, slow)))
+            assert same_state(fast, slow)
 
     def test_uniforms_block(self):
         fast, slow = sp.Rng(2), ScalarRng(2)
@@ -194,16 +223,32 @@ class TestBlockDraws:
     def test_normals_block(self, cached):
         fast, slow = sp.Rng(4), ScalarRng(4)
         if cached:
-            assert fast.normal() == slow.normal()
+            assert fast.normals(1)[0] == slow.normal()
         for n in (0, 1, 2, 3, 4, 7, 1, 0, 130):
             assert np.array_equal(bits(fast.normals(n)), bits(normals_loop(slow, n))), n
             assert same_state(fast, slow), n
+
+    @pytest.mark.parametrize("shape", [0.3, 1.0, 4.5])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_gamma_draws(self, shape, cached, blocks):
+        # with a cached normal at entry the first attempt takes no pair;
+        # normals between the calls move the cache in and out
+        fast, slow = sp.Rng(12), ScalarRng(12)
+        if cached:
+            assert fast.normals(1)[0] == slow.normal()
+        for n in (0, 1, 2, 5, 64, 300):
+            assert np.array_equal(bits(sp.sample_gammas(shape, n, fast)),
+                                  bits(gamma_loop(shape, n, slow))), n
+            assert same_state(fast, slow), n
+            assert np.array_equal(bits(fast.normals(n % 3)), bits(normals_loop(slow, n % 3)))
+            assert same_state(fast, slow), n
+        assert len(blocks) > 5
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 4.5])
     def test_beta_draws(self, alpha):
         fast, slow = sp.Rng(6), ScalarRng(6)
         for _ in range(200):
-            assert sp.sample_beta(alpha, fast) == sp.sample_beta(alpha, slow)
+            assert sp.sample_beta(alpha, fast) == sample_beta_loop(alpha, slow)
             assert same_state(fast, slow)
 
 
