@@ -16,7 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .losses import variational_loss_values
-from .sampling import Rng, _uniforms, sample_gammas
+from .sampling import (Rng, _randbelow_lockstep, _uniform_lockstep, _uniforms,
+                       _uniforms_lockstep, sample_gammas, sample_gammas_lockstep)
 
 
 @dataclass(frozen=True)
@@ -42,19 +43,21 @@ class DiscreteJoint:
             raise ValueError("pi_p must be in (0, 1)")
         if self.f_n is None:
             f_n = (f - self.pi_p * f_p) / (1.0 - self.pi_p)
-            if np.min(f_n) < -1e-12:
+            lowest = f_n.min()
+            if lowest < -1e-12:
                 raise ValueError("marginal is not a valid mixture: f_n has "
-                                 f"negative mass {np.min(f_n):.3e}")
+                                 f"negative mass {lowest:.3e}")
             f_n = np.maximum(f_n, 0.0)
         else:
             f_n = np.asarray(self.f_n, dtype=np.float64)
-            if np.min(f_n) < 0:
+            if f_n.min() < 0:
                 raise ValueError("f_n must be nonnegative")
         for name, vec in (("f", f), ("f_p", f_p), ("f_n", f_n)):
-            if np.min(vec) < 0:
+            if name != "f_n" and vec.min() < 0:  # f_n's sign is checked above
                 raise ValueError(f"{name} must be nonnegative")
-            if abs(vec.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{name} must sum to 1 (off by {vec.sum() - 1.0:.3e})")
+            off = vec.sum() - 1.0
+            if abs(off) > 1e-12:
+                raise ValueError(f"{name} must sum to 1 (off by {off:.3e})")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "f_p", f_p)
         object.__setattr__(self, "f_n", f_n)
@@ -231,31 +234,61 @@ def random_dirichlet(k: int, rng: Rng) -> np.ndarray:
 def random_instance(rng: Rng, k_max: int = 32, anchor: bool = False) -> DiscreteJoint:
     """A valid random joint, built from conditionals so the mixture identity
     holds exactly.  With `anchor`, one point gets f_n = 0 (and f_p > 0),
-    which plants an almost-surely-positive region.
+    which plants an almost-surely-positive region.  `random_instances` for
+    one stream.
     """
-    k = 2 + rng.randbelow(k_max - 1)
-    # two `random_dirichlet` vectors, from one call
-    f_p, f_n = sample_gammas(1.0, 2 * k, rng).reshape(2, k)
-    f_p, f_n = f_p / f_p.sum(), f_n / f_n.sum()
-    pi_p = 0.1 + 0.8 * rng.uniform()
-    if anchor:
-        # k >= 2 positive entries: f_n keeps positive mass and f_p[i] > 0
-        i = rng.randbelow(k)
-        f_n[i] = 0.0
-        f_n = f_n / f_n.sum()
-    return DiscreteJoint.from_conditionals(f_p, f_n, pi_p)
+    return random_instances([rng], k_max, anchor)[0]
+
+
+def random_instances(rngs, k_max: int = 32, anchor=False) -> list[DiscreteJoint]:
+    """`random_instance` for each stream in `rngs`; `anchor` is one flag for
+    all or one per stream.
+
+    An instance takes, in order: k = 2 + randbelow(k_max - 1); 2k unit
+    Gamma draws, which normalized are f_p and f_n; pi_p = 0.1 + 0.8 U; and,
+    with `anchor`, the point randbelow(k) where f_n is set to 0.  Each
+    stage is drawn for all streams at once (see `sampling`), so an instance
+    does not depend on which other streams are drawn with it.
+    """
+    if k_max < 2:
+        raise ValueError("k_max must be at least 2")
+    anchors = np.broadcast_to(np.asarray(anchor, dtype=bool), (len(rngs),))
+    ks = 2 + _randbelow_lockstep(np.full(len(rngs), k_max - 1), rngs)
+    draws = sample_gammas_lockstep(1.0, 2 * ks, rngs)
+    pis = (0.1 + 0.8 * _uniform_lockstep(rngs)).tolist()
+    anchored = np.flatnonzero(anchors)
+    points = iter(_randbelow_lockstep(ks[anchored], [rngs[i] for i in anchored]).tolist())
+    instances = []
+    for k, g, pi_p, planted in zip(ks.tolist(), draws, pis, anchors.tolist()):
+        f_p, f_n = g.reshape(2, k)
+        f_p, f_n = f_p / f_p.sum(), f_n / f_n.sum()
+        if planted:
+            # k >= 2 positive entries: f_n keeps positive mass and f_p[i] > 0
+            f_n[next(points)] = 0.0
+            f_n = f_n / f_n.sum()
+        instances.append(DiscreteJoint.from_conditionals(f_p, f_n, pi_p))
+    return instances
 
 
 def random_phi(k: int, rng: Rng, lo: float = 1e-3, hi: float = 1.0) -> np.ndarray:
-    return lo + (hi - lo) * _uniforms(rng, k)
+    return _phi(_uniforms(rng, k), lo, hi)
+
+
+def _phi(u: np.ndarray, lo: float = 1e-3, hi: float = 1.0) -> np.ndarray:
+    """`random_phi` from its uniforms."""
+    return lo + (hi - lo) * u
 
 
 def random_biased_labeled(d: DiscreteJoint, rng: Rng,
                           spread: float = 0.3) -> np.ndarray:
     """A labeled distribution inside a multiplicative envelope of f_p,
     renormalized; zero exactly where f_p is zero."""
-    factors = 1.0 - spread + 2.0 * spread * _uniforms(rng, d.k)
-    raw = d.f_p * factors
+    return _biased_labeled(d, _uniforms(rng, d.k), spread)
+
+
+def _biased_labeled(d: DiscreteJoint, u: np.ndarray, spread: float = 0.3) -> np.ndarray:
+    """`random_biased_labeled` from its uniforms."""
+    raw = d.f_p * (1.0 - spread + 2.0 * spread * u)
     return raw / raw.sum()
 
 
@@ -284,15 +317,20 @@ def _instance_repr(d: DiscreteJoint, phi=None) -> str:
 
 
 def _run_suite(name, trials, seed, gen_and_residual, tol) -> SuiteResult:
-    """`gen_and_residual(rng)` returns the trial's residual and the instance
-    (and phi, or None) behind it; only a new worst trial's is formatted."""
+    """`gen_and_residual(rngs)` yields, for each trial t in order, its
+    residual and the instance (and phi, or None) behind it, drawn from
+    ``rngs[t] = Rng(seed + t)``; only a new worst trial's is formatted.
+
+    The checks draw one stage of every trial at a time, in the order one
+    trial draws them, so a trial's draws do not depend on the others, and
+    ``trials=1, seed=seed + t`` reruns trial t.
+    """
     failures = 0
     worst = 0.0
     worst_trial = -1
     worst_detail = ""
-    for t in range(trials):
-        rng = Rng(seed + t)
-        residual, d, phi = gen_and_residual(rng)
+    rngs = [Rng(seed + t) for t in range(trials)]
+    for t, (residual, d, phi) in enumerate(gen_and_residual(rngs)):
         if residual > worst:
             worst, worst_trial, worst_detail = residual, t, _instance_repr(d, phi)
         if residual > tol:
@@ -300,79 +338,95 @@ def _run_suite(name, trials, seed, gen_and_residual, tol) -> SuiteResult:
     return SuiteResult(name, trials, failures, worst, worst_trial, worst_detail)
 
 
+def _coins(rngs) -> np.ndarray:
+    """``rng.uniform() < 0.5`` for each stream."""
+    return _uniform_lockstep(rngs) < 0.5
+
+
+def _phis(sizes, rngs) -> list[np.ndarray]:
+    """``random_phi(k, rng)`` for each size and stream."""
+    return [_phi(u) for u in _uniforms_lockstep(sizes, rngs)]
+
+
 def suite_kl_identity(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
-    def check(rng):
-        d = random_instance(rng, k_max, anchor=rng.uniform() < 0.5)
-        phi = random_phi(d.k, rng)
-        return kl_identity_residual(d, phi), d, phi
+    def check(rngs):
+        instances = random_instances(rngs, k_max, anchor=_coins(rngs))
+        for d, phi in zip(instances, _phis([d.k for d in instances], rngs)):
+            yield kl_identity_residual(d, phi), d, phi
 
     return _run_suite("kl_identity", trials, seed, check, 1e-10)
 
 
 def suite_kl_nonnegative(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
-    def check(rng):
-        d = random_instance(rng, k_max)
-        phi = random_phi(d.k, rng)
-        gap = exact_lvar(d, phi) - exact_lvar(d, bayes_posterior(d))
-        return max(0.0, -gap), d, phi
+    def check(rngs):
+        instances = random_instances(rngs, k_max)
+        for d, phi in zip(instances, _phis([d.k for d in instances], rngs)):
+            gap = exact_lvar(d, phi) - exact_lvar(d, bayes_posterior(d))
+            yield max(0.0, -gap), d, phi
 
     return _run_suite("kl_nonnegative", trials, seed, check, 1e-12)
 
 
 def suite_scale_invariance(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
-    def check(rng):
-        d = random_instance(rng, k_max)
-        phi = random_phi(d.k, rng)
-        base_exact = exact_lvar(d, phi)
-        phi_p = random_phi(4 + rng.randbelow(29), rng)
-        phi_u = random_phi(4 + rng.randbelow(29), rng)
-        base_emp = float(variational_loss_values(phi_p, phi_u).value)
-        worst = 0.0
-        for c in (0.1, 0.5, 0.9):
-            worst = max(worst, abs(exact_lvar(d, c * phi) - base_exact))
-            emp = float(variational_loss_values(c * phi_p, c * phi_u).value)
-            worst = max(worst, abs(emp - base_emp))
-        return worst, d, phi
+    def sizes(rngs):
+        return 4 + _randbelow_lockstep(np.full(len(rngs), 29), rngs)
+
+    def check(rngs):
+        instances = random_instances(rngs, k_max)
+        phis = _phis([d.k for d in instances], rngs)
+        phis_p = _phis(sizes(rngs), rngs)
+        phis_u = _phis(sizes(rngs), rngs)
+        for d, phi, phi_p, phi_u in zip(instances, phis, phis_p, phis_u):
+            base_exact = exact_lvar(d, phi)
+            base_emp = float(variational_loss_values(phi_p, phi_u).value)
+            worst = 0.0
+            for c in (0.1, 0.5, 0.9):
+                worst = max(worst, abs(exact_lvar(d, c * phi) - base_exact))
+                emp = float(variational_loss_values(c * phi_p, c * phi_u).value)
+                worst = max(worst, abs(emp - base_emp))
+            yield worst, d, phi
 
     return _run_suite("scale_invariance", trials, seed, check, 1e-10)
 
 
 def suite_minimizer_family(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
-    def check(rng):
-        d = random_instance(rng, k_max, anchor=True)
-        phi = exact_minimizer(d)
-        residual = float(np.max(np.abs(phi / phi.max() - bayes_posterior(d))))
-        return residual, d, None
+    def check(rngs):
+        for d in random_instances(rngs, k_max, anchor=True):
+            phi = exact_minimizer(d)
+            residual = float(np.max(np.abs(phi / phi.max() - bayes_posterior(d))))
+            yield residual, d, None
 
     return _run_suite("minimizer_family", trials, seed, check, 1e-9)
 
 
 def suite_bias_bound(trials: int = 1000, seed: int = 0, k_max: int = 16) -> SuiteResult:
-    def check(rng):
-        d = random_instance(rng, k_max, anchor=rng.uniform() < 0.5)
-        labeled = random_biased_labeled(d, rng)
-        lhs, bound, holds = theorem3_check(d, labeled)
-        return (0.0 if holds else lhs - bound), d, labeled
+    def check(rngs):
+        instances = random_instances(rngs, k_max, anchor=_coins(rngs))
+        factors = _uniforms_lockstep([d.k for d in instances], rngs)
+        for d, u in zip(instances, factors):
+            labeled = _biased_labeled(d, u)
+            lhs, bound, holds = theorem3_check(d, labeled)
+            yield (0.0 if holds else lhs - bound), d, labeled
 
     return _run_suite("bias_bound", trials, seed, check, 1e-12)
 
 
 def suite_irreducibility(trials: int = 1000, seed: int = 0, k_max: int = 32,
                          tol: float = 1e-9) -> SuiteResult:
-    def check(rng):
-        d = random_instance(rng, k_max, anchor=rng.uniform() < 0.5)
-        via_ratio = check_irreducibility(d, tol)
-        via_posterior = bool(np.max(bayes_posterior(d)) >= posterior_threshold(d.pi_p, tol))
-        return (0.0 if via_ratio == via_posterior else 1.0), d, None
+    def check(rngs):
+        for d in random_instances(rngs, k_max, anchor=_coins(rngs)):
+            via_ratio = check_irreducibility(d, tol)
+            via_posterior = bool(np.max(bayes_posterior(d)) >= posterior_threshold(d.pi_p, tol))
+            yield (0.0 if via_ratio == via_posterior else 1.0), d, None
 
     return _run_suite("irreducibility_equiv", trials, seed, check, 0.5)
 
 
 def suite_l2_identity(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
-    def check(rng):
-        d = random_instance(rng, k_max)
-        phi = random_phi(d.k, rng)
-        return l2_identity_residual(d, phi), d, phi
+    def check(rngs):
+        instances = random_instances(rngs, k_max)
+        for d, phi in zip(instances, _phis([d.k for d in instances], rngs)):
+            yield l2_identity_residual(d, phi), d, phi
 
     return _run_suite("l2_identity", trials, seed, check, 1e-10)
 

@@ -12,11 +12,13 @@ samplers here and in `data`, `model` and `oracle` draw in such blocks; only
 `Rng.next_u64` and the scalar draws built on it mix one output at a time.
 Every sampler leaves ``Rng.counter`` (and the cached Box-Muller normal)
 exactly where one-draw-at-a-time code would, so outputs do not depend on
-the block sizes.
+the block sizes.  The ``*_lockstep`` samplers take one stage of many
+streams' draws in such a call, each stream at its own counter.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -159,17 +161,22 @@ _MUL1, _MUL2 = np.uint64(_MIX1), np.uint64(_MIX2)
 _SHIFT27, _SHIFT30, _SHIFT31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
-def _outputs(rng: Rng, k: int) -> np.ndarray:
-    """The next `k` outputs of `rng` as uint64, without advancing it."""
-    z = np.arange(rng.counter + 1, rng.counter + k + 1, dtype=np.uint64)
-    z *= _GOLDEN_U64  # uint64 arithmetic wraps mod 2^64
-    z += np.uint64(rng.seed)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer on a uint64 array, in place."""
     z ^= z >> _SHIFT30
-    z *= _MUL1
+    z *= _MUL1  # uint64 arithmetic wraps mod 2^64
     z ^= z >> _SHIFT27
     z *= _MUL2
     z ^= z >> _SHIFT31
     return z
+
+
+def _outputs(rng: Rng, k: int) -> np.ndarray:
+    """The next `k` outputs of `rng` as uint64, without advancing it."""
+    z = np.arange(rng.counter + 1, rng.counter + k + 1, dtype=np.uint64)
+    z *= _GOLDEN_U64
+    z += np.uint64(rng.seed)
+    return _mix(z)
 
 
 def _take(rng: Rng, k: int) -> np.ndarray:
@@ -217,6 +224,152 @@ def _randbelow_each(rng: Rng, bounds: np.ndarray) -> np.ndarray:
     for i in range(k, bounds.size):
         out[i] = rng.randbelow(int(bounds[i]))
     return out
+
+
+# -- many streams in lockstep ---------------------------------------------------------
+#
+# The oracle's property suites give each trial its own stream ``Rng(seed + t)``.
+# Since output i of a stream is a pure function of (seed, i), one stage of
+# every trial (say, its Gamma draws) can be mixed in one numpy call, each
+# stream at its own counter.  Each function here leaves every rng where the
+# one-stream draw it names leaves it.
+
+
+def _state(rngs) -> tuple[np.ndarray, np.ndarray]:
+    """The seeds and counters of `rngs` as uint64 arrays."""
+    return (np.fromiter((r.seed for r in rngs), np.uint64, len(rngs)),
+            np.fromiter((r.counter for r in rngs), np.uint64, len(rngs)))
+
+
+def _set_counters(rngs, counters: np.ndarray) -> None:
+    for rng, counter in zip(rngs, counters.tolist()):
+        rng.counter = counter
+
+
+def _take_lockstep(counts, rngs) -> np.ndarray:
+    """The next ``counts[i]`` outputs of each ``rngs[i]``, concatenated as
+    uint64, advancing each past them."""
+    counts = np.asarray(counts, dtype=np.intp)
+    seeds, counters = _state(rngs)
+    owner = np.repeat(np.arange(len(rngs)), counts)
+    # draw j of a stream (from 0) is its output counter + 1 + j
+    z = np.arange(1, owner.size + 1, dtype=np.uint64)
+    z += counters[owner]
+    z -= (np.cumsum(counts) - counts).astype(np.uint64)[owner]
+    z *= _GOLDEN_U64
+    z += seeds[owner]
+    _set_counters(rngs, counters + counts.astype(np.uint64))
+    return _mix(z)
+
+
+def _uniform_lockstep(rngs) -> np.ndarray:
+    """``[rng.uniform() for rng in rngs]``, bit for bit."""
+    return _as_uniform(_take_lockstep(np.ones(len(rngs), dtype=np.intp), rngs))
+
+
+def _uniforms_lockstep(counts, rngs) -> list[np.ndarray]:
+    """``[_uniforms(rng, k) for k, rng in zip(counts, rngs)]``, bit for bit."""
+    return _split(_as_uniform(_take_lockstep(counts, rngs)), np.cumsum(counts))
+
+
+def _randbelow_lockstep(bounds, rngs) -> np.ndarray:
+    """``[rng.randbelow(b) for b, rng in zip(bounds, rngs)]`` as uint64, bit
+    for bit.  A stream whose output is rejected (with probability below
+    b/2^64) falls back to `Rng.randbelow`."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    if bounds.size and bounds.min() == 0:
+        raise ValueError("randbelow requires n >= 1")
+    seeds, counters = _state(rngs)
+    x = _mix((counters + np.uint64(1)) * _GOLDEN_U64 + seeds)
+    top = np.uint64(_MASK64)
+    accepted = x <= top - (top % bounds + np.uint64(1)) % bounds
+    out = x % bounds
+    _set_counters(rngs, counters + accepted)
+    for i in np.flatnonzero(~accepted).tolist():
+        out[i] = rngs[i].randbelow(int(bounds[i]))
+    return out
+
+
+_ATTEMPT = np.arange(1, 5, dtype=np.uint64)  # an attempt and the boost take at most 4
+
+
+def sample_gammas_lockstep(shape: float, counts, rngs) -> list[np.ndarray]:
+    """``[sample_gammas(shape, n, rng) for n, rng in zip(counts, rngs)]``, bit
+    for bit, leaving each rng (``counter`` and the cached normal) as that
+    loop does.
+
+    Each pass runs one Marsaglia-Tsang attempt, and the boost once it is
+    accepted, for every stream that still owes draws, on the next four
+    outputs of each, mixed in one call.  ``math.log``, ``cos``, ``sin`` and
+    ``pow`` are applied per element: numpy's versions, ``x**3`` and ``x**4``
+    among them, differ from them in the last bit for some inputs.  For one
+    stream `sample_gammas` is faster.
+    """
+    if not 0.0 < shape < math.inf:
+        raise ValueError("gamma shape must be positive and finite")
+    boost = shape < 1.0
+    d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    counts = np.asarray(counts, dtype=np.intp)
+    seeds, counters = _state(rngs)
+    has_cached = np.array([r._cached_normal is not None for r in rngs], dtype=bool)
+    cached = np.array([0.0 if r._cached_normal is None else r._cached_normal for r in rngs],
+                      dtype=np.float64)
+    ends = np.cumsum(counts)
+    out = np.empty(int(ends[-1]) if ends.size else 0)
+    slot = ends - counts  # where each stream's next draw goes
+    live = np.flatnonzero(counts > 0)
+    while live.size:
+        z = (counters[live, None] + _ATTEMPT) * _GOLDEN_U64
+        z += seeds[live, None]
+        _mix(z)
+        # the attempt's normal: the cached sine, or a new pair of outputs
+        fresh = ~has_cached[live]
+        x = cached[live]
+        pair = np.flatnonzero(fresh)
+        r = np.sqrt(-2.0 * _per_element(math.log, _open(z[pair, 0])))
+        theta = 2.0 * math.pi * _as_uniform(z[pair, 1])
+        x[pair] = r * _per_element(math.cos, theta)
+        cached[live[pair]] = r * _per_element(math.sin, theta)
+        has_cached[live] = fresh
+        taken = 2 * fresh.astype(np.intp)
+        v = _per_element(math.pow, 1.0 + c * x, 3.0)
+        # v <= 0 rejects at once; the others take a uniform u
+        tried = np.flatnonzero(v > 0.0)
+        x, v = x[tried], v[tried]
+        u = _open(z[tried, taken[tried]])
+        taken[tried] += 1
+        accept = u < 1.0 - 0.0331 * _per_element(math.pow, x, 4.0)
+        slow = np.flatnonzero(~accept)
+        log_v = _per_element(math.log, v[slow])
+        accept[slow] = (_per_element(math.log, u[slow])
+                        < 0.5 * x[slow] * x[slow] + d * (1.0 - v[slow] + log_v))
+        done = tried[accept]
+        draw = d * v[accept]
+        if boost:
+            boost_u = _open(z[done, taken[done]])
+            draw = draw * _per_element(math.pow, boost_u, 1.0 / shape)
+            taken[done] += 1
+        out[slot[live[done]]] = draw
+        slot[live[done]] += 1
+        counters[live] += taken.astype(np.uint64)
+        live = live[slot[live] < ends[live]]
+    _set_counters(rngs, counters)
+    for rng, has, normal in zip(rngs, has_cached.tolist(), cached.tolist()):
+        rng._cached_normal = normal if has else None
+    return _split(out, ends)
+
+
+def _split(flat: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
+    """`flat` cut into the runs that end at `ends`, one per stream."""
+    return np.split(flat, ends[:-1]) if ends.size else []
+
+
+def _per_element(fn, x: np.ndarray, *args: float) -> np.ndarray:
+    """``fn(e, *args)`` for each element e of the float array `x`, by the
+    `math` function `fn` itself."""
+    return np.fromiter(map(fn, x.tolist(), *(itertools.repeat(a) for a in args)),
+                       np.float64, x.size)
 
 
 def sample_indices(n: int, size: int, rng: Rng) -> np.ndarray:

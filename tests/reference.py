@@ -159,25 +159,31 @@ def normals_loop(rng, n: int) -> np.ndarray:
     return np.array([rng.normal() for _ in range(n)], dtype=np.float64)
 
 
-def sample_gamma_loop(shape: float, rng: ScalarRng) -> float:
+def sample_gamma_loop(shape: float, rng: ScalarRng, events=None) -> float:
     """One Gamma(shape, 1) draw via Marsaglia-Tsang squeeze.
 
     Shapes below 1 use the boost ``Gamma(shape) = Gamma(shape+1) * U^(1/shape)``.
+    `events`, a `collections.Counter` when given, counts the attempts that
+    ``v <= 0`` rejects (as "v<=0") and those that reach the log test ("log").
     """
     if not 0.0 < shape < math.inf:
         raise ValueError("gamma shape must be positive and finite")
     if shape < 1.0:
-        return sample_gamma_loop(shape + 1.0, rng) * rng.uniform_open() ** (1.0 / shape)
+        return sample_gamma_loop(shape + 1.0, rng, events) * rng.uniform_open() ** (1.0 / shape)
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     while True:
         x = rng.normal()
         v = (1.0 + c * x) ** 3
         if v <= 0.0:
+            if events is not None:
+                events["v<=0"] += 1
             continue
         u = rng.uniform_open()
         if u < 1.0 - 0.0331 * x**4:
             return d * v
+        if events is not None:
+            events["log"] += 1
         if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
             return d * v
 

@@ -246,5 +246,32 @@ def test_oracle_report(tmp_path):
            {"oracle_report.txt": ORACLE_REPORT_DIGEST})
 
 
+# run_property_suites(trials=1000, seed=0): each suite's failures, worst
+# trial and the bits of its worst residual, which goes through np.log and
+# the BLAS
+FULL_SUITES = {
+    "kl_identity": (0, 512, 4383691287291756544),
+    "kl_nonnegative": (0, -1, 0),
+    "scale_invariance": (0, 467, 4386787512035573760),
+    "minimizer_family": (0, 947, 4379750637617807360),
+    "bias_bound": (0, -1, 0),
+    "irreducibility_equiv": (0, -1, 0),
+    "l2_identity": (0, 126, 4387631936965705728),
+}
+
+
+def _full_suites():
+    return {r.name: (r.failures, r.worst_trial, int(np.float64(r.worst_residual).view(np.uint64)))
+            for r in oc.run_property_suites(trials=1000, seed=0)}
+
+
+def test_full_size_property_suites():
+    got = _full_suites()
+    if environment_fingerprint() == FINGERPRINT:
+        assert got == FULL_SUITES
+    else:
+        assert got == _full_suites()
+
+
 def test_bias_tables(tmp_path):
     _check(tmp_path, "bias-exp", BIAS_QUICK, tuple(BIAS_DIGESTS), BIAS_DIGESTS)

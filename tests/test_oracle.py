@@ -6,6 +6,8 @@ import pytest
 from vpu import oracle as oc
 from vpu.sampling import Rng
 
+from reference import bits
+
 
 @pytest.fixture
 def two_point():
@@ -24,6 +26,38 @@ class TestDiscreteJoint:
 
     def test_derived_negative_conditional(self, two_point):
         np.testing.assert_allclose(two_point.f_n, [0.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["f", "f_p", "f_n"])
+    def test_one_negative_entry(self, name):
+        # f_n is given so that each vector's sign is checked on its own
+        good = {"f": [0.5, 0.5], "f_p": [1.0, 0.0], "f_n": [0.0, 1.0]}
+        vecs = {k: np.array(v) for k, v in good.items()}
+        vecs[name] = np.array([1.0 + 1e-300, -1e-300])  # sums to 1, one entry below 0
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+            oc.DiscreteJoint(pi_p=0.5, **vecs)
+        vecs[name] = np.array([1.0, -0.0])
+        assert oc.DiscreteJoint(pi_p=0.5, **vecs).k == 2
+
+    def test_sum_tolerance(self):
+        for off, ok in ((2e-12, False), (5e-13, True)):
+            f = np.array([0.5, 0.5 + off])
+            if ok:
+                assert oc.DiscreteJoint(f=f, f_p=f, pi_p=0.5, f_n=f).k == 2
+            else:
+                with pytest.raises(ValueError, match=r"^f must sum to 1 \(off by 2\.000e-12\)$"):
+                    oc.DiscreteJoint(f=f, f_p=f, pi_p=0.5, f_n=f)
+
+    def test_derived_negative_slack(self):
+        # f_n = (f - f_p/2) * 2 is about -2 * shift at the first point:
+        # within the 1e-12 slack it is clamped to 0, beyond it the mixture
+        # fails
+        f_p = np.array([1.0, 0.0])
+        for shift in (0.25e-12, 0.49e-12):
+            d = oc.DiscreteJoint(f=np.array([0.5 - shift, 0.5 + shift]), f_p=f_p, pi_p=0.5)
+            assert d.f_n[0] == 0.0 and d.f_n.min() == 0.0
+        with pytest.raises(ValueError, match="^marginal is not a valid mixture: f_n has "
+                                             "negative mass -1.020e-12$"):
+            oc.DiscreteJoint(f=np.array([0.5 - 0.51e-12, 0.5 + 0.51e-12]), f_p=f_p, pi_p=0.5)
 
     def test_from_conditionals_exact(self):
         d = oc.DiscreteJoint.from_conditionals(
@@ -299,6 +333,55 @@ class TestSuites:
         result = oc.suite_kl_identity(trials=20, seed=0)
         assert not result.passed
         assert result.worst_residual > 1e-3
+
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        """The (residual, instance, phi) of every trial of every suite call,
+        one list per call."""
+        calls = []
+        real = oc._run_suite
+
+        def recording(name, trials, seed, gen_and_residual, tol):
+            seen = []
+            calls.append(seen)
+
+            def gen(rngs):
+                for trial in gen_and_residual(rngs):
+                    seen.append(trial)
+                    yield trial
+
+            return real(name, trials, seed, gen, tol)
+
+        monkeypatch.setattr(oc, "_run_suite", recording)
+        return calls
+
+    @pytest.mark.parametrize("suite", oc.ALL_SUITES, ids=lambda s: s.__name__)
+    def test_one_trial_reruns_trial_t(self, suite, trials):
+        # what the CLI's "rerun with seed" hint promises: trial t of a run
+        # is the only trial of the run at seed + t
+        suite(trials=40, seed=7)
+        for t in (0, 1, 17, 39):
+            suite(trials=1, seed=7 + t)
+            [(residual, d, phi)] = trials[-1]
+            want_residual, want_d, want_phi = trials[0][t]
+            assert bits(residual) == bits(want_residual), t
+            for a, b in ((d.f, want_d.f), (d.f_p, want_d.f_p), (d.f_n, want_d.f_n),
+                         ([d.pi_p], [want_d.pi_p]), (phi, want_phi)):
+                assert (a is None) == (b is None) and (a is None or
+                                                       np.array_equal(bits(a), bits(b))), t
+
+    def test_batch_of_instances_is_drawn_one_stream_at_a_time(self):
+        anchors = [False, True, True, False, True]
+        together = oc.random_instances([Rng(30 + i) for i in range(5)], 12, anchors)
+        for i, d in enumerate(together):
+            alone = oc.random_instance(Rng(30 + i), 12, anchors[i])
+            assert np.array_equal(bits(d.f), bits(alone.f)) and d.pi_p == alone.pi_p
+            assert np.array_equal(bits(d.f_p), bits(alone.f_p))
+            assert (d.f_n == 0.0).any() == anchors[i]
+        assert oc.random_instances([], 12) == []
+        for k_max in (1, 0):
+            with pytest.raises(ValueError):
+                oc.random_instance(Rng(0), k_max=k_max)
 
     def test_deterministic_counterexample(self, monkeypatch):
         monkeypatch.setattr(oc, "exact_lvar", lambda d, phi: 0.0)

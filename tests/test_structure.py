@@ -1,7 +1,8 @@
 """The import graph of the `vpu` package, read from the source with `ast`.
 
 The modules form a DAG, and `vpu.autodiff` (the tape) depends on no other
-`vpu` module.
+`vpu` module.  No module draws randomness from anywhere but `vpu.sampling`'s
+generator: none imports `random` or uses `numpy.random`.
 """
 
 import ast
@@ -91,3 +92,42 @@ def test_relative_and_absolute_imports_are_edges(tmp_path):
     (tmp_path / "b.py").write_text("import vpu.c\n\ndef g():\n    from vpu import a\n")
     (tmp_path / "c.py").write_text("import numpy as np\nfrom vpu.b import g\n")
     assert import_graph(tmp_path) == {"a": {"b", "c"}, "b": {"a", "c"}, "c": {"b"}}
+
+
+def other_randomness(src: Path = SRC) -> list[str]:
+    """`module:line` of each import of `random` and each use of
+    `numpy.random` (imported, or as an attribute of numpy under any name)."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Import) for alias in node.names
+                       if alias.name == "numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                modules = (["numpy.random"] if node.attr == "random"
+                           and isinstance(node.value, ast.Name)
+                           and node.value.id in numpy_names else [])
+            else:
+                continue
+            if any(m.split(".")[0] == "random" or m.startswith("numpy.random") for m in modules):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_randomness_besides_the_generator():
+    assert other_randomness() == []
+
+
+def test_other_randomness_is_found(tmp_path):
+    (tmp_path / "a.py").write_text("import random\nfrom random import choice\n")
+    (tmp_path / "b.py").write_text("import numpy as np\n\nx = np.random.default_rng(0)\n")
+    (tmp_path / "c.py").write_text("from numpy import random\nimport numpy.random\n"
+                                   "from numpy.random import Generator\n")
+    (tmp_path / "d.py").write_text("import numpy\nfrom . import random\n"
+                                   "y = numpy.random\nz = rng.random()\n")
+    assert other_randomness(tmp_path) == ["a:1", "a:2", "b:3", "c:1", "c:2", "c:3", "d:3"]
