@@ -16,8 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .losses import variational_loss_values
-from .sampling import (Rng, _randbelow_lockstep, _uniform_lockstep, _uniforms,
-                       _uniforms_lockstep, sample_gammas, sample_gammas_lockstep)
+from .sampling import (Rng, _exponentials, _randbelow_lockstep, _split, _take,
+                       _take_lockstep, _uniform_lockstep, _uniforms, _uniforms_lockstep)
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class DiscreteJoint:
     class prior pi_p, and the induced negative conditional f_n.
 
     Invariant: f = pi_p * f_p + (1 - pi_p) * f_n with f_n >= 0 entrywise,
-    and all three sum to 1 within 1e-12.
+    and all three are finite and sum to 1 within 1e-12.
     """
 
     f: np.ndarray
@@ -41,17 +41,21 @@ class DiscreteJoint:
             raise ValueError("f and f_p must be 1-D with equal length")
         if not 0.0 < self.pi_p < 1.0:
             raise ValueError("pi_p must be in (0, 1)")
-        if self.f_n is None:
+        f_n = None if self.f_n is None else np.asarray(self.f_n, dtype=np.float64)
+        # NaN fails every comparison below, so each vector is checked here;
+        # f_p and a given f_n first, since `from_conditionals` derives f from them
+        for name, vec in (("f_p", f_p), ("f_n", f_n), ("f", f)):
+            if vec is not None and not np.isfinite(vec).all():
+                raise ValueError(f"{name} must be finite")
+        if f_n is None:
             f_n = (f - self.pi_p * f_p) / (1.0 - self.pi_p)
             lowest = f_n.min()
             if lowest < -1e-12:
                 raise ValueError("marginal is not a valid mixture: f_n has "
                                  f"negative mass {lowest:.3e}")
             f_n = np.maximum(f_n, 0.0)
-        else:
-            f_n = np.asarray(self.f_n, dtype=np.float64)
-            if f_n.min() < 0:
-                raise ValueError("f_n must be nonnegative")
+        elif f_n.min() < 0:
+            raise ValueError("f_n must be nonnegative")
         for name, vec in (("f", f), ("f_p", f_p), ("f_n", f_n)):
             if name != "f_n" and vec.min() < 0:  # f_n's sign is checked above
                 raise ValueError(f"{name} must be nonnegative")
@@ -66,8 +70,9 @@ class DiscreteJoint:
     def from_conditionals(cls, f_p, f_n, pi_p: float) -> "DiscreteJoint":
         f_p = np.asarray(f_p, dtype=np.float64)
         f_n = np.asarray(f_n, dtype=np.float64)
-        f = pi_p * f_p + (1.0 - pi_p) * f_n
-        f = f / f.sum()
+        with np.errstate(invalid="ignore"):  # __post_init__ names a non-finite f_p or f_n
+            f = pi_p * f_p + (1.0 - pi_p) * f_n
+            f = f / f.sum()
         return cls(f=f, f_p=f_p, pi_p=pi_p, f_n=f_n)
 
     @property
@@ -221,13 +226,13 @@ def exact_pu_risks(scores, d: DiscreteJoint, pi_p: float) -> tuple[float, float]
 
 
 def random_dirichlet(k: int, rng: Rng) -> np.ndarray:
-    """Dirichlet(1, ..., 1) via normalized unit exponentials.
+    """Dirichlet(1, ..., 1) via normalized unit exponentials ``-log U``, one
+    output each.
 
-    Every entry is positive: a Gamma(1) draw is ``d * v`` with d = 2/3 and
-    ``v = (1 + c x)^3 >= 2^-159``, since a positive ``1 + c x`` is exact and
-    a multiple of 2^-53.
+    Every entry is positive: `_open` maps an output into [2^-53, 1 - 2^-53],
+    so each exponential lies in about [1.1e-16, 36.7].
     """
-    draws = sample_gammas(1.0, k, rng)
+    draws = _exponentials(_take(rng, k))
     return draws / draws.sum()
 
 
@@ -245,8 +250,9 @@ def random_instances(rngs, k_max: int = 32, anchor=False) -> list[DiscreteJoint]
     all or one per stream.
 
     An instance takes, in order: k = 2 + randbelow(k_max - 1); 2k unit
-    Gamma draws, which normalized are f_p and f_n; pi_p = 0.1 + 0.8 U; and,
-    with `anchor`, the point randbelow(k) where f_n is set to 0.  Each
+    exponentials, one output each, which normalized are f_p and f_n (each
+    Dirichlet(1, ..., 1), as in `random_dirichlet`); pi_p = 0.1 + 0.8 U;
+    and, with `anchor`, the point randbelow(k) where f_n is set to 0.  Each
     stage is drawn for all streams at once (see `sampling`), so an instance
     does not depend on which other streams are drawn with it.
     """
@@ -254,7 +260,7 @@ def random_instances(rngs, k_max: int = 32, anchor=False) -> list[DiscreteJoint]
         raise ValueError("k_max must be at least 2")
     anchors = np.broadcast_to(np.asarray(anchor, dtype=bool), (len(rngs),))
     ks = 2 + _randbelow_lockstep(np.full(len(rngs), k_max - 1), rngs)
-    draws = sample_gammas_lockstep(1.0, 2 * ks, rngs)
+    draws = _split(_exponentials(_take_lockstep(2 * ks, rngs)), np.cumsum(2 * ks))
     pis = (0.1 + 0.8 * _uniform_lockstep(rngs)).tolist()
     anchored = np.flatnonzero(anchors)
     points = iter(_randbelow_lockstep(ks[anchored], [rngs[i] for i in anchored]).tolist())
@@ -263,7 +269,8 @@ def random_instances(rngs, k_max: int = 32, anchor=False) -> list[DiscreteJoint]
         f_p, f_n = g.reshape(2, k)
         f_p, f_n = f_p / f_p.sum(), f_n / f_n.sum()
         if planted:
-            # k >= 2 positive entries: f_n keeps positive mass and f_p[i] > 0
+            # k >= 2 entries, each at least 1.1e-16 (see random_dirichlet):
+            # f_n keeps positive mass and f_p[i] > 0
             f_n[next(points)] = 0.0
             f_n = f_n / f_n.sum()
         instances.append(DiscreteJoint.from_conditionals(f_p, f_n, pi_p))
@@ -316,25 +323,30 @@ def _instance_repr(d: DiscreteJoint, phi=None) -> str:
     return "DiscreteJoint instance: " + ", ".join(parts)
 
 
+_CHUNK = 1024  # trials drawn at once, so a suite's memory does not grow with `trials`
+
+
 def _run_suite(name, trials, seed, gen_and_residual, tol) -> SuiteResult:
-    """`gen_and_residual(rngs)` yields, for each trial t in order, its
-    residual and the instance (and phi, or None) behind it, drawn from
-    ``rngs[t] = Rng(seed + t)``; only a new worst trial's is formatted.
+    """`gen_and_residual(rngs)` yields, for each trial in `rngs` in order,
+    its residual and the instance (and phi, or None) behind it, where trial
+    t draws from ``Rng(seed + t)``; only a new worst trial's is formatted.
 
     The checks draw one stage of every trial at a time, in the order one
-    trial draws them, so a trial's draws do not depend on the others, and
-    ``trials=1, seed=seed + t`` reruns trial t.
+    trial draws them, so a trial's draws do not depend on the others:
+    ``trials=1, seed=seed + t`` reruns trial t, and the trials are drawn in
+    chunks of `_CHUNK` with the same bits.
     """
     failures = 0
     worst = 0.0
     worst_trial = -1
     worst_detail = ""
-    rngs = [Rng(seed + t) for t in range(trials)]
-    for t, (residual, d, phi) in enumerate(gen_and_residual(rngs)):
-        if residual > worst:
-            worst, worst_trial, worst_detail = residual, t, _instance_repr(d, phi)
-        if residual > tol:
-            failures += 1
+    for start in range(0, trials, _CHUNK):
+        rngs = [Rng(seed + t) for t in range(start, min(start + _CHUNK, trials))]
+        for t, (residual, d, phi) in enumerate(gen_and_residual(rngs), start):
+            if residual > worst:
+                worst, worst_trial, worst_detail = residual, t, _instance_repr(d, phi)
+            if residual > tol:
+                failures += 1
     return SuiteResult(name, trials, failures, worst, worst_trial, worst_detail)
 
 

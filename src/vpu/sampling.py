@@ -12,13 +12,14 @@ samplers here and in `data`, `model` and `oracle` draw in such blocks; only
 `Rng.next_u64` and the scalar draws built on it mix one output at a time.
 Every sampler leaves ``Rng.counter`` (and the cached Box-Muller normal)
 exactly where one-draw-at-a-time code would, so outputs do not depend on
-the block sizes.  The ``*_lockstep`` samplers take one stage of many
-streams' draws in such a call, each stream at its own counter.
+the block sizes.  The ``_*_lockstep`` helpers take one stage of many
+streams' draws (the oracle's trials) in such a call, each stream at its
+own counter.  `sample_gammas` is the one Marsaglia-Tsang loop; it serves
+`sample_beta`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -204,6 +205,13 @@ def _as_uniform(x: np.ndarray) -> np.ndarray:
     return (x >> np.uint64(11)) * 2.0**-53
 
 
+def _exponentials(x: np.ndarray) -> np.ndarray:
+    """Unit exponentials ``-log(_open(x))``, one per output in `x`, each in
+    about [1.1e-16, 36.7].  ``math.log`` is applied per element: numpy's
+    log can differ from it in the last bit between hosts."""
+    return -np.fromiter(map(math.log, _open(x).tolist()), np.float64, x.size)
+
+
 def _uniforms(rng: Rng, k: int) -> np.ndarray:
     """``[rng.uniform() for _ in range(k)]``, bit for bit, in one block."""
     return _as_uniform(_take(rng, k))
@@ -230,7 +238,7 @@ def _randbelow_each(rng: Rng, bounds: np.ndarray) -> np.ndarray:
 #
 # The oracle's property suites give each trial its own stream ``Rng(seed + t)``.
 # Since output i of a stream is a pure function of (seed, i), one stage of
-# every trial (say, its Gamma draws) can be mixed in one numpy call, each
+# every trial (say, its unit exponentials) can be mixed in one numpy call, each
 # stream at its own counter.  Each function here leaves every rng where the
 # one-stream draw it names leaves it.
 
@@ -290,86 +298,9 @@ def _randbelow_lockstep(bounds, rngs) -> np.ndarray:
     return out
 
 
-_ATTEMPT = np.arange(1, 5, dtype=np.uint64)  # an attempt and the boost take at most 4
-
-
-def sample_gammas_lockstep(shape: float, counts, rngs) -> list[np.ndarray]:
-    """``[sample_gammas(shape, n, rng) for n, rng in zip(counts, rngs)]``, bit
-    for bit, leaving each rng (``counter`` and the cached normal) as that
-    loop does.
-
-    Each pass runs one Marsaglia-Tsang attempt, and the boost once it is
-    accepted, for every stream that still owes draws, on the next four
-    outputs of each, mixed in one call.  ``math.log``, ``cos``, ``sin`` and
-    ``pow`` are applied per element: numpy's versions, ``x**3`` and ``x**4``
-    among them, differ from them in the last bit for some inputs.  For one
-    stream `sample_gammas` is faster.
-    """
-    if not 0.0 < shape < math.inf:
-        raise ValueError("gamma shape must be positive and finite")
-    boost = shape < 1.0
-    d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    counts = np.asarray(counts, dtype=np.intp)
-    seeds, counters = _state(rngs)
-    has_cached = np.array([r._cached_normal is not None for r in rngs], dtype=bool)
-    cached = np.array([0.0 if r._cached_normal is None else r._cached_normal for r in rngs],
-                      dtype=np.float64)
-    ends = np.cumsum(counts)
-    out = np.empty(int(ends[-1]) if ends.size else 0)
-    slot = ends - counts  # where each stream's next draw goes
-    live = np.flatnonzero(counts > 0)
-    while live.size:
-        z = (counters[live, None] + _ATTEMPT) * _GOLDEN_U64
-        z += seeds[live, None]
-        _mix(z)
-        # the attempt's normal: the cached sine, or a new pair of outputs
-        fresh = ~has_cached[live]
-        x = cached[live]
-        pair = np.flatnonzero(fresh)
-        r = np.sqrt(-2.0 * _per_element(math.log, _open(z[pair, 0])))
-        theta = 2.0 * math.pi * _as_uniform(z[pair, 1])
-        x[pair] = r * _per_element(math.cos, theta)
-        cached[live[pair]] = r * _per_element(math.sin, theta)
-        has_cached[live] = fresh
-        taken = 2 * fresh.astype(np.intp)
-        v = _per_element(math.pow, 1.0 + c * x, 3.0)
-        # v <= 0 rejects at once; the others take a uniform u
-        tried = np.flatnonzero(v > 0.0)
-        x, v = x[tried], v[tried]
-        u = _open(z[tried, taken[tried]])
-        taken[tried] += 1
-        accept = u < 1.0 - 0.0331 * _per_element(math.pow, x, 4.0)
-        slow = np.flatnonzero(~accept)
-        log_v = _per_element(math.log, v[slow])
-        accept[slow] = (_per_element(math.log, u[slow])
-                        < 0.5 * x[slow] * x[slow] + d * (1.0 - v[slow] + log_v))
-        done = tried[accept]
-        draw = d * v[accept]
-        if boost:
-            boost_u = _open(z[done, taken[done]])
-            draw = draw * _per_element(math.pow, boost_u, 1.0 / shape)
-            taken[done] += 1
-        out[slot[live[done]]] = draw
-        slot[live[done]] += 1
-        counters[live] += taken.astype(np.uint64)
-        live = live[slot[live] < ends[live]]
-    _set_counters(rngs, counters)
-    for rng, has, normal in zip(rngs, has_cached.tolist(), cached.tolist()):
-        rng._cached_normal = normal if has else None
-    return _split(out, ends)
-
-
 def _split(flat: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
     """`flat` cut into the runs that end at `ends`, one per stream."""
     return np.split(flat, ends[:-1]) if ends.size else []
-
-
-def _per_element(fn, x: np.ndarray, *args: float) -> np.ndarray:
-    """``fn(e, *args)`` for each element e of the float array `x`, by the
-    `math` function `fn` itself."""
-    return np.fromiter(map(fn, x.tolist(), *(itertools.repeat(a) for a in args)),
-                       np.float64, x.size)
 
 
 def sample_indices(n: int, size: int, rng: Rng) -> np.ndarray:

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from vpu import oracle as oc
 from vpu.sampling import Rng
@@ -37,6 +39,24 @@ class TestDiscreteJoint:
             oc.DiscreteJoint(pi_p=0.5, **vecs)
         vecs[name] = np.array([1.0, -0.0])
         assert oc.DiscreteJoint(pi_p=0.5, **vecs).k == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["f", "f_p", "f_n"])
+    def test_non_finite_entry(self, name, bad):
+        # NaN fails every comparison, so the sign, mixture and sum checks
+        # alone let it pass
+        good = {"f": [0.5, 0.5], "f_p": [1.0, 0.0], "f_n": [0.0, 1.0]}
+        vecs = {k: np.array(v) for k, v in good.items()}
+        vecs[name] = np.array([bad, 1.0])
+        message = f"^{name} must be finite$"
+        with pytest.raises(ValueError, match=message):
+            oc.DiscreteJoint(pi_p=0.5, **vecs)
+        if name != "f_n":  # f_n derived
+            with pytest.raises(ValueError, match=message):
+                oc.DiscreteJoint(f=vecs["f"], f_p=vecs["f_p"], pi_p=0.5)
+        if name != "f":  # f derived
+            with pytest.raises(ValueError, match=message):
+                oc.DiscreteJoint.from_conditionals(vecs["f_p"], vecs["f_n"], 0.3)
 
     def test_sum_tolerance(self):
         for off, ok in ((2e-12, False), (5e-13, True)):
@@ -382,6 +402,45 @@ class TestSuites:
         for k_max in (1, 0):
             with pytest.raises(ValueError):
                 oc.random_instance(Rng(0), k_max=k_max)
+
+    def test_instances_are_dirichlet(self):
+        # with k_max = 3, k is 2 or 3, and f_p[0] and f_n[0] of an unanchored
+        # instance are each the first entry of a Dirichlet(1, ..., 1), which
+        # is Beta(1, k - 1)
+        instances = oc.random_instances([Rng(50_000 + i) for i in range(20_000)], 3)
+        for k in (2, 3):
+            same_k = [d for d in instances if d.k == k]
+            assert len(same_k) > 9000
+            for first in ([d.f_p[0] for d in same_k], [d.f_n[0] for d in same_k]):
+                assert stats.kstest(first, stats.beta(1, k - 1).cdf).pvalue > 0.001, k
+
+    def test_dirichlet_takes_one_output_per_entry(self):
+        rng = Rng(9)
+        for k in (1, 2, 5, 64):
+            h = oc.random_dirichlet(k, rng)
+            assert h.shape == (k,) and (h > 0).all() and abs(h.sum() - 1.0) < 1e-12
+        assert rng.counter == 72  # one output per entry
+
+    @pytest.mark.parametrize("suite", oc.ALL_SUITES, ids=lambda s: s.__name__)
+    def test_chunks_do_not_change_the_result(self, suite, monkeypatch):
+        whole = suite(trials=45, seed=3)
+        monkeypatch.setattr(oc, "_CHUNK", 7)
+        chunked = suite(trials=45, seed=3)
+        assert bits(chunked.worst_residual) == bits(whole.worst_residual)
+        assert chunked == whole
+
+    def test_memory_does_not_grow_with_trials(self):
+        # a suite holds one chunk's instances at once; holding every
+        # trial's, its peak grows about fourfold from 1000 to 4000 trials
+        peaks = []
+        for trials in (1000, 4000):
+            tracemalloc.start()
+            try:
+                assert oc.suite_l2_identity(trials=trials, seed=0).passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0], peaks
 
     def test_deterministic_counterexample(self, monkeypatch):
         monkeypatch.setattr(oc, "exact_lvar", lambda d, phi: 0.0)

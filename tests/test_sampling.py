@@ -158,6 +158,18 @@ def gamma_loop(shape, n, rng, events=None) -> np.ndarray:
     return np.array([sample_gamma_loop(shape, rng, events) for _ in range(n)], dtype=np.float64)
 
 
+def streams(seed, m, moved=(), cached=()):
+    """`m` pairs of equal streams (an `Rng` and a `ScalarRng`); counters in
+    `moved` are set by hand, and streams in `cached` hold a cached normal."""
+    fast = [sp.Rng(seed + i) for i in range(m)]
+    slow = [ScalarRng(seed + i) for i in range(m)]
+    for i in moved:
+        fast[i].counter = slow[i].counter = 2**40 + 977 * i
+    for i in cached:
+        assert fast[i].normals(1)[0] == slow[i].normal()
+    return fast, slow
+
+
 class TestBlockDraws:
     """The block draws against one mixed output per draw."""
 
@@ -245,6 +257,28 @@ class TestBlockDraws:
             assert same_state(fast, slow), n
         assert len(blocks) > 5
 
+    def test_gamma_draws_from_many_states(self):
+        # ragged counts with 0s and 1s, a cached normal at entry in every
+        # second stream, counters moved by hand in every third
+        events = Counter()
+        counts = [0, 1, 1, 0, 2, 7, 1, 40, 0, 13, 3, 1] * 6
+        m = len(counts)
+        for k, shape in enumerate((0.05, 0.3, 1.0, 4.5, 40.0)):
+            fast, slow = streams(100 * k, m, moved=range(0, m, 3), cached=range(0, m, 2))
+            for i, n in enumerate(counts):
+                want = gamma_loop(shape, n, slow[i], events)
+                assert np.array_equal(bits(sp.sample_gammas(shape, n, fast[i])), bits(want)), (shape, i)
+                assert same_state(fast[i], slow[i]), (shape, i)
+        # both rare branches of the attempt were taken
+        assert events["v<=0"] > 0 and events["log"] > 0, events
+
+    def test_exponentials_at_the_extreme_outputs(self):
+        # _open maps outputs 0 and 2^64 - 1 to 2^-53 and 1 - 2^-53
+        e = sp._exponentials(np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert np.isfinite(e).all() and (e > 0).all()
+        assert e.tolist() == [-math.log(2.0**-53), -math.log(1.0 - 2.0**-53)]
+        assert 36.7 < e[0] < 36.8 and 1.1e-16 < e[1] < 1.2e-16
+
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 4.5])
     def test_beta_draws(self, alpha):
         fast, slow = sp.Rng(6), ScalarRng(6)
@@ -256,48 +290,9 @@ class TestBlockDraws:
 class TestLockstep:
     """The many-stream draws against each stream drawn on its own."""
 
-    @staticmethod
-    def streams(seed, m, moved=(), cached=()):
-        """`m` pairs of equal streams (an `Rng` and a `ScalarRng`); counters
-        in `moved` are set by hand, and streams in `cached` hold a cached
-        normal."""
-        fast = [sp.Rng(seed + i) for i in range(m)]
-        slow = [ScalarRng(seed + i) for i in range(m)]
-        for i in moved:
-            fast[i].counter = slow[i].counter = 2**40 + 977 * i
-        for i in cached:
-            assert fast[i].normals(1)[0] == slow[i].normal()
-        return fast, slow
-
-    def test_gamma_draws(self):
-        # ragged counts with 0s and 1s, a cached normal at entry in every
-        # second stream, counters moved by hand in every third
-        events = Counter()
-        counts = [0, 1, 1, 0, 2, 7, 1, 40, 0, 13, 3, 1] * 6
-        m = len(counts)
-        for k, shape in enumerate((0.05, 0.3, 1.0, 4.5, 40.0)):
-            fast, slow = self.streams(100 * k, m, moved=range(0, m, 3), cached=range(0, m, 2))
-            scalar = [sp.Rng(100 * k + i) for i in range(m)]
-            for rng, twin in zip(scalar, fast):
-                rng.counter, rng._cached_normal = twin.counter, twin._cached_normal
-            got = sp.sample_gammas_lockstep(shape, counts, fast)
-            assert len(got) == m
-            for i, n in enumerate(counts):
-                want = gamma_loop(shape, n, slow[i], events)
-                assert np.array_equal(bits(got[i]), bits(want)), (shape, i)
-                assert np.array_equal(bits(sp.sample_gammas(shape, n, scalar[i])), bits(want))
-                assert same_state(fast[i], slow[i]) and same_state(scalar[i], slow[i]), (shape, i)
-        # both rare branches of the attempt were taken
-        assert events["v<=0"] > 0 and events["log"] > 0, events
-
-    def test_gamma_draws_without_streams(self):
-        assert sp.sample_gammas_lockstep(1.0, [], []) == []
-        with pytest.raises(ValueError):
-            sp.sample_gammas_lockstep(math.nan, [1], [sp.Rng(0)])
-
     def test_uniforms(self):
         counts = [3, 0, 1, 64, 0, 5]
-        fast, slow = self.streams(7, len(counts), moved=[1, 3], cached=[2])
+        fast, slow = streams(7, len(counts), moved=[1, 3], cached=[2])
         assert sp._uniform_lockstep(fast).tolist() == [r.uniform() for r in slow]
         got = sp._uniforms_lockstep(counts, fast)
         for g, n, rng in zip(got, counts, slow):
@@ -307,7 +302,7 @@ class TestLockstep:
     def test_randbelow_with_rejections(self):
         # a bound just above 2^63 rejects about half of all draws
         bounds = [5, 2**63 + 1, 2**64 - 3, 9, 1] * 8
-        fast, slow = self.streams(3, len(bounds), moved=[4, 6])
+        fast, slow = streams(3, len(bounds), moved=[4, 6])
         start = [r.counter for r in fast]
         got = sp._randbelow_lockstep(bounds, fast)
         want = [rng.randbelow(b) for b, rng in zip(bounds, slow)]

@@ -2,7 +2,9 @@
 
 The modules form a DAG, and `vpu.autodiff` (the tape) depends on no other
 `vpu` module.  No module draws randomness from anywhere but `vpu.sampling`'s
-generator: none imports `random` or uses `numpy.random`.
+generator: none imports `random` or uses `numpy.random`.  Nothing is left
+over: a module uses every name it imports, and every `_`-prefixed
+module-level name is referenced somewhere in the package.
 """
 
 import ast
@@ -131,3 +133,61 @@ def test_other_randomness_is_found(tmp_path):
     (tmp_path / "d.py").write_text("import numpy\nfrom . import random\n"
                                    "y = numpy.random\nz = rng.random()\n")
     assert other_randomness(tmp_path) == ["a:1", "a:2", "b:3", "c:1", "c:2", "c:3", "d:3"]
+
+
+def leftovers(src: Path = SRC) -> list[str]:
+    """`module:name` of each name a module imports but never reads (a name
+    in `__all__` counts as read), then of each `_`-prefixed module-level
+    name (dunders aside) that no module in `src` reads or imports."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    read = {}
+    for name, tree in trees.items():
+        read[name] = {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read[name].update(ast.literal_eval(node.value))
+    referenced = set().union(*read.values())
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                found += [f"{name}:{bound}" for alias in node.names
+                          if (bound := alias.asname or alias.name.split(".")[0])
+                          not in read[name]]
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{d}" for d in defined if d.startswith("_")
+                      and not (d.startswith("__") and d.endswith("__")) and d not in referenced]
+    return found
+
+
+def test_nothing_left_over():
+    assert leftovers() == []
+
+
+def test_leftovers_are_found(tmp_path):
+    (tmp_path / "a.py").write_text("from __future__ import annotations\n"
+                                   "import math\nimport os.path\nimport numpy as np\n"
+                                   "from .b import _used, g as h\n\n"
+                                   "_UNREAD = 1\n_A, (_B, c) = 2, (3, 4)\n__all__ = ['np']\n\n"
+                                   "def f(x):\n    return _used(os.path.sep, _B)\n")
+    (tmp_path / "b.py").write_text("def _used(*a):\n    return a\n\n"
+                                   "def _by_attribute():\n    pass\n\n"
+                                   "class _Unused:\n    pass\n\ng = _used\n")
+    (tmp_path / "c.py").write_text("from . import b\n\nb._by_attribute()\n")
+    assert leftovers(tmp_path) == ["a:math", "a:h", "a:_UNREAD", "a:_A", "b:_Unused"]
