@@ -364,6 +364,11 @@ def cmd_bias_experiment(cfg: Config) -> int:
         raise ConfigError("key 'n_test': bias experiment needs >= 1 test row")
     ratios = cfg["ratios"]
     total = cfg["bias_total"]
+    all_counts = [_bias_counts(total, ratio, len(pos)) for ratio in ratios]
+    for ratio, counts in zip(ratios, all_counts):
+        if any(c < 1 or c > total for c in counts):
+            raise ConfigError(f"ratio {ratio} leaves an empty subclass at "
+                              f"bias_total={total}")
     seed = cfg["seed"]
     rng = Rng(seed)
 
@@ -377,11 +382,7 @@ def cmd_bias_experiment(cfg: Config) -> int:
 
     rows = ["ratio,method,accuracy"]
     bound_rows = ["ratio,c1,c2,epsilon,bound"]
-    for i, ratio in enumerate(ratios):
-        counts = _bias_counts(total, ratio, len(pos))
-        if any(c < 1 or c > total for c in counts):
-            raise ConfigError(f"ratio {ratio} leaves an empty subclass at "
-                              f"bias_total={total}")
+    for i, (ratio, counts) in enumerate(zip(ratios, all_counts)):
         biased_p = inject_selection_bias(pools, counts)
         base = PuDataset(positive=biased_p, unlabeled=unlabeled,
                          test_x=test_x, test_y=test_y, pi_p=spec.pi_p)

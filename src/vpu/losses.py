@@ -115,41 +115,34 @@ def mixup_consistency_reg(model, theta, xp: np.ndarray, xu: np.ndarray, phi_u, g
     `xp` and `xu` are the positive and unlabeled rows.  `phi_u` is
     ``model.raw(theta, xu)``: the `PU_TARGET_VARIANTS` build their target
     from it (from its values when the target stops the gradient), and the
-    other variants ignore it.  gamma may be a scalar (one draw per batch, the
-    default training path) or a per-pair vector.  Pairing is positional; the
-    randomness comes from batch sampling.  The pupu variant pairs the
-    concatenated rows with their rotation, so both endpoints range over
-    positives and unlabeled points.
+    other variants ignore it.  `gamma` is the batch's one mixing weight.
+    Pairing is positional; the randomness comes from batch sampling.  The
+    pupu variant pairs the concatenated rows with their rotation, so both
+    endpoints range over positives and unlabeled points.
     """
     if variant not in _MIXUP_VARIANTS:
         raise ValueError(f"not a mixup variant: {variant!r}")
     t = ad.as_tensor(theta)
-    g = np.asarray(gamma, dtype=np.float64)
-
-    def spread(n):
-        return np.full(n, float(g)) if g.ndim == 0 else g
+    g = float(gamma)
 
     if variant in PU_TARGET_VARIANTS:
         if xp.shape != xu.shape:
             raise ValueError("pu mixup needs equal-size batches")
-        gv = spread(xp.shape[0])
-        x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * xu
+        x_mix = g * xp + (1.0 - g) * xu
         phi_u = ad.as_tensor(phi_u)
-        target = gv + (1.0 - gv) * (phi_u.value if target_stop_gradient else phi_u)
+        target = g + (1.0 - g) * (phi_u.value if target_stop_gradient else phi_u)
         kind = "msle" if variant == "msle_mixup_pu" else "mse"
         return mixup_reg_from_pairs(model, t, x_mix, target, kind)
 
     if variant == "msle_mixup_p_only":
-        gv = spread(xp.shape[0])
-        x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * _rotate(xp)
+        x_mix = g * xp + (1.0 - g) * _rotate(xp)
         target = np.ones(xp.shape[0])  # both endpoints carry label 1
         return mixup_reg_from_pairs(model, t, x_mix, target, "msle")
 
     # msle_mixup_pupu: endpoints drawn from the union of both batches
     union = np.concatenate([xp, xu], axis=0)
     n = union.shape[0]
-    gv = spread(n)
-    x_mix = gv[:, None] * union + (1.0 - gv[:, None]) * _rotate(union)
+    x_mix = g * union + (1.0 - g) * _rotate(union)
     # per-point target: 1 for positive-origin points, phi(x) otherwise
     mask_p = np.zeros(n)
     mask_p[:xp.shape[0]] = 1.0
@@ -157,10 +150,10 @@ def mixup_consistency_reg(model, theta, xp: np.ndarray, xu: np.ndarray, phi_u, g
     # rounding that a different matrix shape gives
     if target_stop_gradient:
         labels = np.where(mask_p > 0, 1.0, model.raw(t.value, union).value)
-        target = gv * labels + (1.0 - gv) * np.concatenate([labels[1:], labels[:1]])
+        target = g * labels + (1.0 - g) * np.concatenate([labels[1:], labels[:1]])
     else:
         labels = model.raw(t, union) * (1.0 - mask_p) + mask_p
-        target = ad.as_tensor(gv) * labels + ad.as_tensor(1.0 - gv) * labels[np.roll(np.arange(n), -1)]
+        target = g * labels + (1.0 - g) * labels[np.roll(np.arange(n), -1)]
     return mixup_reg_from_pairs(model, t, x_mix, target, "msle")
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .losses import variational_loss_values
-from .sampling import (Rng, _exponentials, _randbelow_lockstep, _split, _take,
-                       _take_lockstep, _uniform_lockstep, _uniforms, _uniforms_lockstep)
+from .sampling import (Rng, _exponentials, _randbelow_lockstep, _split, _take_lockstep,
+                       _uniform_lockstep, _uniforms_lockstep)
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class DiscreteJoint:
         if not 0.0 < self.pi_p < 1.0:
             raise ValueError("pi_p must be in (0, 1)")
         f_n = None if self.f_n is None else np.asarray(self.f_n, dtype=np.float64)
+        if f_n is not None and f_n.shape != f.shape:
+            raise ValueError("f_n must have the length of f")
         # NaN fails every comparison below, so each vector is checked here;
         # f_p and a given f_n first, since `from_conditionals` derives f from them
         for name, vec in (("f_p", f_p), ("f_n", f_n), ("f", f)):
@@ -62,6 +64,9 @@ class DiscreteJoint:
             off = vec.sum() - 1.0
             if abs(off) > 1e-12:
                 raise ValueError(f"{name} must sum to 1 (off by {off:.3e})")
+        gap = np.abs(self.pi_p * f_p + (1.0 - self.pi_p) * f_n - f).max()
+        if gap > 1e-12:
+            raise ValueError(f"f_n does not match f: the mixture is off by {gap:.3e}")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "f_p", f_p)
         object.__setattr__(self, "f_n", f_n)
@@ -225,36 +230,18 @@ def exact_pu_risks(scores, d: DiscreteJoint, pi_p: float) -> tuple[float, float]
 # -- random instances -------------------------------------------------------------
 
 
-def random_dirichlet(k: int, rng: Rng) -> np.ndarray:
-    """Dirichlet(1, ..., 1) via normalized unit exponentials ``-log U``, one
-    output each.
-
-    Every entry is positive: `_open` maps an output into [2^-53, 1 - 2^-53],
-    so each exponential lies in about [1.1e-16, 36.7].
-    """
-    draws = _exponentials(_take(rng, k))
-    return draws / draws.sum()
-
-
-def random_instance(rng: Rng, k_max: int = 32, anchor: bool = False) -> DiscreteJoint:
-    """A valid random joint, built from conditionals so the mixture identity
-    holds exactly.  With `anchor`, one point gets f_n = 0 (and f_p > 0),
-    which plants an almost-surely-positive region.  `random_instances` for
-    one stream.
-    """
-    return random_instances([rng], k_max, anchor)[0]
-
-
 def random_instances(rngs, k_max: int = 32, anchor=False) -> list[DiscreteJoint]:
-    """`random_instance` for each stream in `rngs`; `anchor` is one flag for
-    all or one per stream.
+    """A valid random joint for each stream in `rngs`, built from
+    conditionals so the mixture identity holds exactly.  With `anchor` (one
+    flag for all or one per stream), one point gets f_n = 0 (and f_p > 0),
+    which plants an almost-surely-positive region.
 
     An instance takes, in order: k = 2 + randbelow(k_max - 1); 2k unit
     exponentials, one output each, which normalized are f_p and f_n (each
-    Dirichlet(1, ..., 1), as in `random_dirichlet`); pi_p = 0.1 + 0.8 U;
-    and, with `anchor`, the point randbelow(k) where f_n is set to 0.  Each
-    stage is drawn for all streams at once (see `sampling`), so an instance
-    does not depend on which other streams are drawn with it.
+    Dirichlet(1, ..., 1)); pi_p = 0.1 + 0.8 U; and, with `anchor`, the
+    point randbelow(k) where f_n is set to 0.  Each stage is drawn for all
+    streams at once (see `sampling`), so an instance does not depend on
+    which other streams are drawn with it.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -269,7 +256,7 @@ def random_instances(rngs, k_max: int = 32, anchor=False) -> list[DiscreteJoint]
         f_p, f_n = g.reshape(2, k)
         f_p, f_n = f_p / f_p.sum(), f_n / f_n.sum()
         if planted:
-            # k >= 2 entries, each at least 1.1e-16 (see random_dirichlet):
+            # k >= 2 entries, each at least 1.1e-16 (see `_exponentials`):
             # f_n keeps positive mass and f_p[i] > 0
             f_n[next(points)] = 0.0
             f_n = f_n / f_n.sum()
@@ -277,24 +264,10 @@ def random_instances(rngs, k_max: int = 32, anchor=False) -> list[DiscreteJoint]
     return instances
 
 
-def random_phi(k: int, rng: Rng, lo: float = 1e-3, hi: float = 1.0) -> np.ndarray:
-    return _phi(_uniforms(rng, k), lo, hi)
-
-
-def _phi(u: np.ndarray, lo: float = 1e-3, hi: float = 1.0) -> np.ndarray:
-    """`random_phi` from its uniforms."""
-    return lo + (hi - lo) * u
-
-
-def random_biased_labeled(d: DiscreteJoint, rng: Rng,
-                          spread: float = 0.3) -> np.ndarray:
-    """A labeled distribution inside a multiplicative envelope of f_p,
-    renormalized; zero exactly where f_p is zero."""
-    return _biased_labeled(d, _uniforms(rng, d.k), spread)
-
-
 def _biased_labeled(d: DiscreteJoint, u: np.ndarray, spread: float = 0.3) -> np.ndarray:
-    """`random_biased_labeled` from its uniforms."""
+    """A labeled distribution inside a multiplicative envelope of f_p,
+    renormalized; zero exactly where f_p is zero.  `u` holds one uniform
+    per point."""
     raw = d.f_p * (1.0 - spread + 2.0 * spread * u)
     return raw / raw.sum()
 
@@ -356,8 +329,9 @@ def _coins(rngs) -> np.ndarray:
 
 
 def _phis(sizes, rngs) -> list[np.ndarray]:
-    """``random_phi(k, rng)`` for each size and stream."""
-    return [_phi(u) for u in _uniforms_lockstep(sizes, rngs)]
+    """A random phi in [1e-3, 1) of each size, from each stream's uniforms."""
+    lo, hi = 1e-3, 1.0
+    return [lo + (hi - lo) * u for u in _uniforms_lockstep(sizes, rngs)]
 
 
 def suite_kl_identity(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:

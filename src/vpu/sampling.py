@@ -8,14 +8,14 @@ values are reproducible across implementations and platforms.
 
 Output i is a pure function of the seed and i, so any run of outputs can be
 computed in one numpy call (`_outputs`) and consumed in order.  The
-samplers here and in `data`, `model` and `oracle` draw in such blocks; only
-`Rng.next_u64` and the scalar draws built on it mix one output at a time.
-Every sampler leaves ``Rng.counter`` (and the cached Box-Muller normal)
-exactly where one-draw-at-a-time code would, so outputs do not depend on
-the block sizes.  The ``_*_lockstep`` helpers take one stage of many
-streams' draws (the oracle's trials) in such a call, each stream at its
-own counter.  `sample_gammas` is the one Marsaglia-Tsang loop; it serves
-`sample_beta`.
+samplers here and in `data`, `model` and `oracle` draw in such blocks, and
+leave ``Rng.counter`` (and the cached Box-Muller normal) exactly where
+one-draw-at-a-time code would, so outputs do not depend on the block
+sizes.  The ``_*_lockstep`` helpers take one stage of many streams' draws
+(the oracle's trials) in such a call, each stream at its own counter.
+`Rng.next_u64` and the scalar draws built on it mix one output at a time;
+`sample_gammas`, the one Marsaglia-Tsang loop, draws this way for
+`sample_beta`, which needs only a few outputs per call.
 """
 
 from __future__ import annotations
@@ -100,49 +100,32 @@ def sample_gammas(shape: float, n: int, rng: Rng) -> np.ndarray:
     of outputs as in `Rng.normals`) and, unless ``v <= 0`` rejects it at
     once, one uniform strictly inside (0, 1).  Shapes below 1 use the boost
     ``Gamma(shape) = Gamma(shape+1) * U^(1/shape)``, with one more such
-    uniform after the accepted attempt.  The outputs come from blocks of
-    `_outputs`, a new one whenever fewer than an attempt and a boost need
-    are left, and `rng` is left (``counter`` and the cached normal) where
-    the same draws taken one output at a time leave it.
+    uniform after the accepted attempt.  Each output is taken from `rng` as
+    it is needed, and a pair's sine is left as its cached normal.
     """
     if not 0.0 < shape < math.inf:
         raise ValueError("gamma shape must be positive and finite")
     boost = shape < 1.0
     d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    cached = rng._cached_normal
-    out = []
-    block: list[int] = []  # outputs rng.counter + 1, ...; the first `used` are taken
-    used, last = 0, -1  # `last`: the largest `used` that leaves 4 outputs
-    for remaining in range(n, 0, -1):
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
         while True:
-            if used > last:  # an attempt takes up to 3 outputs, the boost 1 more
-                rng.counter += used
-                block = _outputs(rng, 2 * remaining + 8).tolist()
-                used, last = 0, 2 * remaining + 4
-            if cached is None:
-                u1 = _open(block[used])
-                theta = 2.0 * math.pi * ((block[used + 1] >> 11) * 2.0**-53)
-                used += 2
-                r = math.sqrt(-2.0 * math.log(u1))
-                x, cached = r * math.cos(theta), r * math.sin(theta)
+            x = rng._cached_normal
+            if x is None:
+                r = math.sqrt(-2.0 * math.log(_open(rng.next_u64())))
+                theta = 2.0 * math.pi * rng.uniform()
+                x, rng._cached_normal = r * math.cos(theta), r * math.sin(theta)
             else:
-                x, cached = cached, None
+                rng._cached_normal = None
             v = (1.0 + c * x) ** 3
             if v <= 0.0:
                 continue
-            u = _open(block[used])
-            used += 1
+            u = _open(rng.next_u64())
             if u < 1.0 - 0.0331 * x**4 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
                 break
-        if boost:
-            out.append(d * v * _open(block[used]) ** (1.0 / shape))
-            used += 1
-        else:
-            out.append(d * v)
-    rng.counter += used
-    rng._cached_normal = cached
-    return np.array(out, dtype=np.float64)
+        out[i] = d * v * _open(rng.next_u64()) ** (1.0 / shape) if boost else d * v
+    return out
 
 
 def sample_beta(alpha: float, rng: Rng) -> float:

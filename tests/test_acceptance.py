@@ -198,7 +198,7 @@ def test_criterion_9_prior_sweep_pathology():
     rng = Rng(123)
     ok = True
     for _ in range(1000):
-        d = oc.random_instance(rng, k_max=16)
+        d = oc.random_instances([rng], 16)[0]
         scores = np.full(d.k, 10.0)
         at_one, _ = oc.exact_pu_risks(scores, d, pi_p=1.0)
         at_true, _ = oc.exact_pu_risks(scores, d, pi_p=d.pi_p)

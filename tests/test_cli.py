@@ -410,6 +410,19 @@ class TestBiasExperiment:
         assert c2 == pytest.approx(1.0, abs=0.01)
         assert bound < 0.05
 
+    def test_bad_ratio_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        # ratio 10000 leaves the small subclasses empty at bias_total=60; every
+        # ratio is checked before ratio 1 samples or trains anything
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled or trained before the ratios were checked")
+
+        monkeypatch.setattr(cli, "sample_class_conditional", refuse)
+        monkeypatch.setattr(cli, "train", refuse)
+        code = run("bias-exp", "--out", str(tmp_path / "b"), "--ratios", "1,10000",
+                   "--bias_total", "60", "--n", "300", "--n_test", "100", "--epochs", "20")
+        assert code == 2
+        assert "ratio 10000 leaves an empty subclass at bias_total=60" in capsys.readouterr().err
+
     def test_needs_multiple_positive_subclasses(self, tmp_path, capsys):
         code = run("bias-exp", "--out", str(tmp_path / "b"),
                    "--mixture", cli.DEFAULT_MIXTURE)

@@ -57,8 +57,8 @@ def test_oracle_random_draws():
     h = hashlib.sha256()
     for seed in range(20):
         rng = Rng(seed)
-        d = oc.random_instance(rng, anchor=seed % 2 == 1)
-        phi = oc.random_phi(d.k, rng)
+        d = oc.random_instances([rng], 32, seed % 2 == 1)[0]
+        phi = oc._phis([d.k], [rng])[0]
         for arr in (d.f, d.f_p, d.f_n, [d.pi_p], phi):
             h.update(np.asarray(arr, dtype="<f8").tobytes())
     assert h.hexdigest() == ORACLE_DRAWS

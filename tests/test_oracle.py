@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from vpu import oracle as oc
-from vpu.sampling import Rng
+from vpu.sampling import Rng, _exponentials, _take, _uniforms
 
 from reference import bits
 
@@ -37,8 +37,26 @@ class TestDiscreteJoint:
         vecs[name] = np.array([1.0 + 1e-300, -1e-300])  # sums to 1, one entry below 0
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
             oc.DiscreteJoint(pi_p=0.5, **vecs)
+        # -0.0 passes the sign check; (1, 0) for each vector is a valid mixture
+        vecs = {k: np.array([1.0, 0.0]) for k in good}
         vecs[name] = np.array([1.0, -0.0])
         assert oc.DiscreteJoint(pi_p=0.5, **vecs).k == 2
+
+    def test_given_negative_conditional_must_match(self):
+        # f_n = (1, 0) with f_p = (1, 0) mixes to (1, 0), not to f
+        with pytest.raises(ValueError, match=r"^f_n does not match f: the mixture is off "
+                                             r"by 5\.000e-01$"):
+            oc.DiscreteJoint(f=[0.5, 0.5], f_p=[1.0, 0.0], f_n=[1.0, 0.0], pi_p=0.5)
+        with pytest.raises(ValueError, match="^f_n must have the length of f$"):
+            oc.DiscreteJoint(f=[0.5, 0.5], f_p=[1.0, 0.0], f_n=[0.0, 0.5, 0.5], pi_p=0.5)
+        for off, ok in ((0.5e-12, True), (3e-12, False)):
+            # the mixture is off by (1 - pi_p) * off = off / 2 at each point
+            f_n = np.array([off, 1.0 - off])
+            if ok:
+                assert oc.DiscreteJoint(f=[0.5, 0.5], f_p=[1.0, 0.0], f_n=f_n, pi_p=0.5).k == 2
+            else:
+                with pytest.raises(ValueError, match="^f_n does not match f"):
+                    oc.DiscreteJoint(f=[0.5, 0.5], f_p=[1.0, 0.0], f_n=f_n, pi_p=0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["f", "f_p", "f_n"])
@@ -97,7 +115,7 @@ class TestBayesPosterior:
     def test_bounded_in_unit_interval(self):
         rng = Rng(0)
         for _ in range(200):
-            d = oc.random_instance(rng, k_max=16)
+            d = oc.random_instances([rng], 16)[0]
             post = oc.bayes_posterior(d)
             assert np.all(post >= 0.0) and np.all(post <= 1.0 + 1e-12)
 
@@ -127,7 +145,7 @@ class TestInducedDensity:
     def test_posterior_recovers_positive_conditional(self):
         rng = Rng(1)
         for _ in range(200):
-            d = oc.random_instance(rng, k_max=16)
+            d = oc.random_instances([rng], 16)[0]
             f_phi = oc.induced_positive_density(d, oc.bayes_posterior(d))
             np.testing.assert_allclose(f_phi, d.f_p, atol=1e-12)
 
@@ -155,16 +173,16 @@ class TestKlIdentity:
         rng = Rng(2)
         worst = 0.0
         for _ in range(300):
-            d = oc.random_instance(rng, k_max=32)
-            phi = oc.random_phi(d.k, rng)
+            d = oc.random_instances([rng], 32)[0]
+            phi = oc._phis([d.k], [rng])[0]
             worst = max(worst, oc.kl_identity_residual(d, phi))
         assert worst <= 1e-10
 
     def test_gap_nonnegative(self):
         rng = Rng(3)
         for _ in range(300):
-            d = oc.random_instance(rng, k_max=32)
-            gap = (oc.exact_lvar(d, oc.random_phi(d.k, rng))
+            d = oc.random_instances([rng], 32)[0]
+            gap = (oc.exact_lvar(d, oc._phis([d.k], [rng])[0])
                    - oc.exact_lvar(d, oc.bayes_posterior(d)))
             assert gap >= -1e-12
 
@@ -176,13 +194,13 @@ class TestMinimizer:
     def test_matches_posterior_on_anchored(self):
         rng = Rng(4)
         for _ in range(300):
-            d = oc.random_instance(rng, k_max=32, anchor=True)
+            d = oc.random_instances([rng], 32, True)[0]
             phi = oc.exact_minimizer(d)
             np.testing.assert_allclose(phi / phi.max(), oc.bayes_posterior(d), atol=1e-9)
 
     def test_minimality_against_perturbations(self):
         rng = Rng(5)
-        d = oc.random_instance(rng, k_max=8, anchor=True)
+        d = oc.random_instances([rng], 8, True)[0]
         phi_star = oc.exact_minimizer(d)
         best = oc.exact_lvar(d, phi_star)
         for _ in range(500):
@@ -192,7 +210,7 @@ class TestMinimizer:
 
     def test_scale_family_flat(self):
         rng = Rng(6)
-        d = oc.random_instance(rng, k_max=16, anchor=True)
+        d = oc.random_instances([rng], 16, True)[0]
         phi = oc.exact_minimizer(d)
         base = oc.exact_lvar(d, phi)
         for c in (0.2, 0.4, 0.6, 0.8, 1.0):
@@ -205,13 +223,13 @@ class TestMisclassification:
 
     def test_all_positive_predictor(self):
         rng = Rng(7)
-        d = oc.random_instance(rng, k_max=16)
+        d = oc.random_instances([rng], 16)[0]
         got = oc.misclassification_rate(d, np.ones(d.k))
         assert got == pytest.approx(1.0 - d.pi_p, abs=1e-12)
 
     def test_all_negative_predictor(self):
         rng = Rng(8)
-        d = oc.random_instance(rng, k_max=16)
+        d = oc.random_instances([rng], 16)[0]
         got = oc.misclassification_rate(d, np.zeros(d.k))
         assert got == pytest.approx(d.pi_p, abs=1e-12)
 
@@ -229,8 +247,8 @@ class TestBiasBound:
     def test_random_biased_instances(self):
         rng = Rng(9)
         for _ in range(300):
-            d = oc.random_instance(rng, k_max=16, anchor=rng.uniform() < 0.5)
-            labeled = oc.random_biased_labeled(d, rng)
+            d = oc.random_instances([rng], 16, rng.uniform() < 0.5)[0]
+            labeled = oc._biased_labeled(d, _uniforms(rng, d.k))
             lhs, bound, holds = oc.theorem3_check(d, labeled)
             assert holds, (lhs, bound)
 
@@ -244,8 +262,7 @@ class TestIrreducibility:
     def test_contaminated_negative_is_reducible(self):
         # f_n = 0.3 f_p + 0.7 h: the ratio f_n/f_p >= 0.3 everywhere on support
         rng = Rng(10)
-        f_p = oc.random_dirichlet(6, rng)
-        h = oc.random_dirichlet(6, rng)
+        f_p, h = (g / g.sum() for g in _exponentials(_take(rng, 12)).reshape(2, 6))
         f_n = 0.3 * f_p + 0.7 * h
         d = oc.DiscreteJoint.from_conditionals(f_p, f_n, 0.4)
         assert not oc.check_irreducibility(d, tol=1e-9)
@@ -255,7 +272,7 @@ class TestIrreducibility:
         tol = 1e-9
         seen = {True: 0, False: 0}
         for _ in range(400):
-            d = oc.random_instance(rng, k_max=32, anchor=rng.uniform() < 0.5)
+            d = oc.random_instances([rng], 32, rng.uniform() < 0.5)[0]
             via_ratio = oc.check_irreducibility(d, tol)
             thr = oc.posterior_threshold(d.pi_p, tol)
             via_posterior = bool(np.max(oc.bayes_posterior(d)) >= thr)
@@ -268,7 +285,7 @@ class TestL2Identity:
     def test_posterior_value(self):
         rng = Rng(12)
         for _ in range(100):
-            d = oc.random_instance(rng, k_max=16)
+            d = oc.random_instances([rng], 16)[0]
             support = d.f > 0
             want = -float(np.sum(d.f_p[support] ** 2 / d.f[support]))
             assert oc.exact_l2(d, oc.bayes_posterior(d)) == pytest.approx(want, abs=1e-12)
@@ -277,15 +294,15 @@ class TestL2Identity:
         rng = Rng(13)
         worst = 0.0
         for _ in range(300):
-            d = oc.random_instance(rng, k_max=32)
-            worst = max(worst, oc.l2_identity_residual(d, oc.random_phi(d.k, rng)))
+            d = oc.random_instances([rng], 32)[0]
+            worst = max(worst, oc.l2_identity_residual(d, oc._phis([d.k], [rng])[0]))
         assert worst <= 1e-10
 
     def test_gap_nonnegative(self):
         rng = Rng(14)
         for _ in range(200):
-            d = oc.random_instance(rng, k_max=16)
-            gap = oc.exact_l2(d, oc.random_phi(d.k, rng)) - oc.exact_l2(d, oc.bayes_posterior(d))
+            d = oc.random_instances([rng], 16)[0]
+            gap = oc.exact_l2(d, oc._phis([d.k], [rng])[0]) - oc.exact_l2(d, oc.bayes_posterior(d))
             assert gap >= -1e-12
 
 
@@ -296,7 +313,7 @@ class TestUniqueness:
     def test_scaled_posterior_recovers(self):
         rng = Rng(15)
         for _ in range(200):
-            d = oc.random_instance(rng, k_max=16, anchor=True)
+            d = oc.random_instances([rng], 16, True)[0]
             c = 0.05 + 0.95 * rng.uniform()
             phi = c * oc.bayes_posterior(d)
             f_phi = oc.induced_positive_density(d, phi)
@@ -306,7 +323,7 @@ class TestUniqueness:
     def test_deliberate_deviation_detected(self):
         rng = Rng(16)
         for _ in range(200):
-            d = oc.random_instance(rng, k_max=16, anchor=True)
+            d = oc.random_instances([rng], 16, True)[0]
             phi = oc.bayes_posterior(d).copy()
             bump = int(np.argmax(d.f))  # perturb where the marginal has mass
             phi[bump] = min(1.0, phi[bump] + 0.2) if phi[bump] < 0.9 else phi[bump] - 0.2
@@ -321,7 +338,7 @@ class TestExactRisks:
         # estimated risk to ~0, below the risk at the true prior
         rng = Rng(17)
         for _ in range(100):
-            d = oc.random_instance(rng, k_max=16)
+            d = oc.random_instances([rng], 16)[0]
             scores = np.full(d.k, 10.0)
             at_one, _ = oc.exact_pu_risks(scores, d, pi_p=1.0 - 1e-12)
             at_true, _ = oc.exact_pu_risks(scores, d, pi_p=d.pi_p)
@@ -329,7 +346,7 @@ class TestExactRisks:
 
     def test_constant_zero_scorer(self):
         rng = Rng(18)
-        d = oc.random_instance(rng, k_max=8)
+        d = oc.random_instances([rng], 8)[0]
         upu, nnpu = oc.exact_pu_risks(np.zeros(d.k), d, 0.5)
         assert upu == pytest.approx(0.5, abs=1e-12)
         assert nnpu == pytest.approx(0.5, abs=1e-12)
@@ -392,16 +409,22 @@ class TestSuites:
 
     def test_batch_of_instances_is_drawn_one_stream_at_a_time(self):
         anchors = [False, True, True, False, True]
-        together = oc.random_instances([Rng(30 + i) for i in range(5)], 12, anchors)
-        for i, d in enumerate(together):
-            alone = oc.random_instance(Rng(30 + i), 12, anchors[i])
+        streams = [Rng(30 + i) for i in range(5)]
+        together = oc.random_instances(streams, 12, anchors)
+        for i, (d, rng) in enumerate(zip(together, streams)):
+            # one output each for k, the 2k exponentials, pi_p and, when
+            # anchored, the planted point (no randbelow draw rejects here)
+            assert rng.counter == 2 + 2 * d.k + anchors[i]
+            single = Rng(30 + i)
+            alone = oc.random_instances([single], 12, anchors[i])[0]
+            assert single.counter == rng.counter
             assert np.array_equal(bits(d.f), bits(alone.f)) and d.pi_p == alone.pi_p
             assert np.array_equal(bits(d.f_p), bits(alone.f_p))
             assert (d.f_n == 0.0).any() == anchors[i]
         assert oc.random_instances([], 12) == []
         for k_max in (1, 0):
             with pytest.raises(ValueError):
-                oc.random_instance(Rng(0), k_max=k_max)
+                oc.random_instances([Rng(0)], k_max)
 
     def test_instances_are_dirichlet(self):
         # with k_max = 3, k is 2 or 3, and f_p[0] and f_n[0] of an unanchored
@@ -413,13 +436,6 @@ class TestSuites:
             assert len(same_k) > 9000
             for first in ([d.f_p[0] for d in same_k], [d.f_n[0] for d in same_k]):
                 assert stats.kstest(first, stats.beta(1, k - 1).cdf).pvalue > 0.001, k
-
-    def test_dirichlet_takes_one_output_per_entry(self):
-        rng = Rng(9)
-        for k in (1, 2, 5, 64):
-            h = oc.random_dirichlet(k, rng)
-            assert h.shape == (k,) and (h > 0).all() and abs(h.sum() - 1.0) < 1e-12
-        assert rng.counter == 72  # one output per entry
 
     @pytest.mark.parametrize("suite", oc.ALL_SUITES, ids=lambda s: s.__name__)
     def test_chunks_do_not_change_the_result(self, suite, monkeypatch):

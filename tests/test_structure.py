@@ -3,11 +3,14 @@
 The modules form a DAG, and `vpu.autodiff` (the tape) depends on no other
 `vpu` module.  No module draws randomness from anywhere but `vpu.sampling`'s
 generator: none imports `random` or uses `numpy.random`.  Nothing is left
-over: a module uses every name it imports, and every `_`-prefixed
-module-level name is referenced somewhere in the package.
+over: a module uses every name it imports, every `_`-prefixed
+module-level name is referenced somewhere in the package, and so is every
+public function, class and method, so that `src/` holds no code that only
+the tests run.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -191,3 +194,65 @@ def test_leftovers_are_found(tmp_path):
                                    "class _Unused:\n    pass\n\ng = _used\n")
     (tmp_path / "c.py").write_text("from . import b\n\nb._by_attribute()\n")
     assert leftovers(tmp_path) == ["a:math", "a:h", "a:_UNREAD", "a:_A", "b:_Unused"]
+
+
+# The verification oracles: the tests check the program against them, and no
+# command runs them.
+ORACLES = ("autodiff.gradient", "autodiff.finite_diff_gradient", "oracle.exact_pu_risks")
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is referenced under `node`: as a Name, as an
+    Attribute, or as an imported name."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in n.names)
+    return found
+
+
+def unreferenced(src: Path = SRC, allowed=ORACLES) -> list[str]:
+    """`module.name` (or `module.Class.method`) of each public module-level
+    function and class, and each public method of a module-level class, that
+    nothing in `src` references outside its own definition; names in
+    `allowed` aside."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            members = [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{module}.{node.name}.{m.name}", m)
+                            for m in node.body if isinstance(m, defs)]
+            for full, member in members:
+                if (not member.name.startswith("_") and full not in allowed
+                        and everywhere[member.name] == _references(member)[member.name]):
+                    found.append(full)
+    return found
+
+
+def test_no_test_only_code():
+    assert unreferenced() == []
+
+
+def test_unreferenced_code_is_found(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import used\n\n"
+                                   "def planted(n):\n    return planted(n - 1) if n else used\n\n"
+                                   "def oracle():\n    pass\n\n"
+                                   "class Box:\n    def put(self):\n        return self.take()\n\n"
+                                   "    def take(self):\n        pass\n\n"
+                                   "    def _hidden(self):\n        pass\n")
+    (tmp_path / "b.py").write_text("def used():\n    pass\n\n"
+                                   "def by_attribute():\n    pass\n\n"
+                                   "def _private():\n    pass\n\nx = Box()\n"
+                                   "y = a.by_attribute\n")
+    assert unreferenced(tmp_path, ("a.oracle",)) == ["a.planted", "a.Box.put"]

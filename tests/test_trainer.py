@@ -248,7 +248,7 @@ class TestPriorSweepPathology:
 
         rng = Rng(21)
         for _ in range(50):
-            d = oc.random_instance(rng, k_max=12)
+            d = oc.random_instances([rng], 12)[0]
             scores = np.full(d.k, 12.0)
             near_one, _ = oc.exact_pu_risks(scores, d, pi_p=1.0 - 1e-9)
             at_true, _ = oc.exact_pu_risks(scores, d, pi_p=d.pi_p)
