@@ -296,44 +296,33 @@ def write_csv(data: PuDataset, path: str) -> None:
             _write_rows(fh, f"T,{fields},%+d\n", data.test_x, data.test_y)
 
 
-def _check_row(path: str, lineno: int, row: list[str], dim: int, has_label: bool) -> None:
-    """Raise the first error of one nonblank data row, if it has one."""
-    tag = row[0]
-    if tag not in _SET_TAGS:
-        raise ValueError(f"{path}:{lineno}: unknown set tag {tag!r}")
-    expected = 1 + dim + (1 if has_label else 0)
-    if len(row) != expected:
-        raise ValueError(f"{path}:{lineno}: expected {expected} fields, got {len(row)}")
-    try:
-        for v in row[1:dim + 1]:
-            float(v)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: bad number ({exc})") from None
-    if tag == "T":
-        if not has_label or row[-1] == "":
-            raise ValueError(f"{path}:{lineno}: test row without label")
-        # a label that is no number raises float's own error
-        if float(row[-1]) not in (1.0, -1.0):
-            raise ValueError(f"{path}:{lineno}: test label {row[-1]!r} is not +1 or -1")
-
-
 def _parse_rows(rows: list[list[str]], dim: int, has_label: bool,
                 pools: dict[str, list], labels: list[int]) -> None:
     """Append the features of the nonblank `rows` to their pools, a column
-    at a time, and the labels of their T rows to `labels`.  Raises
-    ValueError if any row is bad, without naming it."""
+    at a time, and the labels of their T rows to `labels`.
+
+    The rules run over all rows at once, in this order: a known set tag,
+    the field count, numeric features, a label on every T row, and T labels
+    of +1 or -1.  The first rule that fails raises ValueError with the error
+    of a row that breaks it; for one row, that is the row's first error.
+    """
     rows = [row for row in rows if row]
     if not rows:
         return
-    expected = 1 + dim + (1 if has_label else 0)
-    if set(map(len, rows)) != {expected}:
-        raise ValueError("wrong field count")
     columns = list(zip(*rows))
     if not set(columns[0]) <= set(_SET_TAGS):
-        raise ValueError("unknown set tag")
+        tag = next(t for t in columns[0] if t not in _SET_TAGS)
+        raise ValueError(f"unknown set tag {tag!r}")
+    expected = 1 + dim + (1 if has_label else 0)
+    if set(map(len, rows)) != {expected}:
+        got = next(n for n in map(len, rows) if n != expected)
+        raise ValueError(f"expected {expected} fields, got {got}")
     tags = np.array(columns[0], dtype=object)
-    x = np.column_stack([np.fromiter(map(float, col), np.float64, len(rows))
-                         for col in columns[1:dim + 1]])
+    try:
+        x = np.column_stack([np.fromiter(map(float, col), np.float64, len(rows))
+                             for col in columns[1:dim + 1]])
+    except ValueError as exc:
+        raise ValueError(f"bad number ({exc})") from None
     for tag in _SET_TAGS:
         mask = tags == tag
         if mask.any():
@@ -341,10 +330,22 @@ def _parse_rows(rows: list[list[str]], dim: int, has_label: bool,
     test_labels = list(compress(columns[-1], (tags == "T").tolist()))
     if test_labels and (not has_label or "" in test_labels):
         raise ValueError("test row without label")
-    values = list(map(float, test_labels))
+    try:
+        values = list(map(float, test_labels))
+    except ValueError:  # a label that is no number
+        values = list(map(_number_or_nan, test_labels))
     if not set(values) <= {1.0, -1.0}:
-        raise ValueError("test label not +1 or -1")
+        label = next(t for t, v in zip(test_labels, values) if v not in (1.0, -1.0))
+        raise ValueError(f"test label {label!r} is not +1 or -1")
     labels.extend(map(int, values))
+
+
+def _number_or_nan(text: str) -> float:
+    """`float(text)`, or NaN where `text` is no number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def load_csv(path: str) -> PuDataset:
@@ -367,14 +368,12 @@ def load_csv(path: str) -> PuDataset:
             except ValueError:
                 # name the first bad row, with the error a row-by-row read gives
                 for lineno, row in enumerate(rows, start=first_line):
-                    if row:
-                        _check_row(path, lineno, row, dim, has_label)
+                    try:
+                        _parse_rows([row], dim, has_label, pools, labels)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
                 raise
             first_line += len(rows)
-    if not pools["P"]:
-        raise ValueError(f"{path}: positive set empty")
-    if not pools["U"]:
-        raise ValueError(f"{path}: unlabeled set empty")
 
     def arr(tag):
         return np.concatenate(pools[tag]) if pools[tag] else None

@@ -97,7 +97,7 @@ def report(model: ClassifierModel, test_x, test_y) -> MetricsReport:
     tn = int(np.sum((preds == -1) & (y == -1)))
     fn = int(np.sum((preds == -1) & (y == 1)))
     return MetricsReport(
-        accuracy=(tp + tn) / y.size,
+        accuracy=accuracy_from_scores(scores, y),
         auc=auc_from_scores(scores, y),
         n_test=int(y.size),
         tp=tp, fp=fp, tn=tn, fn=fn,

@@ -214,14 +214,15 @@ def load_model(path: str) -> ClassifierModel:
     header = lines[0].split()
     if len(header) != 6 or header[0] != "vpu-model" or header[1] != "v1":
         raise ValueError(f"{path}: not a vpu-model v1 file")
-    arch = MlpArchitecture(
-        input_dim=int(header[2]),
-        hidden_widths=tuple(int(w) for w in header[3].split(",")),
-        activation=header[4],
-    )
-    scale = float(header[5])
-    values = np.array([float(w) for w in lines[1:]], dtype=np.float64)
+    values = np.empty(len(lines) - 1)
+    for lineno, text in enumerate(lines[1:], start=2):
+        try:
+            values[lineno - 2] = float(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     try:
-        return ClassifierModel(arch=arch, params=values, normalization_scale=scale)
+        arch = MlpArchitecture(input_dim=int(header[2]), activation=header[4],
+                               hidden_widths=tuple(int(w) for w in header[3].split(",")))
+        return ClassifierModel(arch=arch, params=values, normalization_scale=float(header[5]))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

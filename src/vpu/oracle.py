@@ -22,63 +22,38 @@ from .sampling import (Rng, _exponentials, _randbelow_lockstep, _split, _take_lo
 
 @dataclass(frozen=True)
 class DiscreteJoint:
-    """Finite-support joint: marginal f, positive-class conditional f_p,
-    class prior pi_p, and the induced negative conditional f_n.
+    """Finite-support joint from its class conditionals f_p and f_n and the
+    class prior pi_p; the marginal f = pi_p * f_p + (1 - pi_p) * f_n is
+    derived, divided by its sum.
 
-    Invariant: f = pi_p * f_p + (1 - pi_p) * f_n with f_n >= 0 entrywise,
-    and all three are finite and sum to 1 within 1e-12.
+    f_p and f_n are 1-D with equal length, finite, nonnegative and sum to 1
+    within 1e-12, and 0 < pi_p < 1.
     """
 
-    f: np.ndarray
     f_p: np.ndarray
+    f_n: np.ndarray
     pi_p: float
-    f_n: np.ndarray = field(default=None)  # derived when omitted
+    f: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=np.float64)
         f_p = np.asarray(self.f_p, dtype=np.float64)
-        if f.shape != f_p.shape or f.ndim != 1:
-            raise ValueError("f and f_p must be 1-D with equal length")
+        f_n = np.asarray(self.f_n, dtype=np.float64)
+        if f_p.shape != f_n.shape or f_p.ndim != 1:
+            raise ValueError("f_p and f_n must be 1-D with equal length")
         if not 0.0 < self.pi_p < 1.0:
             raise ValueError("pi_p must be in (0, 1)")
-        f_n = None if self.f_n is None else np.asarray(self.f_n, dtype=np.float64)
-        if f_n is not None and f_n.shape != f.shape:
-            raise ValueError("f_n must have the length of f")
-        # NaN fails every comparison below, so each vector is checked here;
-        # f_p and a given f_n first, since `from_conditionals` derives f from them
-        for name, vec in (("f_p", f_p), ("f_n", f_n), ("f", f)):
-            if vec is not None and not np.isfinite(vec).all():
+        for name, vec in (("f_p", f_p), ("f_n", f_n)):
+            if not np.isfinite(vec).all():  # NaN fails every comparison below
                 raise ValueError(f"{name} must be finite")
-        if f_n is None:
-            f_n = (f - self.pi_p * f_p) / (1.0 - self.pi_p)
-            lowest = f_n.min()
-            if lowest < -1e-12:
-                raise ValueError("marginal is not a valid mixture: f_n has "
-                                 f"negative mass {lowest:.3e}")
-            f_n = np.maximum(f_n, 0.0)
-        elif f_n.min() < 0:
-            raise ValueError("f_n must be nonnegative")
-        for name, vec in (("f", f), ("f_p", f_p), ("f_n", f_n)):
-            if name != "f_n" and vec.min() < 0:  # f_n's sign is checked above
+            if vec.min() < 0:
                 raise ValueError(f"{name} must be nonnegative")
             off = vec.sum() - 1.0
             if abs(off) > 1e-12:
                 raise ValueError(f"{name} must sum to 1 (off by {off:.3e})")
-        gap = np.abs(self.pi_p * f_p + (1.0 - self.pi_p) * f_n - f).max()
-        if gap > 1e-12:
-            raise ValueError(f"f_n does not match f: the mixture is off by {gap:.3e}")
-        object.__setattr__(self, "f", f)
+        f = self.pi_p * f_p + (1.0 - self.pi_p) * f_n
+        object.__setattr__(self, "f", f / f.sum())
         object.__setattr__(self, "f_p", f_p)
         object.__setattr__(self, "f_n", f_n)
-
-    @classmethod
-    def from_conditionals(cls, f_p, f_n, pi_p: float) -> "DiscreteJoint":
-        f_p = np.asarray(f_p, dtype=np.float64)
-        f_n = np.asarray(f_n, dtype=np.float64)
-        with np.errstate(invalid="ignore"):  # __post_init__ names a non-finite f_p or f_n
-            f = pi_p * f_p + (1.0 - pi_p) * f_n
-            f = f / f.sum()
-        return cls(f=f, f_p=f_p, pi_p=pi_p, f_n=f_n)
 
     @property
     def k(self) -> int:
@@ -231,8 +206,7 @@ def exact_pu_risks(scores, d: DiscreteJoint, pi_p: float) -> tuple[float, float]
 
 
 def random_instances(rngs, k_max: int = 32, anchor=False) -> list[DiscreteJoint]:
-    """A valid random joint for each stream in `rngs`, built from
-    conditionals so the mixture identity holds exactly.  With `anchor` (one
+    """A valid random joint for each stream in `rngs`.  With `anchor` (one
     flag for all or one per stream), one point gets f_n = 0 (and f_p > 0),
     which plants an almost-surely-positive region.
 
@@ -260,7 +234,7 @@ def random_instances(rngs, k_max: int = 32, anchor=False) -> list[DiscreteJoint]
             # f_n keeps positive mass and f_p[i] > 0
             f_n[next(points)] = 0.0
             f_n = f_n / f_n.sum()
-        instances.append(DiscreteJoint.from_conditionals(f_p, f_n, pi_p))
+        instances.append(DiscreteJoint(f_p, f_n, pi_p))
     return instances
 
 

@@ -340,6 +340,30 @@ class TestEval:
         assert captured.out == ""
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("line, text, where", [
+        (7, "abc", ":8: could not convert string to float: 'abc'"),
+        (None, "", ":{end}: could not convert string to float: ''"),
+        (0, "vpu-model v1 x 8,8 relu 1", ": invalid literal for int() with base 10: 'x'"),
+        (0, "vpu-model v1 2 8,y relu 1", ": invalid literal for int() with base 10: 'y'"),
+    ])
+    def test_bad_model_field_names_file_and_line(self, tmp_path, capsys, line, text, where):
+        dataset = make_dataset(tmp_path)
+        path = tmp_path / "model.txt"
+        md.save_model(md.init(md.MlpArchitecture(2, (8, 8)), seed=0), str(path))
+        lines = path.read_text().splitlines()
+        if line is None:  # a trailing blank line
+            lines.append(text)
+        else:
+            lines[line] = text
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--model", str(path), "--data", str(dataset),
+                   "--out", str(tmp_path / "e")) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}{where.format(end=len(lines))}\n" == captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("command", ["eval", "train"])
     def test_non_integral_label_is_usage_error(self, tmp_path, capsys, command):
         # a label of 1.5 used to load as +1

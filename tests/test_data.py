@@ -411,8 +411,26 @@ class TestCsvErrorLines:
     def test_late_label_parse_error_is_its_own(self, tmp_path, long_csv):
         lines = list(long_csv)
         lines[8000] = "T,1.0,2.0,one\n"
-        message, _ = self.load(tmp_path, lines)
-        assert message == "could not convert string to float: 'one'"
+        message, path = self.load(tmp_path, lines)
+        assert message == f"{path}:8001: test label 'one' is not +1 or -1"
+
+    @pytest.mark.parametrize("row, error", [
+        ("Q,x\n", "unknown set tag 'Q'"),
+        ("T,x\n", "expected 4 fields, got 2"),
+        ("T,x,2.0,\n", "bad number (could not convert string to float: 'x')"),
+        ("T,1.0,2.0,\n", "test row without label"),
+        ("T,1.0,2.0,one\n", "test label 'one' is not +1 or -1"),
+        ("T,1.0,2.0,1.5\n", "test label '1.5' is not +1 or -1"),
+    ])
+    def test_a_rule_gives_one_message_anywhere(self, tmp_path, long_csv, row, error):
+        # each row breaks the rule named, and only rules after it: a chunk
+        # of rows and a single row are checked in the same order
+        lines = list(long_csv)
+        lines[3000] = row
+        message, path = self.load(tmp_path, lines)
+        assert message == f"{path}:3001: {error}"
+        message, path = self.load(tmp_path, [long_csv[0], row])
+        assert message == f"{path}:2: {error}"
 
     def test_non_integral_label_on_late_test_row(self, tmp_path, long_csv):
         lines = list(long_csv)

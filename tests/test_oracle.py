@@ -13,94 +13,68 @@ from reference import bits
 
 @pytest.fixture
 def two_point():
-    # f = (0.5, 0.5), f_p = (1, 0), pi = 0.5 -> f_n = (0, 1), separable
-    return oc.DiscreteJoint(f=np.array([0.5, 0.5]), f_p=np.array([1.0, 0.0]), pi_p=0.5)
+    # f_p = (1, 0), f_n = (0, 1), pi = 0.5 -> f = (0.5, 0.5), separable
+    return oc.DiscreteJoint(f_p=(1.0, 0.0), f_n=(0.0, 1.0), pi_p=0.5)
 
 
 class TestDiscreteJoint:
-    def test_mixture_identity_enforced(self):
-        with pytest.raises(ValueError, match="mixture"):
-            oc.DiscreteJoint(f=np.array([0.2, 0.8]), f_p=np.array([1.0, 0.0]), pi_p=0.5)
-
     def test_distributions_must_normalize(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            oc.DiscreteJoint(f=np.array([0.5, 0.4]), f_p=np.array([0.9, 0.0]), pi_p=0.5)
+            oc.DiscreteJoint(f_p=np.array([0.9, 0.0]), f_n=np.array([0.0, 1.0]), pi_p=0.5)
 
-    def test_derived_negative_conditional(self, two_point):
-        np.testing.assert_allclose(two_point.f_n, [0.0, 1.0])
+    def test_derived_marginal(self, two_point):
+        assert two_point.f.tolist() == [0.5, 0.5]
+        assert two_point.f_n.tolist() == [0.0, 1.0]
 
-    @pytest.mark.parametrize("name", ["f", "f_p", "f_n"])
+    @pytest.mark.parametrize("name", ["f_p", "f_n"])
     def test_one_negative_entry(self, name):
-        # f_n is given so that each vector's sign is checked on its own
-        good = {"f": [0.5, 0.5], "f_p": [1.0, 0.0], "f_n": [0.0, 1.0]}
-        vecs = {k: np.array(v) for k, v in good.items()}
+        vecs = {"f_p": np.array([1.0, 0.0]), "f_n": np.array([0.0, 1.0])}
         vecs[name] = np.array([1.0 + 1e-300, -1e-300])  # sums to 1, one entry below 0
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
             oc.DiscreteJoint(pi_p=0.5, **vecs)
-        # -0.0 passes the sign check; (1, 0) for each vector is a valid mixture
-        vecs = {k: np.array([1.0, 0.0]) for k in good}
+        # -0.0 passes the sign check
         vecs[name] = np.array([1.0, -0.0])
         assert oc.DiscreteJoint(pi_p=0.5, **vecs).k == 2
 
-    def test_given_negative_conditional_must_match(self):
-        # f_n = (1, 0) with f_p = (1, 0) mixes to (1, 0), not to f
-        with pytest.raises(ValueError, match=r"^f_n does not match f: the mixture is off "
-                                             r"by 5\.000e-01$"):
-            oc.DiscreteJoint(f=[0.5, 0.5], f_p=[1.0, 0.0], f_n=[1.0, 0.0], pi_p=0.5)
-        with pytest.raises(ValueError, match="^f_n must have the length of f$"):
-            oc.DiscreteJoint(f=[0.5, 0.5], f_p=[1.0, 0.0], f_n=[0.0, 0.5, 0.5], pi_p=0.5)
-        for off, ok in ((0.5e-12, True), (3e-12, False)):
-            # the mixture is off by (1 - pi_p) * off = off / 2 at each point
-            f_n = np.array([off, 1.0 - off])
-            if ok:
-                assert oc.DiscreteJoint(f=[0.5, 0.5], f_p=[1.0, 0.0], f_n=f_n, pi_p=0.5).k == 2
-            else:
-                with pytest.raises(ValueError, match="^f_n does not match f"):
-                    oc.DiscreteJoint(f=[0.5, 0.5], f_p=[1.0, 0.0], f_n=f_n, pi_p=0.5)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["f", "f_p", "f_n"])
+    @pytest.mark.parametrize("name", ["f_p", "f_n"])
     def test_non_finite_entry(self, name, bad):
-        # NaN fails every comparison, so the sign, mixture and sum checks
-        # alone let it pass
-        good = {"f": [0.5, 0.5], "f_p": [1.0, 0.0], "f_n": [0.0, 1.0]}
-        vecs = {k: np.array(v) for k, v in good.items()}
+        # NaN fails every comparison, so the sign and sum checks alone let
+        # it pass
+        vecs = {"f_p": np.array([1.0, 0.0]), "f_n": np.array([0.0, 1.0])}
         vecs[name] = np.array([bad, 1.0])
-        message = f"^{name} must be finite$"
-        with pytest.raises(ValueError, match=message):
-            oc.DiscreteJoint(pi_p=0.5, **vecs)
-        if name != "f_n":  # f_n derived
-            with pytest.raises(ValueError, match=message):
-                oc.DiscreteJoint(f=vecs["f"], f_p=vecs["f_p"], pi_p=0.5)
-        if name != "f":  # f derived
-            with pytest.raises(ValueError, match=message):
-                oc.DiscreteJoint.from_conditionals(vecs["f_p"], vecs["f_n"], 0.3)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            oc.DiscreteJoint(pi_p=0.3, **vecs)
 
     def test_sum_tolerance(self):
-        for off, ok in ((2e-12, False), (5e-13, True)):
-            f = np.array([0.5, 0.5 + off])
-            if ok:
-                assert oc.DiscreteJoint(f=f, f_p=f, pi_p=0.5, f_n=f).k == 2
-            else:
-                with pytest.raises(ValueError, match=r"^f must sum to 1 \(off by 2\.000e-12\)$"):
-                    oc.DiscreteJoint(f=f, f_p=f, pi_p=0.5, f_n=f)
+        for name in ("f_p", "f_n"):
+            for off, ok in ((2e-12, False), (5e-13, True)):
+                vecs = {"f_p": np.array([0.5, 0.5]), "f_n": np.array([0.5, 0.5])}
+                vecs[name] = np.array([0.5, 0.5 + off])
+                if ok:
+                    assert oc.DiscreteJoint(pi_p=0.5, **vecs).k == 2
+                else:
+                    with pytest.raises(ValueError, match=rf"^{name} must sum to 1 "
+                                                         r"\(off by 2\.000e-12\)$"):
+                        oc.DiscreteJoint(pi_p=0.5, **vecs)
 
-    def test_derived_negative_slack(self):
-        # f_n = (f - f_p/2) * 2 is about -2 * shift at the first point:
-        # within the 1e-12 slack it is clamped to 0, beyond it the mixture
-        # fails
-        f_p = np.array([1.0, 0.0])
-        for shift in (0.25e-12, 0.49e-12):
-            d = oc.DiscreteJoint(f=np.array([0.5 - shift, 0.5 + shift]), f_p=f_p, pi_p=0.5)
-            assert d.f_n[0] == 0.0 and d.f_n.min() == 0.0
-        with pytest.raises(ValueError, match="^marginal is not a valid mixture: f_n has "
-                                             "negative mass -1.020e-12$"):
-            oc.DiscreteJoint(f=np.array([0.5 - 0.51e-12, 0.5 + 0.51e-12]), f_p=f_p, pi_p=0.5)
+    def test_shape_and_prior(self):
+        for f_p, f_n in (([1.0, 0.0], [0.0, 0.5, 0.5]), ([[1.0, 0.0]], [[0.0, 1.0]])):
+            with pytest.raises(ValueError, match="^f_p and f_n must be 1-D with equal length$"):
+                oc.DiscreteJoint(f_p, f_n, pi_p=0.5)
+        for pi_p in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match=r"^pi_p must be in \(0, 1\)$"):
+                oc.DiscreteJoint([1.0, 0.0], [0.0, 1.0], pi_p)
 
     def test_from_conditionals_exact(self):
-        d = oc.DiscreteJoint.from_conditionals(
-            f_p=np.array([0.7, 0.3, 0.0]), f_n=np.array([0.0, 0.5, 0.5]), pi_p=0.25)
-        np.testing.assert_allclose(d.f, 0.25 * d.f_p + 0.75 * d.f_n, atol=1e-15)
+        # the second mixture sums to 1 - 2^-53, so dividing by the sum moves bits
+        for f_p, f_n, pi_p in (((0.7, 0.3, 0.0), (0.0, 0.5, 0.5), 0.25),
+                               ((0.1, 0.2, 0.7), (0.6, 0.3, 0.1), 0.35)):
+            f_p, f_n = np.array(f_p), np.array(f_n)
+            d = oc.DiscreteJoint(f_p, f_n, pi_p)
+            mixture = pi_p * f_p + (1.0 - pi_p) * f_n
+            assert bits(d.f).tolist() == bits(mixture / mixture.sum()).tolist()
+            np.testing.assert_allclose(d.f, mixture, atol=1e-15)
 
 
 class TestBayesPosterior:
@@ -109,7 +83,7 @@ class TestBayesPosterior:
 
     def test_no_signal_is_prior(self):
         f_p = np.array([0.3, 0.7])
-        d = oc.DiscreteJoint.from_conditionals(f_p, f_p, pi_p=0.4)
+        d = oc.DiscreteJoint(f_p, f_p, pi_p=0.4)
         np.testing.assert_allclose(oc.bayes_posterior(d), [0.4, 0.4], atol=1e-15)
 
     def test_bounded_in_unit_interval(self):
@@ -255,8 +229,7 @@ class TestBiasBound:
 
 class TestIrreducibility:
     def test_disjoint_supports(self):
-        d = oc.DiscreteJoint.from_conditionals(
-            np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
+        d = oc.DiscreteJoint(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
         assert oc.check_irreducibility(d)
 
     def test_contaminated_negative_is_reducible(self):
@@ -264,7 +237,7 @@ class TestIrreducibility:
         rng = Rng(10)
         f_p, h = (g / g.sum() for g in _exponentials(_take(rng, 12)).reshape(2, 6))
         f_n = 0.3 * f_p + 0.7 * h
-        d = oc.DiscreteJoint.from_conditionals(f_p, f_n, 0.4)
+        d = oc.DiscreteJoint(f_p, f_n, 0.4)
         assert not oc.check_irreducibility(d, tol=1e-9)
 
     def test_equivalence_with_posterior_criterion(self):

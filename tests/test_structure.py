@@ -6,7 +6,8 @@ generator: none imports `random` or uses `numpy.random`.  Nothing is left
 over: a module uses every name it imports, every `_`-prefixed
 module-level name is referenced somewhere in the package, and so is every
 public function, class and method, so that `src/` holds no code that only
-the tests run.
+the tests run.  Every span name the benchmark reads names a function or
+method in the package.
 """
 
 import ast
@@ -256,3 +257,74 @@ def test_unreferenced_code_is_found(tmp_path):
                                    "def _private():\n    pass\n\nx = Box()\n"
                                    "y = a.by_attribute\n")
     assert unreferenced(tmp_path, ("a.oracle",)) == ["a.planted", "a.Box.put"]
+
+
+BENCH = SRC.parent.parent / "bench"
+
+
+def bench_span_names(bench: Path = BENCH) -> set[str]:
+    """The span names the benchmark reads, from the source of `run.py` and
+    `tracing.py`: each string passed to `inc.get` or `work.get`,
+    `oracle.suite_<s>` for each entry of `SUITES`, the keys of `MEASURES`,
+    `STEP`, and each string that `tracing.py` compares with `==`."""
+    names = set()
+    for file in ("run.py", "tracing.py"):
+        tree = ast.parse((bench / file).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("inc", "work")
+                    and isinstance(node.args[0], ast.Constant)):
+                names.add(node.args[0].value)
+            elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                target, value = node.targets[0].id, node.value
+                if target == "SUITES":
+                    names.update(f"oracle.suite_{s}" for s in ast.literal_eval(value))
+                elif target == "MEASURES":
+                    names.update(key.value for key in value.keys)
+                elif target == "STEP":
+                    names.add(value.value)
+            elif file == "tracing.py" and isinstance(node, ast.Compare):
+                names.update(c.value for c in [node.left, *node.comparators]
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                             and isinstance(node.ops[0], ast.Eq))
+    return names
+
+
+def unresolved(names, src: Path = SRC) -> list[str]:
+    """The names, sorted, that are not `module.function` or
+    `module.Class.method` of a function defined in `src`."""
+    defined = set()
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                defined.update(f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                               if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return sorted(set(names) - defined)
+
+
+def test_bench_spans_resolve():
+    names = bench_span_names()
+    assert {"data.load_csv", "trainer.train", "autodiff.value_and_gradient",
+            "model.ClassifierModel.logits", "oracle.suite_l2_identity"} <= names
+    assert unresolved(names) == []
+
+
+def test_unresolved_spans_are_found(tmp_path):
+    (tmp_path / "run.py").write_text(
+        'SUITES = ("kl_identity", "gone")\n\n'
+        'def per_layer(inc, work, other):\n'
+        '    return (inc.get("data.load_csv"), work.get("data.load_cvs"),\n'
+        '            inc.get("metrics.Report.as_text"), other.get("not.read"))\n')
+    (tmp_path / "tracing.py").write_text(
+        'MEASURES = {"model.ClassifierModel.logits": None, "model.Missing.logits": None}\n'
+        'STEP = "autodiff.step"\n\n'
+        'def f(name):\n'
+        '    return name == "trainer.training" or name != "not.compared"\n')
+    names = bench_span_names(tmp_path)
+    assert unresolved(names) == [
+        "autodiff.step", "data.load_cvs", "metrics.Report.as_text",
+        "model.Missing.logits", "oracle.suite_gone", "trainer.training"]
+    assert {"data.load_csv", "model.ClassifierModel.logits", "oracle.suite_kl_identity"} <= names
