@@ -311,6 +311,9 @@ def cmd_eval(cfg: Config) -> int:
     data = load_csv(cfg["data"])
     if data.test_x is None:
         raise ConfigError("dataset has no labeled test rows")
+    if model.arch.input_dim != data.dim:
+        raise ConfigError(f"model {cfg['model']} takes {model.arch.input_dim} features, "
+                          f"but dataset {cfg['data']} has {data.dim}")
     rep = mt.report(model, data.test_x, data.test_y)
     print(rep.as_text())
     if cfg["out"]:

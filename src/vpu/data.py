@@ -348,6 +348,25 @@ def _number_or_nan(text: str) -> float:
         return math.nan
 
 
+def _raise_first_bad_row(path: str, skip: int, dim: int, has_label: bool) -> None:
+    """Read the CSV at `path` again, past its first `skip` records, and
+    raise the error the first bad row gives on its own, named by the
+    physical line the row starts on (a quoted field may hold newlines)."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, skip):
+            pass
+        while True:
+            lineno = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                return
+            try:
+                _parse_rows([row], dim, has_label, {tag: [] for tag in _SET_TAGS}, [])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
 def load_csv(path: str) -> PuDataset:
     pools: dict[str, list] = {tag: [] for tag in _SET_TAGS}
     labels: list[int] = []
@@ -361,19 +380,14 @@ def load_csv(path: str) -> PuDataset:
         dim = len(header) - 1 - (1 if has_label else 0)
         if dim < 1 or header[0] != "set" or header[1:dim + 1] != [f"x{i}" for i in range(dim)]:
             raise ValueError(f"{path}: malformed header {header!r}")
-        first_line = 2
+        records = 1  # the header
         while rows := list(islice(reader, _CHUNK_ROWS)):
             try:
                 _parse_rows(rows, dim, has_label, pools, labels)
             except ValueError:
-                # name the first bad row, with the error a row-by-row read gives
-                for lineno, row in enumerate(rows, start=first_line):
-                    try:
-                        _parse_rows([row], dim, has_label, pools, labels)
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+                _raise_first_bad_row(path, records, dim, has_label)
                 raise
-            first_line += len(rows)
+            records += len(rows)
 
     def arr(tag):
         return np.concatenate(pools[tag]) if pools[tag] else None

@@ -75,6 +75,18 @@ def variational_loss_values(phi_p, phi_u) -> ad.Tensor:
     return ad.log(ad.mean(ad.as_tensor(phi_u))) - ad.mean(ad.log(ad.as_tensor(phi_p)))
 
 
+def variational_loss_value(phi_p, phi_u) -> np.ndarray:
+    """``variational_loss_values(phi_p, phi_u).value`` without the tape, for
+    evaluation that takes no gradient: each term reduces over the last axis
+    (leading axes broadcast), with the tape's bits, and NumericError names
+    the node where the tape would raise it."""
+    phi_u = ad._checked(np.asarray(phi_u, dtype=np.float64), "const")
+    mean_u = ad._checked(phi_u.mean(axis=-1), "mean")
+    phi_p = ad._checked(np.asarray(phi_p, dtype=np.float64), "const")
+    mean_log_p = np.log(np.maximum(phi_p, ad.LOG_FLOOR)).mean(axis=-1)
+    return np.log(np.maximum(mean_u, ad.LOG_FLOOR)) - mean_log_p
+
+
 def l2_variational_loss_values(phi_p, phi_u) -> ad.Tensor:
     """mean_u(phi^2)/mean_u(phi)^2 - 2 mean_p(phi)/mean_u(phi)."""
     phi_p, phi_u = ad.as_tensor(phi_p), ad.as_tensor(phi_u)

@@ -258,9 +258,10 @@ def _uniform_lockstep(rngs) -> np.ndarray:
     return _as_uniform(_take_lockstep(np.ones(len(rngs), dtype=np.intp), rngs))
 
 
-def _uniforms_lockstep(counts, rngs) -> list[np.ndarray]:
-    """``[_uniforms(rng, k) for k, rng in zip(counts, rngs)]``, bit for bit."""
-    return _split(_as_uniform(_take_lockstep(counts, rngs)), np.cumsum(counts))
+def _uniforms_lockstep(counts, rngs) -> np.ndarray:
+    """``[_uniforms(rng, k) for k, rng in zip(counts, rngs)]``, bit for bit,
+    concatenated."""
+    return _as_uniform(_take_lockstep(counts, rngs))
 
 
 def _randbelow_lockstep(bounds, rngs) -> np.ndarray:
@@ -279,11 +280,6 @@ def _randbelow_lockstep(bounds, rngs) -> np.ndarray:
     for i in np.flatnonzero(~accepted).tolist():
         out[i] = rngs[i].randbelow(int(bounds[i]))
     return out
-
-
-def _split(flat: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
-    """`flat` cut into the runs that end at `ends`, one per stream."""
-    return np.split(flat, ends[:-1]) if ends.size else []
 
 
 def sample_indices(n: int, size: int, rng: Rng) -> np.ndarray:

@@ -13,6 +13,7 @@ uniform at a time; the row-by-row samplers, `normals_loop`,
 scalar forms of the block code in `data`, `sampling`, `oracle` and
 `metrics`.  All must agree with
 the optimised code bit for bit, which `bits` and `same_state` compare.
+`one_instance` and `one_phi` draw one oracle trial from one stream.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from vpu import autodiff as ad
 from vpu import losses as ls
 from vpu import model as md
+from vpu import oracle as oc
 from vpu import sampling as sp
 
 
@@ -108,6 +110,18 @@ def sample_indices_loop(n: int, size: int, rng) -> np.ndarray:
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def one_instance(rng, k_max: int, anchor=False):
+    """The one joint `oracle.random_instances` draws from `rng` alone."""
+    [(_, d)] = oc.random_instances([rng], k_max, anchor)
+    return d[0]
+
+
+def one_phi(k: int, rng) -> np.ndarray:
+    """The phi of k points that a suite draws from `rng` after an instance."""
+    [(_, phi)] = oc._uniform_runs([k], [rng])
+    return phi[0]
 
 
 def mix64(z: int) -> int:

@@ -21,6 +21,8 @@ from vpu.cli import main as cli_main
 from vpu.data import generate, split_validation
 from vpu.sampling import Rng
 
+from reference import one_instance
+
 
 def report(number, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -198,7 +200,7 @@ def test_criterion_9_prior_sweep_pathology():
     rng = Rng(123)
     ok = True
     for _ in range(1000):
-        d = oc.random_instances([rng], 16)[0]
+        d = one_instance(rng, 16)
         scores = np.full(d.k, 10.0)
         at_one, _ = oc.exact_pu_risks(scores, d, pi_p=1.0)
         at_true, _ = oc.exact_pu_risks(scores, d, pi_p=d.pi_p)

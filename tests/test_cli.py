@@ -324,6 +324,19 @@ class TestEval:
         assert not (tmp_path / "e").exists()
 
 
+    def test_model_of_another_input_size_is_usage_error(self, tmp_path, capsys):
+        dataset = make_dataset(tmp_path)
+        path = tmp_path / "model.txt"
+        md.save_model(md.init(md.MlpArchitecture(3, (8,)), seed=0), str(path))
+        capsys.readouterr()
+        assert run("eval", "--model", str(path), "--data", str(dataset),
+                   "--out", str(tmp_path / "e")) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: model {path} takes 3 features, "
+                                f"but dataset {dataset} has 2\n")
+        assert captured.out == ""
+        assert not (tmp_path / "e").exists()
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_weight_is_usage_error(self, tmp_path, capsys, weight):
         dataset = make_dataset(tmp_path)
@@ -402,6 +415,35 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "FAILED kl_identity" in out
         assert "DiscreteJoint instance" in out
+
+    def test_nan_residual_is_the_worst_failure(self, capsys, monkeypatch):
+        # NaN fails every comparison: it must still count as a failure, and
+        # the first NaN trial must be the worst even after a larger finite
+        # residual
+        from vpu import oracle as oc
+        from vpu.sampling import Rng
+
+        from reference import one_instance
+
+        real = oc.kl_identity_residual
+
+        def broken(d, phi):  # NaN where pi_p < 0.5, a failure where pi_p >= 0.8
+            return np.where(d.pi_p < 0.5, np.nan, np.where(d.pi_p >= 0.8, 1e-3, real(d, phi)))
+
+        seed, pis = 3, []
+        for t in range(20):  # each trial's pi_p, drawn as suite_kl_identity does
+            rng = Rng(seed + t)
+            pis.append(float(one_instance(rng, 32, oc._coins([rng])[0]).pi_p))
+        first_nan = next(t for t, pi in enumerate(pis) if pi < 0.5)
+        assert any(pi >= 0.8 for pi in pis[:first_nan])
+        failures = sum(pi < 0.5 or pi >= 0.8 for pi in pis)
+        monkeypatch.setattr(oc, "kl_identity_residual", broken)
+        assert run("oracle-check", "--trials", "20", "--seed", str(seed)) == 1
+        out = capsys.readouterr().out
+        assert f"kl_identity                20  {failures:>8}             nan" in out
+        assert (f"FAILED kl_identity: worst trial {first_nan} "
+                f"(rerun with seed {seed + first_nan})") in out
+        assert out.count("FAILED") == 1
 
     def test_default_trial_count_is_fast(self, capsys):
         import time

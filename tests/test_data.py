@@ -408,6 +408,20 @@ class TestCsvErrorLines:
         message, path = self.load(tmp_path, lines)
         assert message == f"{path}:6001: bad number (could not convert string to float: 'x')"
 
+    def test_quoted_newline_counts_its_lines(self, tmp_path, long_csv):
+        # a quoted field may hold a newline: a row is named by the physical
+        # line it starts on, not by its record number
+        lines = ["set,x0,x1\n", 'P,"1.0\n', '",2.0\n', "U,0.0,0.0\n", "U,bad,0.0\n"]
+        message, path = self.load(tmp_path, lines)
+        assert message == f"{path}:5: bad number (could not convert string to float: 'bad')"
+        # in a later chunk than the quoted field
+        lines = list(long_csv)
+        fields = lines[1].split(",")
+        lines[1] = f'P,"{fields[1]}\n",{",".join(fields[2:])}'
+        lines[8000] = "T,1.0,x,+1\n"
+        message, path = self.load(tmp_path, lines)
+        assert message == f"{path}:8002: bad number (could not convert string to float: 'x')"
+
     def test_late_label_parse_error_is_its_own(self, tmp_path, long_csv):
         lines = list(long_csv)
         lines[8000] = "T,1.0,2.0,one\n"

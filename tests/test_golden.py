@@ -20,6 +20,7 @@ from vpu import model as md
 from vpu import oracle as oc
 from vpu.sampling import Rng
 
+from reference import one_instance, one_phi
 from test_cli import BIAS_QUICK
 
 SIZES = ["--m", "40", "--n", "120", "--n_test", "60", "--seed", "3"]
@@ -57,8 +58,8 @@ def test_oracle_random_draws():
     h = hashlib.sha256()
     for seed in range(20):
         rng = Rng(seed)
-        d = oc.random_instances([rng], 32, seed % 2 == 1)[0]
-        phi = oc._phis([d.k], [rng])[0]
+        d = one_instance(rng, 32, seed % 2 == 1)
+        phi = one_phi(d.k, rng)
         for arr in (d.f, d.f_p, d.f_n, [d.pi_p], phi):
             h.update(np.asarray(arr, dtype="<f8").tobytes())
     assert h.hexdigest() == ORACLE_DRAWS

@@ -79,6 +79,66 @@ class TestVariationalLoss:
         assert perm == pytest.approx(base, abs=1e-12)
 
 
+def tape_or_error(phi_p, phi_u):
+    """The tape's value of the loss, or the message of its NumericError."""
+    try:
+        return bits(ls.variational_loss_values(phi_p, phi_u).value).tolist()
+    except ad.NumericError as exc:
+        return str(exc)
+
+
+def value_or_error(phi_p, phi_u):
+    try:
+        return bits(ls.variational_loss_value(phi_p, phi_u)).tolist()
+    except ad.NumericError as exc:
+        return str(exc)
+
+
+class TestVariationalLossValue:
+    """The value form against the tape it stands in for."""
+
+    def test_tape_bits_on_random_pairs(self):
+        rng = np.random.default_rng(8)
+        floor_hits = 0
+        for _ in range(2000):
+            phi_p, phi_u = (rng.uniform(0.0, 1.0, size=rng.integers(1, 601)) for _ in range(2))
+            for phi in (phi_p, phi_u):
+                # some outputs at or below the log floor, exactly 0 among them
+                tiny = rng.random(phi.size) < 0.02
+                phi[tiny] = rng.choice([0.0, 1e-300, 1e-13, ad.LOG_FLOOR], tiny.sum())
+            floor_hits += int((phi_p <= ad.LOG_FLOOR).sum())
+            want = ls.variational_loss_values(phi_p, phi_u).value
+            assert bits(ls.variational_loss_value(phi_p, phi_u)) == bits(want)
+        assert floor_hits > 1000
+
+    def test_rows_of_a_stack_are_pairs_alone(self):
+        rng = np.random.default_rng(9)
+        phi_p, phi_u = rng.uniform(1e-3, 1.0, (3, 7, 13)), rng.uniform(1e-3, 1.0, (7, 29))
+        got = ls.variational_loss_value(phi_p, phi_u)
+        assert got.shape == (3, 7)
+        for c in range(3):
+            for i in range(7):
+                want = ls.variational_loss_values(phi_p[c, i], phi_u[i]).value
+                assert bits(got[c, i]) == bits(want)
+
+    @pytest.mark.parametrize("phi_p, phi_u, node", [
+        ([0.5, math.nan], [0.5], "const"),
+        ([0.5], [math.inf, 0.5], "const"),
+        ([-math.inf], [0.5], "const"),
+        ([0.5], [1.5e308, 1.5e308], "mean"),  # the unlabeled mean overflows
+        ([math.nan], [1.5e308, 1.5e308], "mean"),  # the tape reaches the mean first
+        ([0.5], [], "mean"),  # the mean of nothing is NaN
+        ([1e-300, 0.0, -1.0], [0.0, 0.0], None),  # floored, not an error
+        ([0.25, 0.5], [1e308, 1e308], None),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_raises_where_the_tape_raises(self, phi_p, phi_u, node):
+        want = tape_or_error(np.array(phi_p), np.array(phi_u))
+        if node is not None:
+            assert want == f"non-finite value produced by node '{node}'"
+        assert value_or_error(np.array(phi_p), np.array(phi_u)) == want
+
+
 class TestMixupReg:
     def test_zero_residual(self):
         # phi(x_mix) == target everywhere -> penalty 0

@@ -8,7 +8,7 @@ from scipy import stats
 from vpu import oracle as oc
 from vpu.sampling import Rng, _exponentials, _take, _uniforms
 
-from reference import bits
+from reference import bits, one_instance, one_phi
 
 
 @pytest.fixture
@@ -59,9 +59,13 @@ class TestDiscreteJoint:
                         oc.DiscreteJoint(pi_p=0.5, **vecs)
 
     def test_shape_and_prior(self):
-        for f_p, f_n in (([1.0, 0.0], [0.0, 0.5, 0.5]), ([[1.0, 0.0]], [[0.0, 1.0]])):
-            with pytest.raises(ValueError, match="^f_p and f_n must be 1-D with equal length$"):
-                oc.DiscreteJoint(f_p, f_n, pi_p=0.5)
+        shape_error = r"^f_p and f_n must have one shape \(\.\.\., k\), and pi_p shape \(\.\.\.\)$"
+        for f_p, f_n, pi_p in (([1.0, 0.0], [0.0, 0.5, 0.5], 0.5), (1.0, 1.0, 0.5),
+                               ([[1.0, 0.0]], [[0.0, 1.0]], 0.5),
+                               ([1.0, 0.0], [0.0, 1.0], [0.5])):
+            with pytest.raises(ValueError, match=shape_error):
+                oc.DiscreteJoint(f_p, f_n, pi_p)
+        assert oc.DiscreteJoint([[1.0, 0.0]], [[0.0, 1.0]], [0.5]).k == 2
         for pi_p in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match=r"^pi_p must be in \(0, 1\)$"):
                 oc.DiscreteJoint([1.0, 0.0], [0.0, 1.0], pi_p)
@@ -77,6 +81,75 @@ class TestDiscreteJoint:
             np.testing.assert_allclose(d.f, mixture, atol=1e-15)
 
 
+def exact_quantities(d, phi, u):
+    """Every exact quantity of the joints `d` with the per-point arrays phi
+    (positive) and u (uniforms), by name."""
+    labeled = oc._biased_labeled(d, u)
+    post = oc.bayes_posterior(d)
+    lhs, bound, holds = oc.theorem3_check(d, labeled)
+    return {
+        "f": d.f, "posterior": post, "lvar": oc.exact_lvar(d, phi),
+        "lvar_posterior": oc.exact_lvar(d, post),
+        "induced": oc.induced_positive_density(d, phi),
+        "kl": oc.kl_divergence(d.f_p, oc.induced_positive_density(d, phi)),
+        "kl_residual": oc.kl_identity_residual(d, phi),
+        "minimizer": oc.exact_minimizer(d), "biased_minimizer": oc.exact_minimizer(d, labeled),
+        "error": oc.misclassification_rate(d, phi), "lhs": lhs, "bound": bound, "holds": holds,
+        "irreducible": oc.check_irreducibility(d), "l2": oc.exact_l2(d, phi),
+        "l2_residual": oc.l2_identity_residual(d, phi),
+    }
+
+
+class TestStacks:
+    """Each exact quantity of a stack of joints is, bit for bit, that of
+    each joint alone."""
+
+    def test_random_stacks(self):
+        rngs = [Rng(70 + i) for i in range(120)]
+        groups = oc.random_instances(rngs, 12, anchor=oc._coins(rngs))
+        assert len(groups) == 11  # every k from 2 to 12
+        phis = oc._per_point(groups, rngs)
+        factors = oc._per_point(groups, rngs, lo=0.0)
+        for (trials, d), phi, u in zip(groups, phis, factors):
+            stacked = exact_quantities(d, phi, u)
+            for j in range(len(trials)):
+                alone = exact_quantities(d[j], phi[j], u[j])
+                for name, got in stacked.items():
+                    assert np.array_equal(bits(got[j]), bits(alone[name])), (name, d.k, j)
+
+    def test_zero_mass_points(self):
+        # joint 0 has no mass at point 2, under f_p, f_n and so f; joint 1
+        # has full support
+        d = oc.DiscreteJoint([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]],
+                             [[0.5, 0.5, 0.0], [0.1, 0.1, 0.8]], [0.4, 0.6])
+        phi = np.array([[0.0, 0.5, 0.5], [0.3, 0.9, 0.6]])  # vanishes on joint 0's support
+        post = oc.bayes_posterior(d)
+        assert post[0].tolist() == [0.4, 0.4, 0.0]  # zero where f has no mass
+        for name, got, alone in (
+                ("lvar", oc.exact_lvar(d, phi), [oc.exact_lvar(d[j], phi[j]) for j in (0, 1)]),
+                ("kl", oc.kl_divergence(d.f_p, phi),
+                 [oc.kl_divergence(d.f_p[j], phi[j]) for j in (0, 1)])):
+            assert got[0] == math.inf and math.isfinite(got[1]), name
+            assert bits(got).tolist() == bits(alone).tolist(), name
+        for j in range(2):
+            assert bits(oc.exact_minimizer(d)[j]).tolist() == \
+                bits(oc.exact_minimizer(d[j])).tolist()
+            assert bits(oc.l2_identity_residual(d, post)[j]) == \
+                bits(oc.l2_identity_residual(d[j], post[j]))
+        # no mass under f: an error for the stack and for the joint alone
+        # (exact_lvar gives +inf first, as phi vanishes on f_p's support)
+        no_mass = np.array([[0.0, 0.0, 1.0], [0.3, 0.9, 0.6]])
+        assert oc.exact_lvar(d, no_mass)[0] == oc.exact_lvar(d[0], no_mass[0]) == math.inf
+        for fn in (oc.induced_positive_density, oc.exact_l2):
+            for joint, arg in ((d, no_mass), (d[0], no_mass[0])):
+                with pytest.raises(ValueError, match="positive mass under f"):
+                    fn(joint, arg)
+        labeled = np.array([[0.0, 0.0, 1.0], [0.2, 0.3, 0.5]])  # mass where f has none
+        for joint, arg in ((d, labeled), (d[0], labeled[0])):
+            with pytest.raises(ValueError, match="where f has none"):
+                oc.exact_minimizer(joint, arg)
+
+
 class TestBayesPosterior:
     def test_two_point(self, two_point):
         np.testing.assert_allclose(oc.bayes_posterior(two_point), [1.0, 0.0])
@@ -89,7 +162,7 @@ class TestBayesPosterior:
     def test_bounded_in_unit_interval(self):
         rng = Rng(0)
         for _ in range(200):
-            d = oc.random_instances([rng], 16)[0]
+            d = one_instance(rng, 16)
             post = oc.bayes_posterior(d)
             assert np.all(post >= 0.0) and np.all(post <= 1.0 + 1e-12)
 
@@ -119,7 +192,7 @@ class TestInducedDensity:
     def test_posterior_recovers_positive_conditional(self):
         rng = Rng(1)
         for _ in range(200):
-            d = oc.random_instances([rng], 16)[0]
+            d = one_instance(rng, 16)
             f_phi = oc.induced_positive_density(d, oc.bayes_posterior(d))
             np.testing.assert_allclose(f_phi, d.f_p, atol=1e-12)
 
@@ -147,16 +220,16 @@ class TestKlIdentity:
         rng = Rng(2)
         worst = 0.0
         for _ in range(300):
-            d = oc.random_instances([rng], 32)[0]
-            phi = oc._phis([d.k], [rng])[0]
+            d = one_instance(rng, 32)
+            phi = one_phi(d.k, rng)
             worst = max(worst, oc.kl_identity_residual(d, phi))
         assert worst <= 1e-10
 
     def test_gap_nonnegative(self):
         rng = Rng(3)
         for _ in range(300):
-            d = oc.random_instances([rng], 32)[0]
-            gap = (oc.exact_lvar(d, oc._phis([d.k], [rng])[0])
+            d = one_instance(rng, 32)
+            gap = (oc.exact_lvar(d, one_phi(d.k, rng))
                    - oc.exact_lvar(d, oc.bayes_posterior(d)))
             assert gap >= -1e-12
 
@@ -168,13 +241,13 @@ class TestMinimizer:
     def test_matches_posterior_on_anchored(self):
         rng = Rng(4)
         for _ in range(300):
-            d = oc.random_instances([rng], 32, True)[0]
+            d = one_instance(rng, 32, True)
             phi = oc.exact_minimizer(d)
             np.testing.assert_allclose(phi / phi.max(), oc.bayes_posterior(d), atol=1e-9)
 
     def test_minimality_against_perturbations(self):
         rng = Rng(5)
-        d = oc.random_instances([rng], 8, True)[0]
+        d = one_instance(rng, 8, True)
         phi_star = oc.exact_minimizer(d)
         best = oc.exact_lvar(d, phi_star)
         for _ in range(500):
@@ -184,7 +257,7 @@ class TestMinimizer:
 
     def test_scale_family_flat(self):
         rng = Rng(6)
-        d = oc.random_instances([rng], 16, True)[0]
+        d = one_instance(rng, 16, True)
         phi = oc.exact_minimizer(d)
         base = oc.exact_lvar(d, phi)
         for c in (0.2, 0.4, 0.6, 0.8, 1.0):
@@ -197,13 +270,13 @@ class TestMisclassification:
 
     def test_all_positive_predictor(self):
         rng = Rng(7)
-        d = oc.random_instances([rng], 16)[0]
+        d = one_instance(rng, 16)
         got = oc.misclassification_rate(d, np.ones(d.k))
         assert got == pytest.approx(1.0 - d.pi_p, abs=1e-12)
 
     def test_all_negative_predictor(self):
         rng = Rng(8)
-        d = oc.random_instances([rng], 16)[0]
+        d = one_instance(rng, 16)
         got = oc.misclassification_rate(d, np.zeros(d.k))
         assert got == pytest.approx(d.pi_p, abs=1e-12)
 
@@ -221,7 +294,7 @@ class TestBiasBound:
     def test_random_biased_instances(self):
         rng = Rng(9)
         for _ in range(300):
-            d = oc.random_instances([rng], 16, rng.uniform() < 0.5)[0]
+            d = one_instance(rng, 16, rng.uniform() < 0.5)
             labeled = oc._biased_labeled(d, _uniforms(rng, d.k))
             lhs, bound, holds = oc.theorem3_check(d, labeled)
             assert holds, (lhs, bound)
@@ -245,7 +318,7 @@ class TestIrreducibility:
         tol = 1e-9
         seen = {True: 0, False: 0}
         for _ in range(400):
-            d = oc.random_instances([rng], 32, rng.uniform() < 0.5)[0]
+            d = one_instance(rng, 32, rng.uniform() < 0.5)
             via_ratio = oc.check_irreducibility(d, tol)
             thr = oc.posterior_threshold(d.pi_p, tol)
             via_posterior = bool(np.max(oc.bayes_posterior(d)) >= thr)
@@ -258,7 +331,7 @@ class TestL2Identity:
     def test_posterior_value(self):
         rng = Rng(12)
         for _ in range(100):
-            d = oc.random_instances([rng], 16)[0]
+            d = one_instance(rng, 16)
             support = d.f > 0
             want = -float(np.sum(d.f_p[support] ** 2 / d.f[support]))
             assert oc.exact_l2(d, oc.bayes_posterior(d)) == pytest.approx(want, abs=1e-12)
@@ -267,15 +340,15 @@ class TestL2Identity:
         rng = Rng(13)
         worst = 0.0
         for _ in range(300):
-            d = oc.random_instances([rng], 32)[0]
-            worst = max(worst, oc.l2_identity_residual(d, oc._phis([d.k], [rng])[0]))
+            d = one_instance(rng, 32)
+            worst = max(worst, oc.l2_identity_residual(d, one_phi(d.k, rng)))
         assert worst <= 1e-10
 
     def test_gap_nonnegative(self):
         rng = Rng(14)
         for _ in range(200):
-            d = oc.random_instances([rng], 16)[0]
-            gap = oc.exact_l2(d, oc._phis([d.k], [rng])[0]) - oc.exact_l2(d, oc.bayes_posterior(d))
+            d = one_instance(rng, 16)
+            gap = oc.exact_l2(d, one_phi(d.k, rng)) - oc.exact_l2(d, oc.bayes_posterior(d))
             assert gap >= -1e-12
 
 
@@ -286,7 +359,7 @@ class TestUniqueness:
     def test_scaled_posterior_recovers(self):
         rng = Rng(15)
         for _ in range(200):
-            d = oc.random_instances([rng], 16, True)[0]
+            d = one_instance(rng, 16, True)
             c = 0.05 + 0.95 * rng.uniform()
             phi = c * oc.bayes_posterior(d)
             f_phi = oc.induced_positive_density(d, phi)
@@ -296,7 +369,7 @@ class TestUniqueness:
     def test_deliberate_deviation_detected(self):
         rng = Rng(16)
         for _ in range(200):
-            d = oc.random_instances([rng], 16, True)[0]
+            d = one_instance(rng, 16, True)
             phi = oc.bayes_posterior(d).copy()
             bump = int(np.argmax(d.f))  # perturb where the marginal has mass
             phi[bump] = min(1.0, phi[bump] + 0.2) if phi[bump] < 0.9 else phi[bump] - 0.2
@@ -311,7 +384,7 @@ class TestExactRisks:
         # estimated risk to ~0, below the risk at the true prior
         rng = Rng(17)
         for _ in range(100):
-            d = oc.random_instances([rng], 16)[0]
+            d = one_instance(rng, 16)
             scores = np.full(d.k, 10.0)
             at_one, _ = oc.exact_pu_risks(scores, d, pi_p=1.0 - 1e-12)
             at_true, _ = oc.exact_pu_risks(scores, d, pi_p=d.pi_p)
@@ -319,7 +392,7 @@ class TestExactRisks:
 
     def test_constant_zero_scorer(self):
         rng = Rng(18)
-        d = oc.random_instances([rng], 8)[0]
+        d = one_instance(rng, 8)
         upu, nnpu = oc.exact_pu_risks(np.zeros(d.k), d, 0.5)
         assert upu == pytest.approx(0.5, abs=1e-12)
         assert nnpu == pytest.approx(0.5, abs=1e-12)
@@ -336,8 +409,9 @@ class TestSuites:
         real = oc.exact_lvar
 
         def broken(d, phi):
-            val = real(d, phi)
-            return 0.0 if np.array_equal(phi, oc.bayes_posterior(d)) else val
+            # each joint of the stack at its posterior gets 0
+            at_posterior = np.all(phi == oc.bayes_posterior(d), axis=-1)
+            return np.where(at_posterior, 0.0, real(d, phi))
 
         monkeypatch.setattr(oc, "exact_lvar", broken)
         result = oc.suite_kl_identity(trials=20, seed=0)
@@ -347,18 +421,22 @@ class TestSuites:
     @pytest.fixture
     def trials(self, monkeypatch):
         """The (residual, instance, phi) of every trial of every suite call,
-        one list per call."""
+        in trial order, one list per call."""
         calls = []
         real = oc._run_suite
 
-        def recording(name, trials, seed, gen_and_residual, tol):
+        def recording(name, trials, seed, check, tol):
             seen = []
             calls.append(seen)
 
             def gen(rngs):
-                for trial in gen_and_residual(rngs):
-                    seen.append(trial)
-                    yield trial
+                chunk = [None] * len(rngs)
+                for group in check(rngs):
+                    chunk_trials, d, detail, residuals = group
+                    for j, i in enumerate(chunk_trials.tolist()):
+                        chunk[i] = (residuals[j], d[j], None if detail is None else detail[j])
+                    yield group
+                seen.extend(chunk)
 
             return real(name, trials, seed, gen, tol)
 
@@ -383,13 +461,21 @@ class TestSuites:
     def test_batch_of_instances_is_drawn_one_stream_at_a_time(self):
         anchors = [False, True, True, False, True]
         streams = [Rng(30 + i) for i in range(5)]
-        together = oc.random_instances(streams, 12, anchors)
-        for i, (d, rng) in enumerate(zip(together, streams)):
+        groups = oc.random_instances(streams, 12, anchors)
+        ks = [d.k for _, d in groups]
+        assert ks == sorted(set(ks))  # one stack per k, in increasing order
+        together = {}
+        for trials, d in groups:
+            assert d.f.shape == (len(trials), d.k) and trials.tolist() == sorted(trials)
+            together.update((i, d[j]) for j, i in enumerate(trials.tolist()))
+        assert sorted(together) == list(range(5))
+        for i, rng in enumerate(streams):
+            d = together[i]
             # one output each for k, the 2k exponentials, pi_p and, when
             # anchored, the planted point (no randbelow draw rejects here)
             assert rng.counter == 2 + 2 * d.k + anchors[i]
             single = Rng(30 + i)
-            alone = oc.random_instances([single], 12, anchors[i])[0]
+            alone = one_instance(single, 12, anchors[i])
             assert single.counter == rng.counter
             assert np.array_equal(bits(d.f), bits(alone.f)) and d.pi_p == alone.pi_p
             assert np.array_equal(bits(d.f_p), bits(alone.f_p))
@@ -403,12 +489,12 @@ class TestSuites:
         # with k_max = 3, k is 2 or 3, and f_p[0] and f_n[0] of an unanchored
         # instance are each the first entry of a Dirichlet(1, ..., 1), which
         # is Beta(1, k - 1)
-        instances = oc.random_instances([Rng(50_000 + i) for i in range(20_000)], 3)
-        for k in (2, 3):
-            same_k = [d for d in instances if d.k == k]
-            assert len(same_k) > 9000
-            for first in ([d.f_p[0] for d in same_k], [d.f_n[0] for d in same_k]):
-                assert stats.kstest(first, stats.beta(1, k - 1).cdf).pvalue > 0.001, k
+        groups = oc.random_instances([Rng(50_000 + i) for i in range(20_000)], 3)
+        assert [d.k for _, d in groups] == [2, 3]
+        for trials, d in groups:
+            assert len(trials) > 9000
+            for first in (d.f_p[:, 0], d.f_n[:, 0]):
+                assert stats.kstest(first, stats.beta(1, d.k - 1).cdf).pvalue > 0.001, d.k
 
     @pytest.mark.parametrize("suite", oc.ALL_SUITES, ids=lambda s: s.__name__)
     def test_chunks_do_not_change_the_result(self, suite, monkeypatch):

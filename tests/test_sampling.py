@@ -296,7 +296,7 @@ class TestLockstep:
         counts = [3, 0, 1, 64, 0, 5]
         fast, slow = streams(7, len(counts), moved=[1, 3], cached=[2])
         assert sp._uniform_lockstep(fast).tolist() == [r.uniform() for r in slow]
-        got = sp._uniforms_lockstep(counts, fast)
+        got = np.split(sp._uniforms_lockstep(counts, fast), np.cumsum(counts)[:-1])
         for g, n, rng in zip(got, counts, slow):
             assert np.array_equal(bits(g), bits([rng.uniform() for _ in range(n)]))
         assert all(same_state(a, b) for a, b in zip(fast, slow))

@@ -246,9 +246,11 @@ class TestPriorSweepPathology:
         from vpu import oracle as oc
         from vpu.sampling import Rng
 
+        from reference import one_instance
+
         rng = Rng(21)
         for _ in range(50):
-            d = oc.random_instances([rng], 12)[0]
+            d = one_instance(rng, 12)
             scores = np.full(d.k, 12.0)
             near_one, _ = oc.exact_pu_risks(scores, d, pi_p=1.0 - 1e-9)
             at_true, _ = oc.exact_pu_risks(scores, d, pi_p=d.pi_p)
