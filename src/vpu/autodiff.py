@@ -202,12 +202,13 @@ def positive_part(a) -> Tensor:
 
 
 def mean(a) -> Tensor:
+    """Mean over the last axis: a stack of rows gives each row's mean, with
+    the bits that row gives alone."""
     a = as_tensor(a)
-    n = a.value.size
-    value = a.value.mean()
+    value = a.value.mean(axis=-1)
 
     def backward(g):
-        a._accumulate(np.full_like(a.value, float(g) / n))
+        a._accumulate(np.full_like(a.value, g[..., None] / a.value.shape[-1]))
 
     return Tensor(value, (a,), backward, "mean")
 

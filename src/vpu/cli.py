@@ -5,9 +5,9 @@ Configuration comes from a flat ``key = value`` file (``#`` comments) plus
 one command-line flag per key; flags override the file, which overrides the
 defaults.  Unknown keys are rejected.  Every key is parsed and checked once,
 before the command does any work, even a key the command ignores.  Every
-run that writes artifacts also
-echoes its effective configuration to ``<out>/config.resolved``, and
-re-running from that file reproduces the outputs bit for bit.
+run given an ``out`` directory also echoes its effective configuration to
+``<out>/config.resolved`` once the command returns, and re-running from
+that file reproduces the outputs bit for bit.
 
 Exit codes: 0 success, 1 property-suite failure, 2 usage/config error,
 3 numeric failure during training.
@@ -156,17 +156,20 @@ class Config:
 
 def read_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            entries[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                key, value = (s.strip() for s in line.split("=", 1))
+                if key not in KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                entries[key] = value
+    except UnicodeDecodeError as exc:  # its position counts bytes, not lines
+        raise ConfigError(f"{path}: {exc}") from None
     return entries
 
 
@@ -218,39 +221,40 @@ def resolve_config(args: argparse.Namespace) -> Config:
     return Config(text, values, _train_config(values))
 
 
-def write_resolved(cfg: Config, out_dir: str) -> None:
+def _write(out_dir: str, name: str, text: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    lines = [f"{key} = {cfg.text[key]}" for key in sorted(cfg.text)]
-    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _load_data(cfg: Config) -> PuDataset:
+    data = load_csv(cfg["data"])
+    if data.test_y is not None and data.test_y.min() == data.test_y.max():
+        # the test AUC is reported after training or scoring: fail before either
+        raise ConfigError(f"{cfg['data']}: the T rows hold one class; "
+                          "AUC needs both classes present")
+    return data
 
 
 def _load_training_data(cfg: Config) -> PuDataset:
-    data = load_csv(cfg["data"])
-    if data.test_y is not None and data.test_y.min() == data.test_y.max():
-        # the test AUC is reported after training: fail before any of it
-        raise ConfigError(f"{cfg['data']}: the T rows hold one class; "
-                          "AUC needs both classes present")
+    data = _load_data(cfg)
     if cfg.train.early_stop_metric == "val_lvar" and not data.has_validation():
         data = split_validation(data, cfg["val_fraction"], cfg["seed"])
     return data
 
 
 def _write_metrics(report_dir: str, rep: mt.MetricsReport) -> None:
-    with open(os.path.join(report_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
-        fh.write(rep.as_text() + "\n")
-    with open(os.path.join(report_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write(mt.MetricsReport.CSV_HEADER + "\n" + rep.as_csv_row() + "\n")
+    _write(report_dir, "metrics.txt", rep.as_text() + "\n")
+    _write(report_dir, "metrics.csv",
+           mt.MetricsReport.CSV_HEADER + "\n" + rep.as_csv_row() + "\n")
 
 
 def _write_trained(out: str, report: TrainReport,
                    data: PuDataset) -> mt.MetricsReport | None:
-    """model.txt and history.csv, then metrics.{txt,csv} on the test rows;
+    """history.csv and model.txt, then metrics.{txt,csv} on the test rows;
     returns those metrics, or None when the data has no test rows."""
-    os.makedirs(out, exist_ok=True)
+    _write(out, "history.csv", report.history_csv())
     md.save_model(report.final_model, os.path.join(out, "model.txt"))
-    with open(os.path.join(out, "history.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report.history_csv())
     if data.test_x is None:
         return None
     rep = mt.report(report.final_model, data.test_x, data.test_y)
@@ -265,7 +269,6 @@ def cmd_generate(cfg: Config) -> int:
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "dataset.csv")
     write_csv(data, path)
-    write_resolved(cfg, out)
     print(f"generated {path}: M={data.m} N={data.n} "
           f"test={0 if data.test_x is None else len(data.test_x)} "
           f"dim={data.dim} pi_p={data.pi_p:g}")
@@ -283,7 +286,6 @@ def cmd_train(cfg: Config) -> int:
         line += f" val_lvar={best.val_lvar:.6g}"
     if rep is not None:
         line += f" test_acc={rep.accuracy:.4f} auc={rep.auc:.4f}"
-    write_resolved(cfg, out)
     print(line)
     print(f"model -> {os.path.join(out, 'model.txt')}")
     return 0
@@ -298,9 +300,7 @@ def cmd_sweep(cfg: Config) -> int:
     grid = cfg["lambda_grid"]
     report, cells = sweep_lambda(cfg.train, grid, data)
     _write_trained(out, report, data)
-    with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write(sweep_csv(cells))
-    write_resolved(cfg, out)
+    _write(out, "sweep.csv", sweep_csv(cells))
     print(f"swept {len(grid)} cells: best lambda={report.selected_lambda:g}")
     print(f"table -> {os.path.join(out, 'sweep.csv')}")
     return 0
@@ -308,18 +308,16 @@ def cmd_sweep(cfg: Config) -> int:
 
 def cmd_eval(cfg: Config) -> int:
     model = md.load_model(cfg["model"])
-    data = load_csv(cfg["data"])
+    data = _load_data(cfg)
     if data.test_x is None:
-        raise ConfigError("dataset has no labeled test rows")
+        raise ConfigError(f"{cfg['data']}: dataset has no labeled test rows")
     if model.arch.input_dim != data.dim:
         raise ConfigError(f"model {cfg['model']} takes {model.arch.input_dim} features, "
                           f"but dataset {cfg['data']} has {data.dim}")
     rep = mt.report(model, data.test_x, data.test_y)
     print(rep.as_text())
     if cfg["out"]:
-        os.makedirs(cfg["out"], exist_ok=True)
         _write_metrics(cfg["out"], rep)
-        write_resolved(cfg, cfg["out"])
     return 0
 
 
@@ -342,11 +340,7 @@ def cmd_oracle_check(cfg: Config) -> int:
     else:
         print("all suites passed")
     if cfg["out"]:
-        os.makedirs(cfg["out"], exist_ok=True)
-        with open(os.path.join(cfg["out"], "oracle_report.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        write_resolved(cfg, cfg["out"])
+        _write(cfg["out"], "oracle_report.txt", table + "\n")
     return 1 if failed else 0
 
 
@@ -404,12 +398,8 @@ def cmd_bias_experiment(cfg: Config) -> int:
         bound_rows.append(f"{ratio},{env.min():.17g},{env.max():.17g},"
                           f"{eps:.17g},{bound:.17g}")
 
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "bias.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-    with open(os.path.join(out, "bias_bounds.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(bound_rows) + "\n")
-    write_resolved(cfg, out)
+    _write(out, "bias.csv", "\n".join(rows) + "\n")
+    _write(out, "bias_bounds.csv", "\n".join(bound_rows) + "\n")
     print(f"bias experiment: {len(ratios)} ratios x 2 methods "
           f"-> {os.path.join(out, 'bias.csv')}")
     return 0
@@ -447,7 +437,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return HANDLERS[args.command](resolve_config(args))
+        cfg = resolve_config(args)
+        code = HANDLERS[args.command](cfg)
+        if cfg["out"]:
+            _write(cfg["out"], "config.resolved",
+                   "".join(f"{key} = {cfg.text[key]}\n" for key in sorted(cfg.text)))
+        return code
     except (ValueError, OSError) as exc:
         # a bad config value, or an input file that is missing or malformed
         print(f"error: {exc}", file=sys.stderr)

@@ -370,24 +370,29 @@ def _raise_first_bad_row(path: str, skip: int, dim: int, has_label: bool) -> Non
 def load_csv(path: str) -> PuDataset:
     pools: dict[str, list] = {tag: [] for tag in _SET_TAGS}
     labels: list[int] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        has_label = header[-1] == "y"
-        dim = len(header) - 1 - (1 if has_label else 0)
-        if dim < 1 or header[0] != "set" or header[1:dim + 1] != [f"x{i}" for i in range(dim)]:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        records = 1  # the header
-        while rows := list(islice(reader, _CHUNK_ROWS)):
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                _parse_rows(rows, dim, has_label, pools, labels)
-            except ValueError:
-                _raise_first_bad_row(path, records, dim, has_label)
-                raise
-            records += len(rows)
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file") from None
+            has_label = header[-1] == "y"
+            dim = len(header) - 1 - (1 if has_label else 0)
+            if dim < 1 or header[0] != "set" or header[1:dim + 1] != [f"x{i}" for i in range(dim)]:
+                raise ValueError(f"{path}: malformed header {header!r}")
+            records = 1  # the header
+            while rows := list(islice(reader, _CHUNK_ROWS)):
+                try:
+                    _parse_rows(rows, dim, has_label, pools, labels)
+                except ValueError:
+                    _raise_first_bad_row(path, records, dim, has_label)
+                    raise
+                records += len(rows)
+    except UnicodeDecodeError as exc:  # its position counts bytes, not lines
+        raise ValueError(f"{path}: {exc}") from None
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
     def arr(tag):
         return np.concatenate(pools[tag]) if pools[tag] else None

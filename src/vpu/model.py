@@ -207,8 +207,11 @@ def save_model(model: ClassifierModel, path: str) -> None:
 
 
 def load_model(path: str) -> ClassifierModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:  # its position counts bytes, not lines
+        raise ValueError(f"{path}: {exc}") from None
     if not lines:
         raise ValueError(f"{path}: empty model file")
     header = lines[0].split()

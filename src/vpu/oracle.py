@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .losses import variational_loss_value
+from .losses import variational_loss_values
 from .sampling import (Rng, _exponentials, _randbelow_lockstep, _take_lockstep,
                        _uniform_lockstep, _uniforms_lockstep)
 
@@ -145,12 +145,12 @@ def bias_bound(c1, c2, epsilon):
     return np.maximum(c2 / c1 - 1.0, 1.0 - c1 * (1.0 - epsilon) / c2)
 
 
-def theorem3_check(d: DiscreteJoint, f_p_prime: np.ndarray, epsilon=None):
+def theorem3_check(d: DiscreteJoint, f_p_prime: np.ndarray):
     """Excess misclassification of the minimizer trained on a biased labeled
     distribution versus the instance-computed bound.
 
     c1, c2 are the tight multiplicative envelope of f_p_prime around f_p;
-    epsilon defaults to 1 - max posterior (the anchor-candidate slack).
+    epsilon is 1 - max posterior (the anchor-candidate slack).
     Returns (lhs, bound, holds).
     """
     f_p_prime = np.asarray(f_p_prime, dtype=np.float64)
@@ -162,8 +162,7 @@ def theorem3_check(d: DiscreteJoint, f_p_prime: np.ndarray, epsilon=None):
     c1 = np.nanmin(ratio, axis=-1)
     c2 = np.where(np.any(~support & (f_p_prime > 0), axis=-1), math.inf, np.nanmax(ratio, axis=-1))
     post = bayes_posterior(d)
-    if epsilon is None:
-        epsilon = 1.0 - post.max(axis=-1)
+    epsilon = 1.0 - post.max(axis=-1)
     phi = exact_minimizer(d, f_p_prime)
     lhs = np.abs(misclassification_rate(d, phi) - misclassification_rate(d, post))
     bound = bias_bound(c1, c2, epsilon)  # +inf where c2 is
@@ -278,11 +277,11 @@ def _per_point(instances, rngs, lo: float = 1e-3) -> list[np.ndarray]:
     return [runs for _, runs in _uniform_runs(sizes, rngs, lo)]
 
 
-def _biased_labeled(d: DiscreteJoint, u: np.ndarray, spread: float = 0.3) -> np.ndarray:
-    """A labeled distribution inside a multiplicative envelope of f_p,
-    renormalized; zero exactly where f_p is zero.  `u` holds one uniform
-    per point."""
-    raw = d.f_p * (1.0 - spread + 2.0 * spread * u)
+def _biased_labeled(d: DiscreteJoint, u: np.ndarray) -> np.ndarray:
+    """A labeled distribution inside the multiplicative envelope [0.7, 1.3]
+    of f_p, renormalized; zero exactly where f_p is zero.  `u` holds one
+    uniform per point."""
+    raw = d.f_p * (0.7 + 0.6 * u)
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
@@ -379,9 +378,9 @@ def suite_scale_invariance(trials: int = 1000, seed: int = 0, k_max: int = 32) -
         # log(mean(phi_u)), exactly: their sum has the loss's bits
         emp = np.zeros((len(scales), len(rngs)))
         for t, phi_p in runs_p:
-            emp[:, t] += variational_loss_value(scales * phi_p, np.ones(1))
+            emp[:, t] += variational_loss_values(scales * phi_p, np.ones(1)).value
         for t, phi_u in runs_u:
-            emp[:, t] += variational_loss_value(np.ones(1), scales * phi_u)
+            emp[:, t] += variational_loss_values(np.ones(1), scales * phi_u).value
         for (t, d), phi in zip(instances, phis):
             exact = exact_lvar(d, scales * phi)
             gaps = np.abs(np.concatenate([exact[1:] - exact[0], emp[1:, t] - emp[0, t]]))
@@ -411,12 +410,11 @@ def suite_bias_bound(trials: int = 1000, seed: int = 0, k_max: int = 16) -> Suit
     return _run_suite("bias_bound", trials, seed, check, 1e-12)
 
 
-def suite_irreducibility(trials: int = 1000, seed: int = 0, k_max: int = 32,
-                         tol: float = 1e-9) -> SuiteResult:
+def suite_irreducibility(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
     def check(rngs):
         for t, d in random_instances(rngs, k_max, anchor=_coins(rngs)):
-            via_ratio = check_irreducibility(d, tol)
-            via_posterior = bayes_posterior(d).max(axis=-1) >= posterior_threshold(d.pi_p, tol)
+            via_ratio = check_irreducibility(d, 1e-9)
+            via_posterior = bayes_posterior(d).max(axis=-1) >= posterior_threshold(d.pi_p, 1e-9)
             yield t, d, None, np.where(via_ratio == via_posterior, 0.0, 1.0)
 
     return _run_suite("irreducibility_equiv", trials, seed, check, 0.5)

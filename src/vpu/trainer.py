@@ -124,7 +124,7 @@ def _eval_epoch(model: md.ClassifierModel, values: np.ndarray, data: PuDataset,
     def lvar(pos, unl):
         phi_p = current.raw_values(pos)
         phi_u = current.raw_values(unl)
-        return float(ls.variational_loss_value(phi_p, phi_u))
+        return float(ls.variational_loss_values(phi_p, phi_u).value)
 
     train_lvar = lvar(data.positive, data.unlabeled)
     val_lvar = val_reg = math.nan

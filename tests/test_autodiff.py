@@ -34,6 +34,17 @@ class TestEvaluate:
             ad.evaluate(lambda t: t, flat_params([1.0, 2.0]))
 
 
+class TestMean:
+    def test_rows_of_a_stack_are_rows_alone(self):
+        rng = np.random.default_rng(4)
+        for width in (1, 7, 130, 601):
+            stack = rng.normal(size=(3, 4, width))
+            got = ad.mean(ad.Tensor(stack)).value
+            assert got.shape == (3, 4)
+            for i in np.ndindex(3, 4):
+                assert ref.bits(got[i]) == ref.bits(ad.mean(ad.Tensor(stack[i])).value)
+
+
 class TestGradient:
     def test_square(self):
         g = ad.gradient(lambda t: t[0] * t[0], flat_params([3.0]))
@@ -61,7 +72,7 @@ class TestGradient:
             b = t[6:9]
             x = ad.Tensor(np.array([[0.3, -1.2], [1.0, 0.4]]))
             h = ref.tanh(ref.matmul(x, w) + b)
-            return ad.mean(h * h)
+            return ad.mean(ad.mean(h * h))  # each row's mean, then theirs
 
         g = ad.gradient(loss, params)
         fd = ad.finite_diff_gradient(loss, params, 1e-6)

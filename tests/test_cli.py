@@ -188,6 +188,18 @@ class TestTrain:
         pytest.param(["train", "--data", "{nan_csv}"], "nan.csv", id="nan-feature"),
         pytest.param(["train", "--data", "{one_class_csv}"], "T rows", id="train-one-class-test"),
         pytest.param(["sweep", "--data", "{one_class_csv}"], "T rows", id="sweep-one-class-test"),
+        pytest.param(["eval", "--data", "{one_class_csv}"], "one_class.csv: the T rows",
+                     id="eval-one-class-test"),
+        pytest.param(["eval", "--data", "{no_test_csv}"], "no_test.csv: dataset has no labeled",
+                     id="eval-no-test-rows"),
+        pytest.param(["train", "--data", "{long_csv}"], "long.csv:3: field larger",
+                     id="over-long-field"),
+        pytest.param(["train", "--data", "{bytes_csv}"], "bytes.csv: 'utf-8' codec",
+                     id="non-utf8-csv"),
+        pytest.param(["train", "--config", "{bytes_cfg}"], "bytes.cfg: 'utf-8' codec",
+                     id="non-utf8-config"),
+        pytest.param(["eval", "--model", "{bytes_model_txt}"], "bytes_model.txt: 'utf-8' codec",
+                     id="non-utf8-model"),
         pytest.param(["generate", "--m", "0"], "'m'", id="generate-zero-m"),
         pytest.param(["generate", "--n", "-5"], "'n'", id="generate-negative-n"),
         pytest.param(["oracle-check", "--trials", "0"], "'trials'", id="zero-trials"),
@@ -197,25 +209,46 @@ class TestTrain:
         pytest.param(["bias-exp", "--n_test", "0"], "'n_test'", id="bias-exp-zero-n_test"),
     ])
     def test_non_finite_constant_is_usage_error(self, tmp_path, capsys, argv, message):
-        # every bad config value exits 2 before any work: --alpha nan used to
-        # hang in the Beta sampler, others ended in a traceback (exit 1),
-        # failed late as numeric errors (exit 3), or were accepted
+        # every bad config value or input exits 2 before any work, naming
+        # the bad file: --alpha nan used to hang in the Beta sampler, others
+        # ended in a traceback (exit 1), failed late as numeric errors
+        # (exit 3), were accepted, or named no file
         command, *flags = argv
         dataset = make_dataset(tmp_path)
         rows = dataset.read_text().splitlines()
-        one_class_csv = tmp_path / "one_class.csv"
-        one_class_csv.write_text("\n".join(
-            r for r in rows if not (r.startswith("T,") and r.endswith(",-1"))) + "\n")
-        nan_csv = tmp_path / "nan.csv"
-        rows[1] = ",".join(["P", "nan"] + rows[1].split(",")[2:])
-        nan_csv.write_text("\n".join(rows) + "\n")
-        flags = [f.format(nan_csv=nan_csv, one_class_csv=one_class_csv) for f in flags]
+        model = tmp_path / "model.txt"
+        md.save_model(md.init(md.MlpArchitecture(2, (8, 8)), seed=0), str(model))
+        u_row = next(i for i, r in enumerate(rows) if r.startswith("U,"))
+        long_row = rows[u_row].split(",")
+        long_row[1] = "1" * 200000  # over the csv module's field limit, on line 3
+        nan_row = ",".join(["P", "nan"] + rows[1].split(",")[2:])
+        contents = {
+            "one_class.csv": "\n".join(
+                r for r in rows if not (r.startswith("T,") and r.endswith(",-1"))) + "\n",
+            "no_test.csv": "\n".join(r for r in rows if r[:2] != "T,") + "\n",
+            "long.csv": "\n".join([*rows[:2], ",".join(long_row), *rows[u_row + 1:]]) + "\n",
+            "nan.csv": "\n".join([rows[0], nan_row, *rows[2:]]) + "\n",
+            "bytes.csv": dataset.read_bytes() + b"\xff\n",
+            "bytes.cfg": b"epochs = 2\n# \xff\n",
+            "bytes_model.txt": model.read_bytes() + b"\xff\n",
+        }
+        inputs = {}
+        for name, content in contents.items():
+            path = inputs[name.replace(".", "_")] = tmp_path / name
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        flags = [f.format(**inputs) for f in flags]
         if command in ("train", "sweep"):
             flags = ["--data", str(dataset), "--out", str(tmp_path / "t"), *QUICK, *flags]
+        elif command == "eval":
+            flags = ["--model", str(model), "--data", str(dataset), "--out", str(tmp_path / "t"),
+                     *flags]
         elif command in ("generate", "bias-exp"):
             flags = ["--out", str(tmp_path / "g"), *flags]
+        capsys.readouterr()
         assert run(command, *flags) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "t").exists() and not (tmp_path / "g").exists()
 
     def test_overflowing_weights_exit_3(self, tmp_path, capsys):
