@@ -14,7 +14,7 @@ from itertools import accumulate, chain, compress, islice
 
 import numpy as np
 
-from .sampling import Rng, _as_uniform, _pairs_needed, _take, shuffled_indices
+from .sampling import Rng, _as_uniform, _pairs_needed, _take, sample_indices
 
 _SET_TAGS = ("P", "U", "VP", "VU", "T")
 
@@ -131,6 +131,9 @@ class PuDataset:
                 raise ValueError(f"{name} holds a non-finite feature")
         if (self.test_x is None) != (self.test_y is None):
             raise ValueError("test features and labels must come together")
+        if (self.val_positive is None) != (self.val_unlabeled is None):
+            raise ValueError("validation positives and unlabeled points (VP and VU rows) "
+                             "must come together")
         object.__setattr__(self, "positive", pos)
         object.__setattr__(self, "unlabeled", unl)
 
@@ -147,15 +150,13 @@ class PuDataset:
         return self.unlabeled.shape[0]
 
     def has_validation(self) -> bool:
-        return self.val_positive is not None and self.val_unlabeled is not None
+        return self.val_positive is not None
 
     def all_inputs(self) -> np.ndarray:
         """Every positive and unlabeled point seen in training (val included)."""
         parts = [self.positive, self.unlabeled]
-        if self.val_positive is not None:
-            parts.append(self.val_positive)
-        if self.val_unlabeled is not None:
-            parts.append(self.val_unlabeled)
+        if self.has_validation():
+            parts += [self.val_positive, self.val_unlabeled]
         return np.concatenate(parts, axis=0)
 
 
@@ -256,7 +257,7 @@ def split_validation(data: PuDataset, fraction: float, seed: int) -> PuDataset:
         n_val = int(round(n * fraction))
         if n_val < 1 or n_val >= n:
             raise ValueError(f"fraction {fraction} leaves an empty side for pool of {n}")
-        idx = shuffled_indices(n, rng)
+        idx = sample_indices(n, n, rng)
         return pool[idx[n_val:]], pool[idx[:n_val]]
 
     train_p, val_p = split(data.positive)

@@ -149,13 +149,10 @@ def mixup_consistency_reg(model, theta, xp: np.ndarray, xu: np.ndarray, phi_u, g
     mask_p[:xp.shape[0]] = 1.0
     # the union's own forward: its U half matches phi_u only up to the
     # rounding that a different matrix shape gives
-    if target_stop_gradient:
-        labels = np.where(mask_p > 0, 1.0, model.raw(t.value, union).value)
-        target = g * labels + (1.0 - g) * np.concatenate([labels[1:], labels[:1]])
-    else:
-        labels = model.raw(t, union) * (1.0 - mask_p) + mask_p
-        target = g * labels + (1.0 - g) * labels[np.roll(np.arange(n), -1)]
-    return mixup_reg_from_pairs(model, t, x_mix, target, "msle")
+    labels = model.raw(t, union) * (1.0 - mask_p) + mask_p
+    target = g * labels + (1.0 - g) * labels[np.roll(np.arange(n), -1)]
+    return mixup_reg_from_pairs(model, t, x_mix, target.value if target_stop_gradient
+                                else target, "msle")
 
 
 def large_margin_values(phi, alpha: float) -> ad.Tensor:

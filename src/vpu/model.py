@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .sampling import Rng, _uniforms
+from .sampling import Rng, _as_uniform, _take
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -182,7 +182,7 @@ def init(arch: MlpArchitecture, seed: int) -> ClassifierModel:
     for layer in arch.layers:
         fan_in, fan_out = layer.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        values[layer.weight] = (2.0 * _uniforms(rng, fan_in * fan_out) - 1.0) * bound
+        values[layer.weight] = (2.0 * _as_uniform(_take(rng, fan_in * fan_out)) - 1.0) * bound
     return ClassifierModel(arch=arch, params=values)
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .losses import variational_loss_values
-from .sampling import (Rng, _exponentials, _randbelow_lockstep, _take_lockstep,
-                       _uniform_lockstep, _uniforms_lockstep)
+from .sampling import Rng, _as_uniform, _exponentials, _randbelow_lockstep, _take_lockstep
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,7 @@ def random_instances(rngs, k_max: int = 32,
     anchors = np.broadcast_to(np.asarray(anchor, dtype=bool), (len(rngs),))
     ks = (2 + _randbelow_lockstep(np.full(len(rngs), k_max - 1), rngs)).astype(np.intp)
     runs = _runs(_exponentials(_take_lockstep(2 * ks, rngs)), 2 * ks)
-    pis = 0.1 + 0.8 * _uniform_lockstep(rngs)
+    pis = 0.1 + 0.8 * _as_uniform(_take_lockstep(1, rngs))
     anchored = np.flatnonzero(anchors)
     points = np.zeros(len(rngs), dtype=np.intp)
     points[anchored] = _randbelow_lockstep(ks[anchored], [rngs[i] for i in anchored])
@@ -266,7 +265,7 @@ def _uniform_runs(sizes, rngs, lo: float = 1e-3) -> list[tuple[np.ndarray, np.nd
     """``sizes[i]`` draws of lo + (1 - lo) U from each ``rngs[i]``, taken for
     all streams at once, as `_runs` groups them; by default, random phis."""
     sizes = np.asarray(sizes, dtype=np.intp)
-    return _runs(lo + (1.0 - lo) * _uniforms_lockstep(sizes, rngs), sizes)
+    return _runs(lo + (1.0 - lo) * _as_uniform(_take_lockstep(sizes, rngs)), sizes)
 
 
 def _per_point(instances, rngs, lo: float = 1e-3) -> list[np.ndarray]:
@@ -341,7 +340,7 @@ def _run_suite(name, trials, seed, check, tol) -> SuiteResult:
 
 def _coins(rngs) -> np.ndarray:
     """``rng.uniform() < 0.5`` for each stream."""
-    return _uniform_lockstep(rngs) < 0.5
+    return _as_uniform(_take_lockstep(1, rngs)) < 0.5
 
 
 def suite_kl_identity(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:

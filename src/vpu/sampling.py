@@ -7,14 +7,14 @@ SplitMix64 finalizer.  The algorithm is fixed and documented so that golden
 values are reproducible across implementations and platforms.
 
 Output i is a pure function of the seed and i, so any run of outputs can be
-computed in one numpy call (`_outputs`) and consumed in order.  The
-samplers here and in `data`, `model` and `oracle` draw in such blocks, and
-leave ``Rng.counter`` (and the cached Box-Muller normal) exactly where
-one-draw-at-a-time code would, so outputs do not depend on the block
-sizes.  The ``_*_lockstep`` helpers take one stage of many streams' draws
-(the oracle's trials) in such a call, each stream at its own counter.
-`Rng.next_u64` and the scalar draws built on it mix one output at a time;
-`sample_gammas`, the one Marsaglia-Tsang loop, draws this way for
+mixed in one numpy call and consumed in order: `_take` takes the next run
+of one stream, and `_take_lockstep` the next runs of many streams (the
+oracle's trials), each at its own counter.  Bounded integers reject biased
+outputs by one rule, `_accepts`.  The samplers here and in `data`, `model`
+and `oracle` draw in such blocks, and leave ``Rng.counter`` (and the cached
+Box-Muller normal) exactly where one-draw-at-a-time code would, so outputs
+do not depend on the block sizes.  `Rng.next_u64` mixes one output at a
+time; `sample_gammas`, the one Marsaglia-Tsang loop, draws this way for
 `sample_beta`, which needs only a few outputs per call.
 """
 
@@ -53,16 +53,6 @@ class Rng:
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (no modulo bias)."""
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
 
     def normals(self, n: int, pairs: np.ndarray | None = None) -> np.ndarray:
         """`n` standard normals by Box-Muller: the cached value first, then
@@ -155,19 +145,13 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _outputs(rng: Rng, k: int) -> np.ndarray:
-    """The next `k` outputs of `rng` as uint64, without advancing it."""
+def _take(rng: Rng, k: int) -> np.ndarray:
+    """The next `k` outputs of `rng` as uint64, advancing it past them."""
     z = np.arange(rng.counter + 1, rng.counter + k + 1, dtype=np.uint64)
+    rng.counter += k
     z *= _GOLDEN_U64
     z += np.uint64(rng.seed)
     return _mix(z)
-
-
-def _take(rng: Rng, k: int) -> np.ndarray:
-    """The next `k` outputs of `rng` as uint64, advancing it past them."""
-    x = _outputs(rng, k)
-    rng.counter += k
-    return x
 
 
 def _pairs_needed(n, cached: bool):
@@ -195,25 +179,28 @@ def _exponentials(x: np.ndarray) -> np.ndarray:
     return -np.fromiter(map(math.log, _open(x).tolist()), np.float64, x.size)
 
 
-def _uniforms(rng: Rng, k: int) -> np.ndarray:
-    """``[rng.uniform() for _ in range(k)]``, bit for bit, in one block."""
-    return _as_uniform(_take(rng, k))
+def _accepts(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Whether each output in `x` gives an unbiased ``x % b`` for its bound:
+    the rejection rule ``x < 2^64 - (2^64 mod b)``, written in uint64 as
+    ``x <= 2^64 - 1 - (2^64 mod b)``.  A rejected output is skipped, and
+    the bound takes the next one."""
+    top = np.uint64(_MASK64)
+    return x <= top - (top % bounds + np.uint64(1)) % bounds
 
 
 def _randbelow_each(rng: Rng, bounds: np.ndarray) -> np.ndarray:
-    """``[rng.randbelow(b) for b in bounds]`` as uint64, bit for bit, leaving
-    `rng` where that loop leaves it.  Draws are vectorised up to the first
-    rejected one; the loop takes over from there."""
+    """A uniform integer in [0, b) for each b in `bounds`, in order, as
+    uint64: each bound takes outputs until `_accepts` keeps one.  Draws are
+    vectorised up to the first rejected output, then, in one more call,
+    from the one after it; a bound b rejects with probability below b/2^64."""
     bounds = np.asarray(bounds, dtype=np.uint64)
-    x = _outputs(rng, bounds.size)
-    # randbelow accepts x < 2^64 - (2^64 mod b), i.e. x <= 2^64 - 1 - (2^64 mod b)
-    top = np.uint64(_MASK64)
-    rejected = np.flatnonzero(x > top - (top % bounds + np.uint64(1)) % bounds)
-    k = int(rejected[0]) if rejected.size else bounds.size
+    x = _take(rng, bounds.size)
     out = x % bounds
-    rng.counter += k
-    for i in range(k, bounds.size):
-        out[i] = rng.randbelow(int(bounds[i]))
+    rejected = np.flatnonzero(~_accepts(x, bounds))
+    if rejected.size:
+        k = int(rejected[0])
+        rng.counter -= bounds.size - k - 1  # back to just past the rejected output
+        out[k:] = _randbelow_each(rng, bounds[k:])
     return out
 
 
@@ -226,22 +213,13 @@ def _randbelow_each(rng: Rng, bounds: np.ndarray) -> np.ndarray:
 # one-stream draw it names leaves it.
 
 
-def _state(rngs) -> tuple[np.ndarray, np.ndarray]:
-    """The seeds and counters of `rngs` as uint64 arrays."""
-    return (np.fromiter((r.seed for r in rngs), np.uint64, len(rngs)),
-            np.fromiter((r.counter for r in rngs), np.uint64, len(rngs)))
-
-
-def _set_counters(rngs, counters: np.ndarray) -> None:
-    for rng, counter in zip(rngs, counters.tolist()):
-        rng.counter = counter
-
-
 def _take_lockstep(counts, rngs) -> np.ndarray:
-    """The next ``counts[i]`` outputs of each ``rngs[i]``, concatenated as
-    uint64, advancing each past them."""
-    counts = np.asarray(counts, dtype=np.intp)
-    seeds, counters = _state(rngs)
+    """The next ``counts[i]`` outputs of each ``rngs[i]`` (or `counts`
+    outputs of each, given one int), concatenated as uint64, advancing each
+    past them."""
+    counts = np.broadcast_to(np.asarray(counts, dtype=np.intp), (len(rngs),))
+    seeds = np.fromiter((r.seed for r in rngs), np.uint64, len(rngs))
+    counters = np.fromiter((r.counter for r in rngs), np.uint64, len(rngs))
     owner = np.repeat(np.arange(len(rngs)), counts)
     # draw j of a stream (from 0) is its output counter + 1 + j
     z = np.arange(1, owner.size + 1, dtype=np.uint64)
@@ -249,43 +227,29 @@ def _take_lockstep(counts, rngs) -> np.ndarray:
     z -= (np.cumsum(counts) - counts).astype(np.uint64)[owner]
     z *= _GOLDEN_U64
     z += seeds[owner]
-    _set_counters(rngs, counters + counts.astype(np.uint64))
+    for rng, k in zip(rngs, counts.tolist()):
+        rng.counter += k
     return _mix(z)
 
 
-def _uniform_lockstep(rngs) -> np.ndarray:
-    """``[rng.uniform() for rng in rngs]``, bit for bit."""
-    return _as_uniform(_take_lockstep(np.ones(len(rngs), dtype=np.intp), rngs))
-
-
-def _uniforms_lockstep(counts, rngs) -> np.ndarray:
-    """``[_uniforms(rng, k) for k, rng in zip(counts, rngs)]``, bit for bit,
-    concatenated."""
-    return _as_uniform(_take_lockstep(counts, rngs))
-
-
 def _randbelow_lockstep(bounds, rngs) -> np.ndarray:
-    """``[rng.randbelow(b) for b, rng in zip(bounds, rngs)]`` as uint64, bit
-    for bit.  A stream whose output is rejected (with probability below
-    b/2^64) falls back to `Rng.randbelow`."""
+    """``_randbelow_each(rng, [b])`` for each b and rng in `bounds` and
+    `rngs`, as uint64.  A stream whose output is rejected (with probability
+    below b/2^64) goes on alone in `_randbelow_each`."""
     bounds = np.asarray(bounds, dtype=np.uint64)
     if bounds.size and bounds.min() == 0:
         raise ValueError("randbelow requires n >= 1")
-    seeds, counters = _state(rngs)
-    x = _mix((counters + np.uint64(1)) * _GOLDEN_U64 + seeds)
-    top = np.uint64(_MASK64)
-    accepted = x <= top - (top % bounds + np.uint64(1)) % bounds
+    x = _take_lockstep(1, rngs)
     out = x % bounds
-    _set_counters(rngs, counters + accepted)
-    for i in np.flatnonzero(~accepted).tolist():
-        out[i] = rngs[i].randbelow(int(bounds[i]))
+    for i in np.flatnonzero(~_accepts(x, bounds)).tolist():
+        out[i] = _randbelow_each(rngs[i], bounds[i:i + 1])[0]
     return out
 
 
 def sample_indices(n: int, size: int, rng: Rng) -> np.ndarray:
     """`size` indices into [0, n): without replacement when size <= n
     (partial Fisher-Yates), with replacement otherwise.  Each index takes
-    one ``rng.randbelow`` draw, in order."""
+    one bounded draw of `_randbelow_each`, in order."""
     if n <= 0:
         raise ValueError("empty pool")
     if size < 1:
@@ -298,10 +262,6 @@ def sample_indices(n: int, size: int, rng: Rng) -> np.ndarray:
     for i, j in enumerate(swaps):
         idx[i], idx[j] = idx[j], idx[i]
     return np.array(idx[:size], dtype=np.intp)
-
-
-def shuffled_indices(n: int, rng: Rng) -> np.ndarray:
-    return sample_indices(n, n, rng)
 
 
 def sample_minibatch(pool: np.ndarray, size: int, rng: Rng) -> np.ndarray:

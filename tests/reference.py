@@ -4,11 +4,12 @@
 add / activation nodes, the way `ClassifierModel.logits` did before it
 became one node with a hand-written backward; the tape ops it needs beyond
 those the losses use (`matmul`, `tanh`, `reshape`) are defined here.
-`sample_indices_loop` draws one `Rng.randbelow` per index, the way
+`sample_indices_loop` draws one `ScalarRng.randbelow` per index, the way
 `sampling.sample_indices` did before its draws were vectorised.
 `ScalarRng` mixes one SplitMix64 output per `next_u64` call with the
-reference finalizer `mix64`, and draws one Box-Muller normal or open
-uniform at a time; the row-by-row samplers, `normals_loop`,
+reference finalizer `mix64`, and draws one bounded integer (rejecting
+biased outputs in a loop), Box-Muller normal or open uniform at a time;
+the row-by-row samplers, `normals_loop`,
 `sample_gamma_loop`, `sample_beta_loop` and `average_ranks_loop` are the
 scalar forms of the block code in `data`, `sampling`, `oracle` and
 `metrics`.  All must agree with
@@ -154,6 +155,16 @@ class ScalarRng(sp.Rng):
     def uniform_open(self) -> float:
         """One double strictly inside (0, 1); safe under log()."""
         return ((self.next_u64() >> 12) + 0.5) * 2.0**-52
+
+    def randbelow(self, n: int) -> int:
+        """Uniform integer in [0, n) by rejection (no modulo bias)."""
+        if n <= 0:
+            raise ValueError("randbelow requires n >= 1")
+        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        while True:
+            x = self.next_u64()
+            if x < limit:
+                return x % n
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; the second value is cached."""

@@ -428,6 +428,28 @@ class TestEval:
         assert captured.out == ""
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    @pytest.mark.parametrize("pool, tag", [("P", "VP"), ("U", "VU")])
+    def test_validation_rows_of_one_pool_are_usage_error(self, tmp_path, capsys, command,
+                                                         pool, tag):
+        # 10 P rows relabelled VP, with no VU rows, used to be dropped by the
+        # validation split (or, with early_stop none, never validated)
+        dataset = make_dataset(tmp_path)
+        lines = dataset.read_text().splitlines()
+        rows = [i for i, line in enumerate(lines) if line.startswith(f"{pool},")][:10]
+        for i in rows:
+            lines[i] = tag + lines[i][len(pool):]
+        dataset.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.txt"
+        md.save_model(md.init(md.MlpArchitecture(2, (8, 8)), seed=0), str(model))
+        capsys.readouterr()
+        assert run(command, "--model", str(model), "--data", str(dataset),
+                   "--out", str(tmp_path / "e"), *QUICK) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {dataset}: ") and "VP and VU" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "e").exists()
+
 
 class TestOracleCheck:
     def test_passes_and_prints_table(self, capsys):

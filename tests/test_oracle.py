@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from vpu import oracle as oc
-from vpu.sampling import Rng, _exponentials, _take, _uniforms
+from vpu.sampling import Rng, _as_uniform, _exponentials, _take
 
 from reference import bits, one_instance, one_phi
 
@@ -295,7 +295,7 @@ class TestBiasBound:
         rng = Rng(9)
         for _ in range(300):
             d = one_instance(rng, 16, rng.uniform() < 0.5)
-            labeled = oc._biased_labeled(d, _uniforms(rng, d.k))
+            labeled = oc._biased_labeled(d, _as_uniform(_take(rng, d.k)))
             lhs, bound, holds = oc.theorem3_check(d, labeled)
             assert holds, (lhs, bound)
 

@@ -38,9 +38,10 @@ class TestRng:
         assert np.isfinite(z).all() and z[2] != 0.0
 
     def test_randbelow_bounds(self):
-        rng = sp.Rng(3)
+        rng = ScalarRng(3)
         draws = [rng.randbelow(7) for _ in range(2000)]
         assert set(draws) == set(range(7))
+        assert sp._randbelow_each(sp.Rng(3), np.full(2000, 7)).tolist() == draws
 
     def test_normal_moments(self):
         rng = sp.Rng(11)
@@ -130,6 +131,19 @@ class TestMinibatch:
             sp.sample_minibatch(np.zeros((0, 2)), 1, sp.Rng(0))
 
 
+HALF = 2**63 + 1  # a bound that rejects about half of all outputs
+
+
+def outputs_taken(bounds, rng) -> list[int]:
+    """How many outputs each `ScalarRng.randbelow(b)` in turn takes."""
+    taken = []
+    for b in bounds:
+        start = rng.counter
+        rng.randbelow(b)
+        taken.append(rng.counter - start)
+    return taken
+
+
 class TestSampleIndices:
     """The vectorised draws against the one-randbelow-per-index loop."""
 
@@ -137,7 +151,7 @@ class TestSampleIndices:
                                         (100, 500), (3, 10)])
     def test_matches_loop(self, n, size):
         for seed in range(5):
-            fast, slow = sp.Rng(seed), sp.Rng(seed)
+            fast, slow = sp.Rng(seed), ScalarRng(seed)
             fast.counter = slow.counter = 17 * seed
             got = sp.sample_indices(n, size, fast)
             want = sample_indices_loop(n, size, slow)
@@ -147,11 +161,32 @@ class TestSampleIndices:
     def test_rejection_falls_back_to_loop(self):
         # a bound just above 2^63 rejects about half of all draws
         bounds = np.array([5, 2**63 + 1, 2**64 - 3, 9] * 10, dtype=np.uint64)
-        fast, slow = sp.Rng(3), sp.Rng(3)
+        fast, slow = sp.Rng(3), ScalarRng(3)
         got = sp._randbelow_each(fast, bounds)
         want = [slow.randbelow(int(b)) for b in bounds]
         assert [int(v) for v in got] == want
         assert fast.counter == slow.counter > bounds.size
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 7, 2**63, 2**63 + 1, 2**64 - 1])
+    def test_accepts_below_the_scalar_limit(self, bound):
+        # the outputs on both sides of ScalarRng.randbelow's limit that exist
+        limit = 2**64 - 2**64 % bound
+        xs = [x for x in (0, limit - 2, limit - 1, limit, limit + 1, 2**64 - 1) if x < 2**64]
+        got = sp._accepts(np.array(xs, dtype=np.uint64), np.full(len(xs), bound, np.uint64))
+        assert got.tolist() == [x < limit for x in xs]
+
+    @pytest.mark.parametrize("bounds, taken", [
+        ([HALF, 5, 5, 5], [2, 1, 1, 1]),  # rejected at the first index
+        ([5, 5, 5, HALF], [1, 1, 1, 2]),  # at the last index
+        ([5, HALF, 5], [1, 3, 1]),  # twice for one index
+        ([5, HALF, HALF, 5], [1, 2, 2, 1]),  # at two indices in a row
+    ])
+    def test_rejections_where_they_fall(self, bounds, taken):
+        seed = next(s for s in range(1000) if outputs_taken(bounds, ScalarRng(s)) == taken)
+        fast, slow = sp.Rng(seed), ScalarRng(seed)
+        got = sp._randbelow_each(fast, bounds)
+        assert got.tolist() == [slow.randbelow(b) for b in bounds]
+        assert same_state(fast, slow)
 
 
 def gamma_loop(shape, n, rng, events=None) -> np.ndarray:
@@ -175,15 +210,15 @@ class TestBlockDraws:
 
     @pytest.fixture
     def blocks(self, monkeypatch):
-        """The sizes of the `_outputs` blocks mixed, in order."""
+        """The sizes of the `_take` blocks mixed, in order."""
         sizes = []
-        original = sp._outputs
+        original = sp._take
 
         def counting(rng, k):
             sizes.append(k)
             return original(rng, k)
 
-        monkeypatch.setattr(sp, "_outputs", counting)
+        monkeypatch.setattr(sp, "_take", counting)
         return sizes
 
     def test_scalar_draws_across_block_boundaries(self, blocks):
@@ -216,7 +251,8 @@ class TestBlockDraws:
         fast, slow = sp.Rng(11), ScalarRng(11)
         for k in (1, 7, 64, 129):
             assert [fast.next_u64() for _ in range(k)] == [slow.next_u64() for _ in range(k)]
-            ahead = sp._outputs(fast, 3)  # looks ahead without advancing
+            ahead = sp._take(fast, 3)  # looks ahead, then rewinds
+            fast.counter -= 3
             taken = sp._take(fast, k)
             assert [int(v) for v in ahead[:k]] == [int(v) for v in taken[:3]]
             assert [int(v) for v in taken] == [slow.next_u64() for _ in range(k)]
@@ -226,7 +262,7 @@ class TestBlockDraws:
     def test_uniforms_block(self):
         fast, slow = sp.Rng(2), ScalarRng(2)
         fast.uniform(), slow.uniform()
-        assert np.array_equal(bits(sp._uniforms(fast, 300)),
+        assert np.array_equal(bits(sp._as_uniform(sp._take(fast, 300))),
                               bits([slow.uniform() for _ in range(300)]))
         assert same_state(fast, slow)
 
@@ -295,8 +331,8 @@ class TestLockstep:
     def test_uniforms(self):
         counts = [3, 0, 1, 64, 0, 5]
         fast, slow = streams(7, len(counts), moved=[1, 3], cached=[2])
-        assert sp._uniform_lockstep(fast).tolist() == [r.uniform() for r in slow]
-        got = np.split(sp._uniforms_lockstep(counts, fast), np.cumsum(counts)[:-1])
+        assert sp._as_uniform(sp._take_lockstep(1, fast)).tolist() == [r.uniform() for r in slow]
+        got = np.split(sp._as_uniform(sp._take_lockstep(counts, fast)), np.cumsum(counts)[:-1])
         for g, n, rng in zip(got, counts, slow):
             assert np.array_equal(bits(g), bits([rng.uniform() for _ in range(n)]))
         assert all(same_state(a, b) for a, b in zip(fast, slow))
@@ -313,6 +349,17 @@ class TestLockstep:
         assert sum(r.counter for r in fast) - sum(start) > len(bounds)  # some fell back
         with pytest.raises(ValueError):
             sp._randbelow_lockstep([3, 0], [sp.Rng(0), sp.Rng(1)])
+
+    def test_randbelow_rejected_twice(self):
+        # the middle stream is rejected twice in a row, then goes on alone
+        twice = next(s for s in range(1000) if outputs_taken([HALF], ScalarRng(s)) == [3])
+        bounds, seeds = [5, HALF, 9], [twice + 1, twice, twice + 2]
+        fast = [sp.Rng(s) for s in seeds]
+        slow = [ScalarRng(s) for s in seeds]
+        got = sp._randbelow_lockstep(bounds, fast)
+        assert got.tolist() == [rng.randbelow(b) for b, rng in zip(bounds, slow)]
+        assert all(same_state(a, b) for a, b in zip(fast, slow))
+        assert [r.counter for r in fast] == [1, 3, 1]
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,9 @@ generator: none imports `random` or uses `numpy.random`.  Nothing is left
 over: a module uses every name it imports, every `_`-prefixed
 module-level name is referenced somewhere in the package, and so is every
 public function, class and method, so that `src/` holds no code that only
-the tests run.  Every span name the benchmark reads names a function or
+the tests run.  Outputs of the generator are mixed in numpy in two places
+only: `sampling._mix` is read by `_take` and `_take_lockstep` alone.  Every
+span name the benchmark reads names a function or
 method in the package.
 """
 
@@ -123,6 +125,42 @@ def other_randomness(src: Path = SRC) -> list[str]:
             if any(m.split(".")[0] == "random" or m.startswith("numpy.random") for m in modules):
                 found.append(f"{path.stem}:{node.lineno}")
     return found
+
+
+def mix_readers(src: Path = SRC) -> list[str]:
+    """`module.function` (`module.Class.method`, or `module` at top level)
+    for each read of `_mix` in `src`, as a name or an attribute, in source
+    order."""
+    found = []
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, defs):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)
+                    and getattr(child, "id", getattr(child, "attr", None)) == "_mix"):
+                found.append(where)
+            visit(child, where)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_only_the_two_takers_mix_outputs():
+    assert mix_readers() == ["sampling._take", "sampling._take_lockstep"]
+
+
+def test_mix_readers_are_found(tmp_path):
+    (tmp_path / "a.py").write_text("from . import b\n\n"
+                                   "def _take(z):\n    return _mix(z)\n\n"
+                                   "def helper(z):\n    return b._mix(z) + _mix(z)\n\n"
+                                   "class Rng:\n    def draw(self):\n        mixed = _mix\n"
+                                   "        return mixed(self.z)\n\nTABLE = _mix(0)\n")
+    (tmp_path / "b.py").write_text("def _mix(z):\n    return z\n\n_mix = _mix\n")
+    assert mix_readers(tmp_path) == ["a._take", "a.helper", "a.helper", "a.Rng.draw", "a", "b"]
 
 
 def test_no_randomness_besides_the_generator():
