@@ -356,7 +356,10 @@ def cmd_bias_experiment(cfg: Config) -> int:
     spec = cfg["mixture"]
     pos = spec.positive_components()
     if len(pos) < 2:
-        raise ConfigError("bias experiment needs >= 2 positive subcomponents")
+        raise ConfigError("key 'mixture': bias experiment needs >= 2 positive subcomponents")
+    if len(pos) == len(spec.components) or not spec.pi_p < 1.0:
+        raise ConfigError("key 'mixture': bias experiment needs a negative component "
+                          "(its nnpu baseline needs pi_p < 1)")
     if cfg["n_test"] < 1:
         raise ConfigError("key 'n_test': bias experiment needs >= 1 test row")
     ratios = cfg["ratios"]

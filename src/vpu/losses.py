@@ -7,7 +7,9 @@ it forwards the positive rows, then the unlabeled rows, once each, and hands
 the outputs to the heads.  The heads (`*_values`, `*_from_margins`) take
 probability or margin vectors; the regularizers that need outputs at other
 points (`mixup_consistency_reg`, the large-margin term) forward those rows
-themselves.  Everything returns a differentiable scalar (an autodiff Tensor)
+themselves.  `mixup_consistency_reg` is the one builder of every MixUp
+variant: it picks the mixed points and their target, and applies the
+penalty.  Everything returns a differentiable scalar (an autodiff Tensor)
 on the flat parameter Tensor `theta`.
 """
 
@@ -24,7 +26,7 @@ OBJECTIVES = ("vpu", "vpu_l2", "upu", "nnpu")
 REG_VARIANTS = ("msle_mixup_pu", "none", "msle_mixup_p_only",
                 "msle_mixup_pupu", "mse_mixup_pu", "large_margin")
 _MIXUP_VARIANTS = ("msle_mixup_pu", "msle_mixup_p_only", "msle_mixup_pupu", "mse_mixup_pu")
-PU_TARGET_VARIANTS = ("msle_mixup_pu", "mse_mixup_pu")  # targets built from the U outputs
+_PU_TARGET_VARIANTS = ("msle_mixup_pu", "mse_mixup_pu")  # targets built from the U outputs
 
 
 @dataclass(frozen=True)
@@ -86,24 +88,6 @@ def l2_variational_loss_values(phi_p, phi_u) -> ad.Tensor:
 # -- regularizers ---------------------------------------------------------------
 
 
-def mixup_reg_from_pairs(model, theta, x_mix: np.ndarray, phi_tilde,
-                         kind: str = "msle") -> ad.Tensor:
-    """Consistency penalty between guessed targets and predictions at the
-    mixed points: mean (log t - log phi(x))^2 for msle, mean (t - phi(x))^2
-    for mse.  `phi_tilde` may be a constant array (stop-gradient targets) or
-    a Tensor when the target should stay differentiable.
-    """
-    phi_mix = model.raw(theta, x_mix)
-    t = ad.as_tensor(phi_tilde)
-    if kind == "msle":
-        d = ad.log(t) - ad.log(phi_mix)
-    elif kind == "mse":
-        d = t - phi_mix
-    else:
-        raise ValueError(f"unknown consistency kind {kind!r}")
-    return ad.mean(d * d)
-
-
 def _rotate(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a[1:], a[:1]], axis=0)
 
@@ -111,48 +95,52 @@ def _rotate(a: np.ndarray) -> np.ndarray:
 def mixup_consistency_reg(model, theta, xp: np.ndarray, xu: np.ndarray, phi_u, gamma,
                           variant: str = "msle_mixup_pu",
                           target_stop_gradient: bool = True) -> ad.Tensor:
-    """MixUp consistency regularizer in one of its ablation variants.
+    """MixUp consistency regularizer in one of its ablation variants: the
+    mean squared gap between a guessed target and the network's output at
+    mixed points, in logs (msle) or plain (mse).
 
-    `xp` and `xu` are the positive and unlabeled rows.  `phi_u` is
-    ``model.raw(theta, xu)``: the `PU_TARGET_VARIANTS` build their target
-    from it (from its values when the target stops the gradient), and the
-    other variants ignore it.  `gamma` is the batch's one mixing weight.
-    Pairing is positional; the randomness comes from batch sampling.  The
-    pupu variant pairs the concatenated rows with their rotation, so both
-    endpoints range over positives and unlabeled points.
+    `xp` and `xu` are the positive and unlabeled rows.  The pu variants
+    build their target from the unlabeled outputs `phi_u`, which is
+    ``model.raw(theta, xu)`` or None to forward `xu` here (from its values
+    when the target stops the gradient); the other variants ignore it.
+    `gamma` is the batch's one mixing weight.  Pairing is positional; the
+    randomness comes from batch sampling.  The pupu variant pairs the
+    concatenated rows with their rotation, so both endpoints range over
+    positives and unlabeled points.
     """
     if variant not in _MIXUP_VARIANTS:
         raise ValueError(f"not a mixup variant: {variant!r}")
     t = ad.as_tensor(theta)
     g = float(gamma)
 
-    if variant in PU_TARGET_VARIANTS:
+    if variant in _PU_TARGET_VARIANTS:
         if xp.shape != xu.shape:
             raise ValueError("pu mixup needs equal-size batches")
         x_mix = g * xp + (1.0 - g) * xu
-        phi_u = ad.as_tensor(phi_u)
+        phi_u = model.raw(t, xu) if phi_u is None else ad.as_tensor(phi_u)
         target = g + (1.0 - g) * (phi_u.value if target_stop_gradient else phi_u)
-        kind = "msle" if variant == "msle_mixup_pu" else "mse"
-        return mixup_reg_from_pairs(model, t, x_mix, target, kind)
-
-    if variant == "msle_mixup_p_only":
+    elif variant == "msle_mixup_p_only":
         x_mix = g * xp + (1.0 - g) * _rotate(xp)
         target = np.ones(xp.shape[0])  # both endpoints carry label 1
-        return mixup_reg_from_pairs(model, t, x_mix, target, "msle")
+    else:
+        # msle_mixup_pupu: endpoints drawn from the union of both batches
+        union = np.concatenate([xp, xu], axis=0)
+        n = union.shape[0]
+        x_mix = g * union + (1.0 - g) * _rotate(union)
+        # per-point target: 1 for positive-origin points, phi(x) otherwise
+        mask_p = np.zeros(n)
+        mask_p[:xp.shape[0]] = 1.0
+        # the union's own forward: its U half matches phi_u only up to the
+        # rounding that a different matrix shape gives
+        labels = model.raw(t, union) * (1.0 - mask_p) + mask_p
+        target = g * labels + (1.0 - g) * labels[np.roll(np.arange(n), -1)]
+        if target_stop_gradient:
+            target = target.value
 
-    # msle_mixup_pupu: endpoints drawn from the union of both batches
-    union = np.concatenate([xp, xu], axis=0)
-    n = union.shape[0]
-    x_mix = g * union + (1.0 - g) * _rotate(union)
-    # per-point target: 1 for positive-origin points, phi(x) otherwise
-    mask_p = np.zeros(n)
-    mask_p[:xp.shape[0]] = 1.0
-    # the union's own forward: its U half matches phi_u only up to the
-    # rounding that a different matrix shape gives
-    labels = model.raw(t, union) * (1.0 - mask_p) + mask_p
-    target = g * labels + (1.0 - g) * labels[np.roll(np.arange(n), -1)]
-    return mixup_reg_from_pairs(model, t, x_mix, target.value if target_stop_gradient
-                                else target, "msle")
+    phi_mix = model.raw(t, x_mix)
+    target = ad.as_tensor(target)
+    d = target - phi_mix if variant == "mse_mixup_pu" else ad.log(target) - ad.log(phi_mix)
+    return ad.mean(d * d)
 
 
 def large_margin_values(phi, alpha: float) -> ad.Tensor:
@@ -189,14 +177,14 @@ def nnpu_risk_from_margins(margins_p, margins_u, pi_p: float) -> ad.Tensor:
 
 
 def total_loss(spec: LossSpec, model, theta, xp: np.ndarray, xu: np.ndarray,
-               gamma=None, target_stop_gradient: bool = True) -> ad.Tensor:
+               gamma=None) -> ad.Tensor:
     """Objective plus lambda times the configured regularizer, on the
     positive rows `xp` and the unlabeled rows `xu`.
 
     The objective forwards each set of rows once, positives first (margins
     for the baselines, sigmoid outputs otherwise), and the pu MixUp target
-    reuses the unlabeled outputs.  Baseline objectives (upu, nnpu) ignore
-    the regularizer entirely.
+    reuses the unlabeled outputs, with its gradient stopped.  Baseline
+    objectives (upu, nnpu) ignore the regularizer entirely.
     """
     t = ad.as_tensor(theta)
     if not spec.variational:
@@ -215,6 +203,5 @@ def total_loss(spec: LossSpec, model, theta, xp: np.ndarray, xu: np.ndarray,
     else:
         if gamma is None:
             raise ValueError("mixup regularizers need a gamma draw")
-        reg = mixup_consistency_reg(model, t, xp, xu, phi_u, gamma,
-                                    spec.reg_variant, target_stop_gradient)
+        reg = mixup_consistency_reg(model, t, xp, xu, phi_u, gamma, spec.reg_variant)
     return base + spec.lam * reg

@@ -102,8 +102,6 @@ class ClassifierModel:
         """
         t = ad.as_tensor(theta)
         X = np.asarray(x, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         if X.ndim != 2 or X.shape[1] != self.arch.input_dim:
             raise ValueError(f"expected features of dimension {self.arch.input_dim}")
         ad._checked(X, "features")

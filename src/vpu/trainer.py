@@ -152,8 +152,7 @@ def _eval_reg(current: md.ClassifierModel, data: PuDataset,
         reg = ls.large_margin_values(current.raw(theta, vp), spec.alpha)
     else:
         k = min(vp.shape[0], vu.shape[0])
-        phi_u = current.raw(theta, vu[:k]) if spec.reg_variant in ls.PU_TARGET_VARIANTS else None
-        reg = ls.mixup_consistency_reg(current, theta, vp[:k], vu[:k], phi_u, 0.5,
+        reg = ls.mixup_consistency_reg(current, theta, vp[:k], vu[:k], None, 0.5,
                                        spec.reg_variant)
     return float(reg.value)
 

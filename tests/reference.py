@@ -15,6 +15,9 @@ scalar forms of the block code in `data`, `sampling`, `oracle` and
 `metrics`.  All must agree with
 the optimised code bit for bit, which `bits` and `same_state` compare.
 `one_instance` and `one_phi` draw one oracle trial from one stream.
+`mixup_penalty` is the MixUp penalty at given points and targets, and
+`total_loss_two_forwards` and `total_loss_live_target` are the training
+objective with a second forward of the U rows or a differentiated target.
 """
 
 from __future__ import annotations
@@ -68,8 +71,6 @@ _ACTIVATIONS = {"relu": ad.positive_part, "tanh": tanh}
 def tape_logits(model: md.ClassifierModel, theta, x: np.ndarray) -> ad.Tensor:
     t = ad.as_tensor(theta)
     X = np.asarray(x, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != model.arch.input_dim:
         raise ValueError(f"expected features of dimension {model.arch.input_dim}")
     act = _ACTIVATIONS[model.arch.activation]
@@ -271,6 +272,16 @@ def _rotate(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a[1:], a[:1]], axis=0)
 
 
+def mixup_penalty(model, theta, x_mix, target, kind="msle") -> ad.Tensor:
+    """The MixUp consistency penalty at given mixed points and targets:
+    mean (log target - log phi(x))^2 for msle, mean (target - phi(x))^2
+    for mse, with the ops of `losses.mixup_consistency_reg` in its order."""
+    phi_mix = model.raw(theta, x_mix)
+    target = ad.as_tensor(target)
+    d = ad.log(target) - ad.log(phi_mix) if kind == "msle" else target - phi_mix
+    return ad.mean(d * d)
+
+
 def _mixup_reg_two_forwards(model, t, xp, xu, gamma, variant, target_stop_gradient):
     g = np.asarray(gamma, dtype=np.float64)
 
@@ -282,21 +293,16 @@ def _mixup_reg_two_forwards(model, t, xp, xu, gamma, variant, target_stop_gradie
             return model.raw(t.value, x).value
         return model.raw(t, x)
 
-    def penalty(x_mix, target, kind):
-        phi_mix = model.raw(t, x_mix)
-        target = ad.as_tensor(target)
-        d = ad.log(target) - ad.log(phi_mix) if kind == "msle" else target - phi_mix
-        return ad.mean(d * d)
-
     if variant in ("msle_mixup_pu", "mse_mixup_pu"):
         gv = spread(xp.shape[0])
         x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * xu
         target = gv + (1.0 - gv) * phi_of(xu)
-        return penalty(x_mix, target, "msle" if variant == "msle_mixup_pu" else "mse")
+        kind = "msle" if variant == "msle_mixup_pu" else "mse"
+        return mixup_penalty(model, t, x_mix, target, kind)
     if variant == "msle_mixup_p_only":
         gv = spread(xp.shape[0])
         x_mix = gv[:, None] * xp + (1.0 - gv[:, None]) * _rotate(xp)
-        return penalty(x_mix, np.ones(xp.shape[0]), "msle")
+        return mixup_penalty(model, t, x_mix, np.ones(xp.shape[0]), "msle")
     union = np.concatenate([xp, xu], axis=0)
     n = union.shape[0]
     gv = spread(n)
@@ -309,7 +315,7 @@ def _mixup_reg_two_forwards(model, t, xp, xu, gamma, variant, target_stop_gradie
     else:
         labels = phi_of(union) * (1.0 - mask_p) + mask_p
         target = ad.as_tensor(gv) * labels + ad.as_tensor(1.0 - gv) * labels[np.roll(np.arange(n), -1)]
-    return penalty(x_mix, target, "msle")
+    return mixup_penalty(model, t, x_mix, target, "msle")
 
 
 def total_loss_two_forwards(spec, model, theta, xp, xu, gamma=None,
@@ -330,4 +336,20 @@ def total_loss_two_forwards(spec, model, theta, xp, xu, gamma=None,
     else:
         reg = _mixup_reg_two_forwards(model, t, xp, xu, gamma, spec.reg_variant,
                                       target_stop_gradient)
+    return base + spec.lam * reg
+
+
+def total_loss_live_target(spec, model, theta, xp, xu, gamma=None) -> ad.Tensor:
+    """`losses.total_loss` with the MixUp target left differentiable: the
+    same forwards, heads and order, and the regularizer called with
+    `target_stop_gradient=False`."""
+    if not spec.variational or spec.reg_variant in ("none", "large_margin") \
+            or spec.lam == 0.0:
+        return ls.total_loss(spec, model, theta, xp, xu, gamma)
+    t = ad.as_tensor(theta)
+    phi_p, phi_u = model.raw(t, xp), model.raw(t, xu)
+    head = ls.variational_loss_values if spec.objective == "vpu" else ls.l2_variational_loss_values
+    base = head(phi_p, phi_u)
+    reg = ls.mixup_consistency_reg(model, t, xp, xu, phi_u, gamma, spec.reg_variant,
+                                   target_stop_gradient=False)
     return base + spec.lam * reg

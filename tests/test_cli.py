@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from vpu import cli
 from vpu import model as md
 from vpu.data import load_csv
+from vpu.losses import LossSpec
+from vpu.trainer import TrainConfig
 
 
 def run(*args):
@@ -72,6 +74,13 @@ class TestConfigHandling:
         out = tmp_path / "o"
         assert run("generate", "--config", str(cfg), "--m", "25", "--out", str(out)) == 0
         assert load_csv(str(out / "dataset.csv")).m == 25
+
+    def test_train_defaults_are_the_dataclass_defaults(self):
+        # criterion 7 trains TrainConfig(loss_spec=LossSpec()) as "the
+        # defaults": it must be what `vpu train` runs with no training flag
+        argv = ["train", "--data", "d.csv", "--out", "o"]
+        cfg = cli.resolve_config(cli.build_parser("train").parse_args(argv))
+        assert cfg.train == TrainConfig(loss_spec=LossSpec())
 
     def test_resolved_config_echoed(self, tmp_path):
         out = tmp_path / "o"
@@ -543,6 +552,27 @@ class TestBiasExperiment:
                    "--bias_total", "60", "--n", "300", "--n_test", "100", "--epochs", "20")
         assert code == 2
         assert "ratio 10000 leaves an empty subclass at bias_total=60" in capsys.readouterr().err
+
+    def test_no_negative_component_fails_before_training(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # nnpu needs pi_p < 1: a mixture of positives alone used to train the
+        # first ratio's VPU model before its nnpu model was refused
+        calls = []
+        real = cli.train
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", counting)
+        capsys.readouterr()
+        code = run("bias-exp", "--out", str(tmp_path / "b"), *BIAS_QUICK,
+                   "--mixture", "+1 0.5 -2,3 1,1; +1 0.5 -2,0 1,1")
+        captured = capsys.readouterr()
+        assert code == 2 and calls == []
+        assert "key 'mixture'" in captured.err and "negative component" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "b").exists()
 
     def test_needs_multiple_positive_subclasses(self, tmp_path, capsys):
         code = run("bias-exp", "--out", str(tmp_path / "b"),

@@ -9,7 +9,7 @@ from vpu import autodiff as ad
 from vpu import losses as ls
 from vpu import model as md
 
-from reference import bits, total_loss_two_forwards
+from reference import bits, mixup_penalty, total_loss_live_target, total_loss_two_forwards
 
 
 def value(t):
@@ -128,10 +128,30 @@ class TestVariationalLossValue:
 
 class TestMixupReg:
     def test_zero_residual(self):
-        # phi(x_mix) == target everywhere -> penalty 0
+        # phi == 1 everywhere, so every variant's target is 1 == phi(x_mix)
+        # -> penalty 0
         m = saturated_model()
         x = np.zeros((3, 2))
-        assert value(ls.mixup_reg_from_pairs(m, m.params, x, np.ones(3))) == 0.0
+        for variant in ("msle_mixup_pu", "msle_mixup_p_only", "msle_mixup_pupu",
+                        "mse_mixup_pu"):
+            reg = ls.mixup_consistency_reg(m, m.params, x, x, None, 0.5, variant)
+            assert value(reg) == 0.0, variant
+
+    @pytest.mark.parametrize("stop", [True, False])
+    @pytest.mark.parametrize("variant", ["msle_mixup_pu", "mse_mixup_pu"])
+    def test_forwards_unlabeled_rows_when_not_given(self, net, batches, variant, stop):
+        # phi_u=None: the regularizer forwards xu itself, with the bits of
+        # being handed model.raw(theta, xu)
+        xp, xu = batches
+
+        def value_and_grad(phi_u_of):
+            return ad.value_and_gradient(lambda th: ls.mixup_consistency_reg(
+                net, th, xp, xu, phi_u_of(th), 0.4, variant, stop), net.params)
+
+        v_none, g_none = value_and_grad(lambda th: None)
+        v_given, g_given = value_and_grad(lambda th: net.raw(th, xu))
+        assert bits(v_none) == bits(v_given)
+        assert np.array_equal(bits(g_none), bits(g_given))
 
     def test_underestimation_blows_up(self):
         # (log 0.9 - log 1e-12)^2 =~ 757: the msle penalty explodes as phi -> 0
@@ -350,9 +370,9 @@ class TestTotalLoss:
                 for stop in (True, False):
                     spec = ls.LossSpec(objective, reg, lam=0.3, alpha=0.3,
                                        pi_p=None if objective in ("vpu", "vpu_l2") else 0.4)
+                    loss = ls.total_loss if stop else total_loss_live_target
                     v_new, g_new = ad.value_and_gradient(
-                        lambda th: ls.total_loss(spec, net, th, xp, xu, 0.37, stop),
-                        net.params)
+                        lambda th: loss(spec, net, th, xp, xu, 0.37), net.params)
                     v_ref, g_ref = ad.value_and_gradient(
                         lambda th: total_loss_two_forwards(spec, net, th, xp, xu, 0.37, stop),
                         net.params)
@@ -428,7 +448,7 @@ class TestGradientsAgainstFiniteDiff:
         xu = rng.normal(size=(5, 2))
         x_mix = 0.4 * xp + (1.0 - 0.4) * xu
         t_const = 0.4 + (1.0 - 0.4) * m.raw_values(xu)
-        fn = lambda th: ls.mixup_reg_from_pairs(m, th, x_mix, t_const, "msle")
+        fn = lambda th: mixup_penalty(m, th, x_mix, t_const, "msle")
         g = ad.gradient(fn, m.params)
         fd = ad.finite_diff_gradient(fn, m.params, 1e-6)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
@@ -444,8 +464,7 @@ class TestGradientsAgainstFiniteDiff:
         xp = rng.normal(size=(8, 2)) + [2, 0]
         xu = rng.normal(size=(8, 2))
         spec = ls.LossSpec("vpu", "msle_mixup_pu", lam=0.3)
-        fn = lambda t: ls.total_loss(spec, m, t, xp, xu, gamma=0.35,
-                                     target_stop_gradient=False)
+        fn = lambda t: total_loss_live_target(spec, m, t, xp, xu, gamma=0.35)
         g = ad.gradient(fn, params)
         fd = ad.finite_diff_gradient(fn, params, 1e-6)
         big = np.abs(g) > 1e-8

@@ -10,7 +10,7 @@ from vpu import metrics as mt
 from vpu import model as md
 from vpu.data import PuDataset
 
-from reference import as_tape_model
+from reference import as_tape_model, total_loss_live_target
 from test_golden import FINGERPRINT, environment_fingerprint, one_blas_thread
 
 
@@ -268,9 +268,10 @@ class TestLogitsNode:
         for objective, reg, stop in LOSS_CASES:
             spec = ls.LossSpec(objective, reg, lam=0.3, alpha=0.3,
                                pi_p=0.4 if objective in ("upu", "nnpu") else None)
+            loss = ls.total_loss if stop else total_loss_live_target
             (v_new, g_new), (v_ref, g_ref) = (
                 ad.value_and_gradient(
-                    lambda th, m=m: ls.total_loss(spec, m, th, xp, xu, 0.37, stop), m.params)
+                    lambda th, m=m: loss(spec, m, th, xp, xu, 0.37), m.params)
                 for m in (net, tape))
             case = (objective, reg, stop)
             assert _bits(v_new) == _bits(v_ref), case

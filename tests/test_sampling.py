@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from vpu import autodiff as ad
 from vpu import losses as ls
 from vpu import model as md
 from vpu import sampling as sp
@@ -369,8 +370,8 @@ def small_model():
 
 class TestMixupPairs:
     """The positive/unlabeled pairs that `losses.mixup_consistency_reg`
-    builds, caught on their way into `mixup_reg_from_pairs`, and the penalty
-    at the endpoints gamma 0 and 1."""
+    builds, caught on their way into its penalty, and the penalty at the
+    endpoints gamma 0 and 1."""
 
     def batches(self, n=5, seed=0):
         rng = np.random.default_rng(seed)
@@ -383,19 +384,25 @@ class TestMixupPairs:
                                         gamma, variant)
 
     def pairs(self, model, xp, xu, gamma):
-        """(x_mix, target) of the msle_mixup_pu regularizer."""
-        seen = []
-        original = ls.mixup_reg_from_pairs
+        """(x_mix, target) of the msle_mixup_pu regularizer: the rows of its
+        last forward, and the argument of its penalty's first log."""
+        forwards, logs = [], []
+        raw, log = type(model).raw, ad.log
 
-        def capture(model, theta, x_mix, phi_tilde, kind="msle"):
-            seen.append((x_mix, phi_tilde))
-            return original(model, theta, x_mix, phi_tilde, kind)
+        def raw_capture(self, theta, x):
+            forwards.append(x)
+            return raw(self, theta, x)
+
+        def log_capture(a):
+            logs.append(a)
+            return log(a)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ls, "mixup_reg_from_pairs", capture)
+            mp.setattr(type(model), "raw", raw_capture)
+            mp.setattr(ad, "log", log_capture)
             self.reg(model, xp, xu, gamma)
-        [(x_mix, target)] = seen
-        return x_mix, target
+        assert len(logs) == 2  # log target - log phi(x_mix)
+        return forwards[-1], logs[0].value
 
     def test_gamma_one_endpoint(self, small_model):
         xp, xu = self.batches()
