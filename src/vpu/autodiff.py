@@ -58,10 +58,6 @@ class Tensor:
         self.name = name
         self.grad: np.ndarray | None = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     # -- graph construction ------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:

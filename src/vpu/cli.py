@@ -76,6 +76,16 @@ def _prior(text: str) -> float | None:
     return None if text == "auto" else _number(text)
 
 
+def _lambda_grid(text: str) -> tuple[float, ...]:
+    """A nonempty list of lambdas, each checked as `LossSpec` checks one."""
+    grid = _list(_number)(text)
+    if not grid:
+        raise ValueError("the grid is empty")
+    for lam in grid:
+        LossSpec(lam=lam)
+    return grid
+
+
 def parse_mixture(text: str) -> GaussianMixtureSpec:
     """One component per ';': '<label> <weight> <mean,comma,list> <cov,list>'."""
     comps = []
@@ -127,7 +137,7 @@ KEYS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "val_fraction": ("1/6", lambda text: check_fraction(_number(text))),
     "hidden": ("64,64", _list(int)),
     "activation": ("relu", str),
-    "lambda_grid": ("1e-4,3e-4,1e-3,3e-3,1e-2,3e-2,0.1,0.3,1,3", _list(_number)),
+    "lambda_grid": ("1e-4,3e-4,1e-3,3e-3,1e-2,3e-2,0.1,0.3,1,3", _lambda_grid),
     "trials": ("1000", _int_at_least(1)),
     "ratios": ("1,2,4,10", _list(_int_at_least(1))),
     "bias_total": ("600", _int_at_least(1)),
@@ -174,9 +184,8 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def _train_config(values: dict[str, Any]) -> TrainConfig:
-    """The training config, checked by its constructors; every lambda of the
-    sweep grid is checked the same way."""
-    config = TrainConfig(
+    """The training config, checked by its constructors."""
+    return TrainConfig(
         loss_spec=LossSpec(objective=values["objective"], reg_variant=values["reg"],
                            lam=values["lambda"], alpha=values["alpha"],
                            pi_p=values["pi_p"]),
@@ -191,11 +200,6 @@ def _train_config(values: dict[str, Any]) -> TrainConfig:
         hidden_widths=values["hidden"],
         activation=values["activation"],
     )
-    if not values["lambda_grid"]:
-        raise ConfigError("lambda_grid is empty")
-    for lam in values["lambda_grid"]:
-        replace(config.loss_spec, lam=lam)
-    return config
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
@@ -271,7 +275,7 @@ def cmd_generate(cfg: Config) -> int:
     write_csv(data, path)
     print(f"generated {path}: M={data.m} N={data.n} "
           f"test={0 if data.test_x is None else len(data.test_x)} "
-          f"dim={data.dim} pi_p={data.pi_p:g}")
+          f"dim={data.dim} pi_p={cfg['mixture'].pi_p:g}")
     return 0
 
 
@@ -294,14 +298,11 @@ def cmd_train(cfg: Config) -> int:
 def cmd_sweep(cfg: Config) -> int:
     out = cfg["out"]
     data = _load_training_data(cfg)
-    if not data.has_validation():
-        raise ConfigError("sweep selects lambda on validation loss: with early_stop = "
-                          "none the data needs VP/VU rows")
-    grid = cfg["lambda_grid"]
-    report, cells = sweep_lambda(cfg.train, grid, data)
+    report, cells = sweep_lambda(cfg.train, cfg["lambda_grid"], data)
     _write_trained(out, report, data)
     _write(out, "sweep.csv", sweep_csv(cells))
-    print(f"swept {len(grid)} cells: best lambda={report.selected_lambda:g}")
+    best = next(cell for cell in cells if cell.best)
+    print(f"swept {len(cells)} cells: best lambda={best.lam:g}")
     print(f"table -> {os.path.join(out, 'sweep.csv')}")
     return 0
 
@@ -384,8 +385,7 @@ def cmd_bias_experiment(cfg: Config) -> int:
     bound_rows = ["ratio,c1,c2,epsilon,bound"]
     for i, (ratio, counts) in enumerate(zip(ratios, all_counts)):
         biased_p = inject_selection_bias(pools, counts)
-        base = PuDataset(positive=biased_p, unlabeled=unlabeled,
-                         test_x=test_x, test_y=test_y, pi_p=spec.pi_p)
+        base = PuDataset(positive=biased_p, unlabeled=unlabeled, test_x=test_x, test_y=test_y)
         data = split_validation(base, cfg["val_fraction"], seed + 1000 + i)
         for j, objective in enumerate(("vpu", "nnpu")):
             loss_spec = replace(cfg.train.loss_spec, objective=objective,

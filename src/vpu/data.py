@@ -59,10 +59,6 @@ class GaussianMixtureSpec:
         object.__setattr__(self, "components", comps)
 
     @property
-    def dim(self) -> int:
-        return self.components[0].mean.size
-
-    @property
     def pi_p(self) -> float:
         return sum(c.weight for c in self.components if c.label == 1)
 
@@ -102,7 +98,7 @@ def true_posterior(spec: GaussianMixtureSpec, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PuDataset:
     """Positive and unlabeled training pools, optional validation split,
-    optional labeled test set, optional true class prior."""
+    optional labeled test set."""
 
     positive: np.ndarray
     unlabeled: np.ndarray
@@ -110,7 +106,6 @@ class PuDataset:
     val_unlabeled: np.ndarray | None = None
     test_x: np.ndarray | None = None
     test_y: np.ndarray | None = None
-    pi_p: float | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positive, dtype=np.float64)
@@ -222,8 +217,7 @@ def generate(spec: GaussianMixtureSpec, m: int, n: int, n_test: int,
     test_x = test_y = None
     if n_test > 0:
         test_x, test_y = sample_joint(spec, n_test, rng)
-    return PuDataset(positive=positive, unlabeled=unlabeled,
-                     test_x=test_x, test_y=test_y, pi_p=spec.pi_p)
+    return PuDataset(positive=positive, unlabeled=unlabeled, test_x=test_x, test_y=test_y)
 
 
 def inject_selection_bias(pools: list[np.ndarray], counts: list[int]) -> np.ndarray:

@@ -144,9 +144,12 @@ class ClassifierModel:
         return ad.sigmoid(self.logits(theta, x))
 
     def raw_values(self, x: np.ndarray) -> np.ndarray:
-        """sigmoid(logits) as plain values, one block of rows at a time (see
-        `SCORE_ROWS`): only one block's activations are alive at once."""
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        """sigmoid(logits) of the rows of `x` as plain values, one block of
+        rows at a time (see `SCORE_ROWS`): only one block's activations are
+        alive at once."""
+        X = np.asarray(x, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"expected a 2-D array of rows, got shape {X.shape}")
         n = X.shape[0]
         out = np.empty(n, dtype=np.float64)
         start = 0
@@ -162,12 +165,9 @@ class ClassifierModel:
             raise
         return out
 
-    def predict_proba(self, x: np.ndarray):
-        """Normalized probability min(raw/scale, 1) in (0, 1]."""
-        X = np.asarray(x, dtype=np.float64)
-        single = X.ndim == 1
-        p = np.minimum(self.raw_values(X) / self.normalization_scale, 1.0)
-        return float(p[0]) if single else p
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Normalized probability min(raw/scale, 1) in (0, 1] of each row."""
+        return np.minimum(self.raw_values(x) / self.normalization_scale, 1.0)
 
     def with_params(self, values: np.ndarray) -> "ClassifierModel":
         return replace(self, params=values)

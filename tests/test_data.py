@@ -58,10 +58,6 @@ class TestMixtureSpec:
 
 
 class TestGenerate:
-    def test_prior_recorded(self):
-        data = dt.generate(two_gaussian_spec(), 20, 30, 10, seed=0)
-        assert data.pi_p == 0.5
-
     def test_sizes(self):
         data = dt.generate(two_gaussian_spec(), 20, 30, 10, seed=0)
         assert data.m == 20 and data.n == 30 and len(data.test_x) == 10

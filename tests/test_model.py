@@ -106,17 +106,24 @@ class TestPredict:
         # raw 0.4 with scale 0.8 -> 0.5
         from dataclasses import replace
         m = replace(constant_output_model(np.log(0.4 / 0.6)), normalization_scale=0.8)
-        assert m.predict_proba(np.zeros(2)) == pytest.approx(0.5, abs=1e-12)
+        assert m.predict_proba(np.zeros((1, 2)))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_clamped_at_one(self):
         from dataclasses import replace
         m = replace(constant_output_model(np.log(0.9 / 0.1)), normalization_scale=0.8)
-        assert m.predict_proba(np.zeros(2)) == 1.0
+        assert m.predict_proba(np.zeros((1, 2)))[0] == 1.0
 
     def test_dimension_mismatch(self):
         m = constant_output_model(0.0)
         with pytest.raises(ValueError):
-            m.predict_proba(np.zeros(3))
+            m.predict_proba(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(2,), ()])
+    def test_input_not_rows_raises(self, shape):
+        # one row is passed as a (1, dim) array, as `logits` takes it
+        m = constant_output_model(0.0)
+        with pytest.raises(ValueError, match="2-D"):
+            m.predict_proba(np.zeros(shape))
 
     def test_outputs_in_unit_interval(self):
         m = md.init(md.MlpArchitecture(2, (16, 16)), seed=8)
@@ -281,7 +288,7 @@ class TestLogitsNode:
         net = md.init(md.MlpArchitecture(2, (4, 4)), seed=0)
         theta = ad.Tensor(net.params)
         out = net.logits(theta, np.ones((3, 2)))
-        assert out.parents == (theta,) and out.shape == (3,)
+        assert out.parents == (theta,) and out.value.shape == (3,)
 
     @pytest.mark.parametrize("weight,node", [(1e200, "matmul"), (1e308, "add")])
     def test_overflow_names_node(self, weight, node):

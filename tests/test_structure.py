@@ -8,7 +8,8 @@ module-level name is referenced somewhere in the package, and so is every
 public function, class and method, so that `src/` holds no code that only
 the tests run.  Outputs of the generator are mixed in numpy in two places
 only: `sampling._mix` is read by `_take` and `_take_lockstep` alone.  Every
-span name the benchmark reads names a function or
+dataclass is frozen, so a value, once built, is not changed behind its
+holder's back.  Every span name the benchmark reads names a function or
 method in the package.
 """
 
@@ -233,6 +234,41 @@ def test_leftovers_are_found(tmp_path):
                                    "class _Unused:\n    pass\n\ng = _used\n")
     (tmp_path / "c.py").write_text("from . import b\n\nb._by_attribute()\n")
     assert leftovers(tmp_path) == ["a:math", "a:h", "a:_UNREAD", "a:_A", "b:_Unused"]
+
+
+def mutable_dataclasses(src: Path = SRC) -> list[str]:
+    """`module.Class` of each class decorated with `dataclass` (by name or as
+    an attribute, called or not) without `frozen=True`."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for deco in node.decorator_list:
+                call = deco if isinstance(deco, ast.Call) else None
+                target = call.func if call else deco
+                if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                    continue
+                if not call or not any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                                       and k.value.value is True for k in call.keywords):
+                    found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_dataclass_is_frozen():
+    assert mutable_dataclasses() == []
+
+
+def test_mutable_dataclasses_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n"
+        "@dataclass\nclass Bare:\n    x: int\n\n"
+        "@dataclass(frozen=True)\nclass Frozen:\n    x: int\n\n"
+        "@dataclasses.dataclass(order=True)\nclass Ordered:\n    x: int\n\n"
+        "@dataclass(frozen=False)\nclass Thawed:\n    x: int\n\n"
+        "@dataclasses.dataclass(frozen=True, eq=False)\nclass Attribute:\n    x: int\n\n"
+        "class Plain:\n    @dataclass\n    class Nested:\n        x: int\n")
+    assert mutable_dataclasses(tmp_path) == ["a.Bare", "a.Ordered", "a.Thawed", "a.Nested"]
 
 
 # The verification oracles: the tests check the program against them, and no

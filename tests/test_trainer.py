@@ -57,39 +57,43 @@ class TestDivergence:
         assert (info.value.epoch, info.value.iteration) == (1, 0)
 
 
+def zero_adam(n):
+    return tr.AdamState(np.zeros(n), np.zeros(n))
+
+
 class TestAdam:
     def test_first_step_is_signed_step(self):
         # m_hat = g, v_hat = g^2 -> delta = -lr * g / (|g| + eps) ~ -lr*sign(g)
-        state = tr.AdamState.zeros(3, 0.5, 0.99, 1e-8)
         params = np.zeros(3)
         grads = np.array([0.2, -3.0, 1e-3])
-        new, state = tr.adam_step(state, params, grads, lr=0.1)
+        new, state = tr.adam_step(quick_config(learning_rate=0.1), zero_adam(3), params, grads)
         np.testing.assert_allclose(new, -0.1 * np.sign(grads), rtol=1e-4)
 
     def test_zero_gradient_keeps_params(self):
-        state = tr.AdamState.zeros(4, 0.5, 0.99, 1e-8)
         params = np.array([1.0, -2.0, 0.5, 0.0])
-        new, _ = tr.adam_step(state, params, np.zeros(4), lr=0.1)
+        new, _ = tr.adam_step(quick_config(learning_rate=0.1), zero_adam(4), params,
+                              np.zeros(4))
         np.testing.assert_array_equal(new, params)
 
     def test_identical_runs_identical_trajectories(self):
         rng = np.random.default_rng(0)
         grads = [rng.normal(size=5) for _ in range(10)]
+        config = quick_config(learning_rate=0.01)
 
         def run():
-            state = tr.AdamState.zeros(5, 0.5, 0.99, 1e-8)
+            state = zero_adam(5)
             params = np.zeros(5)
             for g in grads:
-                params, state = tr.adam_step(state, params, g, lr=0.01)
+                params, state = tr.adam_step(config, state, params, g)
             return params
 
         assert np.array_equal(run(), run())
 
     def test_bias_correction_counter(self):
-        state = tr.AdamState.zeros(1, 0.9, 0.999, 1e-8)
-        _, state = tr.adam_step(state, np.zeros(1), np.ones(1), 0.1)
+        config = quick_config(adam_beta1=0.9, adam_beta2=0.999, learning_rate=0.1)
+        _, state = tr.adam_step(config, zero_adam(1), np.zeros(1), np.ones(1))
         assert state.t == 1
-        _, state = tr.adam_step(state, np.zeros(1), np.ones(1), 0.1)
+        _, state = tr.adam_step(config, state, np.zeros(1), np.ones(1))
         assert state.t == 2
 
 
@@ -181,20 +185,27 @@ class TestTrain:
         assert lines[1].startswith("0,")
 
 
+def sweep_cells(*lam_val):
+    return [tr.SweepCell(lam, val, math.nan) for lam, val in lam_val]
+
+
 class TestSelectBest:
     def test_argmin(self):
-        assert tr.select_best([(0.1, 2.0), (0.3, 1.0), (1.0, 3.0)]) == 1
+        assert tr.select_best(sweep_cells((0.1, 2.0), (0.3, 1.0), (1.0, 3.0))) == 1
 
     def test_tie_prefers_smaller_lambda(self):
-        assert tr.select_best([(0.3, 1.0), (0.1, 1.0)]) == 1
-        assert tr.select_best([(0.1, 1.0), (0.3, 1.0)]) == 0
+        assert tr.select_best(sweep_cells((0.3, 1.0), (0.1, 1.0))) == 1
+        assert tr.select_best(sweep_cells((0.1, 1.0), (0.3, 1.0))) == 0
+
+    def test_full_tie_prefers_earlier_cell(self):
+        assert tr.select_best(sweep_cells((0.3, 1.0), (0.3, 1.0))) == 0
 
     def test_nan_cells_skipped(self):
-        assert tr.select_best([(0.1, math.nan), (0.3, 5.0)]) == 1
+        assert tr.select_best(sweep_cells((0.1, math.nan), (0.3, 5.0))) == 1
 
     def test_all_failed_raises(self):
         with pytest.raises(ValueError):
-            tr.select_best([(0.1, math.nan)])
+            tr.select_best(sweep_cells((0.1, math.nan)))
 
 
 class TestSweep:
@@ -204,8 +215,7 @@ class TestSweep:
         report, cells = tr.sweep_lambda(cfg, [0.3], data)
         direct = tr.train(replace(cfg, loss_spec=replace(cfg.loss_spec, lam=0.3)), data)
         assert np.array_equal(report.final_model.params, direct.final_model.params)
-        assert len(cells) == 1
-        assert report.selected_lambda == 0.3
+        assert [(c.lam, c.best) for c in cells] == [(0.3, True)]
 
     def test_selected_val_is_minimal(self):
         data = quick_task()
@@ -235,7 +245,24 @@ class TestSweep:
         monkeypatch.setattr(tr, "train", flaky)
         report, cells = tr.sweep_lambda(quick_config(epochs=2), [0.1, 0.3], data)
         assert math.isnan(cells[0].val_lvar) and cells[0].error
-        assert report.selected_lambda == 0.3
+        assert [(c.lam, c.best) for c in cells] == [(0.1, False), (0.3, True)]
+
+    def test_needs_validation_before_any_cell(self, monkeypatch):
+        # with early stopping off, nothing splits validation rows off: the
+        # sweep used to train every cell before failing
+        data = replace(quick_task(), val_positive=None, val_unlabeled=None)
+        calls = []
+        real_train = tr.train
+
+        def counted(config, d):
+            calls.append(config)
+            return real_train(config, d)
+
+        monkeypatch.setattr(tr, "train", counted)
+        with pytest.raises(ValueError, match="early_stop"):
+            tr.sweep_lambda(quick_config(early_stop_metric="none", epochs=1),
+                            [0.1, 0.3, 1.0], data)
+        assert calls == []
 
 
 class TestPriorSweepPathology:
