@@ -5,17 +5,27 @@ One epoch is ceil(N/B) iterations of sample-batches / total-loss /
 backward / Adam.  Epoch 0 records the untrained model, later rows follow
 each epoch; when early stopping on validation loss is enabled the
 parameters of the best epoch are restored before normalization.
+
+Training runs OpenBLAS on one thread, so its outputs do not depend on
+the BLAS thread count.  Each epoch is scored (`_eval_epoch`, which reads
+only that epoch's parameters and draws no random numbers) by one forked
+worker while the training process runs the next epoch's steps: on a
+two-core machine the scoring leaves the critical path.  The saving needs
+a free core; with every core busy the worker only competes for it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from . import losses as ls
 from . import metrics as mt
 from . import model as md
@@ -158,12 +168,110 @@ def _eval_reg(current: md.ClassifierModel, data: PuDataset,
     return float(reg.value)
 
 
+def _eval_outcome(base: md.ClassifierModel, values: np.ndarray, data: PuDataset,
+                  spec: ls.LossSpec, epoch: int) -> EpochStats | Exception:
+    """`_eval_epoch`'s stats, or the exception it raised."""
+    try:
+        return _eval_epoch(base, values, data, spec, epoch)
+    except Exception as exc:
+        return exc
+
+
+def _unwrap(out: EpochStats | Exception) -> EpochStats:
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _scoring_worker(conn, parent_end, base: md.ClassifierModel, data: PuDataset,
+                    spec: ls.LossSpec) -> None:
+    """The scoring worker's loop: answer each `(values, epoch)` from `conn`
+    with `_eval_outcome`'s outcome until the parent closes its end."""
+    # the fork copied the parent's end too; while it is open here, recv
+    # never sees the parent close it
+    parent_end.close()
+    # Ctrl-C reaches the whole process group: the parent stops and closes
+    # the pipe, and this loop then ends on its own
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            values, epoch = conn.recv()
+        except (EOFError, ConnectionError):
+            return
+        out = _eval_outcome(base, values, data, spec, epoch)
+        try:
+            conn.send(out)
+        except ConnectionError:  # the parent stopped without reading it
+            return
+
+
+@contextlib.contextmanager
+def _epoch_scorer(base: md.ClassifierModel, data: PuDataset, spec: ls.LossSpec,
+                  fork: bool):
+    """Yield `score(values, epoch)`, which starts `_eval_epoch` on those
+    parameters and returns a call that gives its `EpochStats` or raises
+    what it raised.
+
+    With `fork`, one forked worker scores an epoch while the caller runs
+    the next one's steps, and no process outlives the `with` block;
+    otherwise `score` evaluates in-process before it returns.
+    """
+    if not fork:
+        def evaluate(values, epoch):
+            out = _eval_outcome(base, values, data, spec, epoch)
+            return lambda: _unwrap(out)
+
+        yield evaluate
+        return
+    # imported here only: it loads 19 modules that no other command needs
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    parent_end, child_end = context.Pipe()
+    worker = context.Process(target=_scoring_worker, name="vpu-epoch-scorer",
+                             args=(child_end, parent_end, base, data, spec))
+    worker.start()
+    child_end.close()
+
+    def died():
+        worker.join()
+        return RuntimeError(f"the epoch-scoring worker exited with code {worker.exitcode}")
+
+    def score(values, epoch):
+        try:
+            parent_end.send((values, epoch))
+        except ConnectionError:
+            raise died() from None
+
+        def result():
+            try:
+                out = parent_end.recv()
+            except (EOFError, ConnectionError):
+                raise died() from None
+            return _unwrap(out)
+
+        return result
+
+    try:
+        yield score
+    finally:
+        parent_end.close()
+        worker.join()
+
+
 def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     """Run the full stochastic-gradient loop and return the normalized model.
 
     The best epoch is the last one when `early_stop_metric` is none, and
     otherwise the first with the lowest `val_lvar` (which needs a
     validation split); the model keeps that epoch's parameters.
+
+    OpenBLAS runs on one thread for the whole call (`blas.one_blas_thread`),
+    so the outputs do not depend on the BLAS thread count.  One forked
+    worker scores each epoch while this process runs the next epoch's
+    steps; errors still surface in the serial order, an epoch's scoring
+    before the next epoch's steps.  Where OpenBLAS cannot be found and
+    pinned (another BLAS), the epochs are scored in-process.
     """
     if config.early_stop_metric == "val_lvar" and not data.has_validation():
         raise ValueError("early stopping on val_lvar needs a validation split")
@@ -176,38 +284,62 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     values = base.params.copy()
     adam = AdamState(np.zeros(values.size), np.zeros(values.size))
     iters_per_epoch = max(1, math.ceil(data.n / config.batch_size))
-
-    history = [_eval_epoch(base, values, data, spec, epoch=0)]
-    # `adam_step` returns fresh arrays, so `values` is never written in place
+    history: list[EpochStats] = []
     best_epoch, best_values = 0, values
+    # glibc serves a block above its mmap threshold with mmap and trims free
+    # memory above twice the threshold off the heap top; freeing an mmapped
+    # block raises the threshold to its size.  Left low, it has every step
+    # hand its arrays back and fault them in again: a default train took
+    # 145k minor faults with the scoring in the worker, against 2k after
+    # freeing one block of the scoring's size here first.
+    np.empty((md.SCORE_ROWS, max(config.hidden_widths)))
 
-    for epoch in range(1, config.epochs + 1):
+    def take(scored):
+        """Record one scored epoch; the epochs arrive in order."""
+        nonlocal best_epoch, best_values
+        epoch, snapshot, result = scored
         try:
-            for it in range(iters_per_epoch):
-                xp = sample_minibatch(data.positive, config.batch_size, rng)
-                xu = sample_minibatch(data.unlabeled, config.batch_size, rng)
-                gamma = sample_beta(spec.alpha, rng) if spec.needs_gamma else None
-
-                def loss_fn(theta):
-                    return ls.total_loss(spec, base, theta, xp, xu, gamma)
-
-                _, grads = ad.value_and_gradient(loss_fn, values)
-                values, adam = adam_step(config, adam, values, grads)
-                if not np.all(np.isfinite(values)):
-                    raise ad.NumericError("parameters became non-finite")
-            # an overflow here is charged to the last step, whose parameters it forwards
-            stats = _eval_epoch(base, values, data, spec, epoch)
+            stats = result()
         except ad.NumericError as exc:
-            raise TrainingDiverged(epoch, it, exc) from exc
+            if epoch == 0:
+                raise
+            # charged to the epoch's last step, whose parameters it forwards
+            raise TrainingDiverged(epoch, iters_per_epoch - 1, exc) from exc
         history.append(stats)
-        if config.early_stop_metric == "none" or stats.val_lvar < history[best_epoch].val_lvar:
-            # a fresh copy, also when early_stop is none: without one here a
-            # 128x128 run took 11-18x the minor page faults and ~11% longer
-            best_epoch, best_values = epoch, values.copy()
+        if epoch > 0 and (config.early_stop_metric == "none"
+                          or stats.val_lvar < history[best_epoch].val_lvar):
+            best_epoch, best_values = epoch, snapshot
 
-    final = base.with_params(best_values)
-    if spec.variational:
-        final = md.normalize(final, data)
+    with (blas.one_blas_thread() as one_thread,
+          _epoch_scorer(base, data, spec, fork=one_thread) as score):
+        # `adam_step` returns fresh arrays, so `values` is never written in place
+        scored = 0, values, score(values, 0)
+        for epoch in range(1, config.epochs + 1):
+            try:
+                for it in range(iters_per_epoch):
+                    xp = sample_minibatch(data.positive, config.batch_size, rng)
+                    xu = sample_minibatch(data.unlabeled, config.batch_size, rng)
+                    gamma = sample_beta(spec.alpha, rng) if spec.needs_gamma else None
+
+                    def loss_fn(theta):
+                        return ls.total_loss(spec, base, theta, xp, xu, gamma)
+
+                    _, grads = ad.value_and_gradient(loss_fn, values)
+                    values, adam = adam_step(config, adam, values, grads)
+                    if not np.all(np.isfinite(values)):
+                        raise ad.NumericError("parameters became non-finite")
+            except Exception as exc:
+                take(scored)  # the last epoch's scoring fails first, as in serial order
+                if isinstance(exc, ad.NumericError):
+                    raise TrainingDiverged(epoch, it, exc) from exc
+                raise
+            take(scored)
+            scored = epoch, values, score(values, epoch)
+        take(scored)
+
+        final = base.with_params(best_values)
+        if spec.variational:
+            final = md.normalize(final, data)
     return TrainReport(history=history, best_epoch=best_epoch, final_model=final)
 
 

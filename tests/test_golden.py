@@ -8,14 +8,12 @@ the environment they were recorded in (see `FINGERPRINT`).  A change to one
 of these digests is a change of output and must be recorded as one.
 """
 
-import contextlib
-import ctypes
 import hashlib
 
 import numpy as np
 import pytest
 
-from vpu import cli
+from vpu import blas, cli
 from vpu import model as md
 from vpu import oracle as oc
 from vpu.sampling import Rng
@@ -151,43 +149,6 @@ def environment_fingerprint():
             tuple(config.get("SIMD Extensions", {}).get("found", ())))
 
 
-def _openblas_threads():
-    """The loaded OpenBLAS's get and set functions for its thread count;
-    None where they cannot be found (no /proc/self/maps, or another BLAS)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype = ctypes.c_int
-                set_.argtypes = [ctypes.c_int]
-                return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the body with OpenBLAS on one thread, then restore its thread
-    count; yields whether the BLAS runs on one thread in the body."""
-    calls = _openblas_threads()
-    if calls is None:
-        yield False
-        return
-    get, set_ = calls
-    before = get()
-    set_(1)
-    try:
-        yield get() == 1
-    finally:
-        set_(before)
-
-
 @pytest.fixture(scope="module")
 def pinned_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("pinned")
@@ -206,6 +167,28 @@ def _check(tmp_path, command, argv, names, recorded):
         assert got == recorded
     else:
         assert got == _digests(command, argv, tmp_path / "b", names)
+
+
+def test_trained_outputs_at_two_blas_threads(tmp_path):
+    # OpenBLAS splits a 500-row batch between two threads, with other last
+    # bits than one thread gives; `train` runs on one thread whatever the
+    # caller set
+    calls = blas._openblas_threads()
+    if calls is None:
+        pytest.skip("no OpenBLAS whose thread count can be set")
+    get, set_ = calls
+    assert cli.main(["generate", "--out", str(tmp_path)]) == 0
+    argv = ["--data", str(tmp_path / "dataset.csv"), "--epochs", "3", "--batch_size", "500"]
+    with blas.one_blas_thread():
+        one = _digests("train", argv, tmp_path / "one", TRAINED_FILES)
+    before = get()
+    set_(2)
+    try:
+        assert get() == 2
+        two = _digests("train", argv, tmp_path / "two", TRAINED_FILES)
+    finally:
+        set_(before)
+    assert two == one
 
 
 @pytest.mark.parametrize("name", sorted(TRAINED))

@@ -8,10 +8,11 @@ from vpu import autodiff as ad
 from vpu import losses as ls
 from vpu import metrics as mt
 from vpu import model as md
+from vpu.blas import one_blas_thread
 from vpu.data import PuDataset
 
 from reference import as_tape_model, total_loss_live_target
-from test_golden import FINGERPRINT, environment_fingerprint, one_blas_thread
+from test_golden import FINGERPRINT, environment_fingerprint
 
 
 def constant_output_model(bias_logit: float, input_dim: int = 2) -> md.ClassifierModel:

@@ -10,10 +10,14 @@ the tests run.  Outputs of the generator are mixed in numpy in two places
 only: `sampling._mix` is read by `_take` and `_take_lockstep` alone.  Every
 dataclass is frozen, so a value, once built, is not changed behind its
 holder's back.  Every span name the benchmark reads names a function or
-method in the package.
+method in the package.  Importing the command-line entry point loads no
+`multiprocessing`: only `train` needs it, when it starts its worker.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -402,3 +406,13 @@ def test_unresolved_spans_are_found(tmp_path):
         "autodiff.step", "data.load_cvs", "metrics.Report.as_text",
         "model.Missing.logits", "oracle.suite_gone", "trainer.training"]
     assert {"data.load_csv", "model.ClassifierModel.logits", "oracle.suite_kl_identity"} <= names
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # loaded with the entry point, it cost every command about 1 MB of
+    # resident memory, also the commands that never train
+    code = "import sys, vpu.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,9 +1,13 @@
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vpu import autodiff as ad
+from vpu import blas
 from vpu import losses as ls
 from vpu import metrics as mt
 from vpu import trainer as tr
@@ -183,6 +187,131 @@ class TestTrain:
         assert lines[0] == "epoch,train_lvar,val_lvar,val_reg,test_acc"
         assert len(lines) == 4
         assert lines[1].startswith("0,")
+
+
+def without_openblas(monkeypatch):
+    """Find no OpenBLAS, as with another BLAS, and fail on any fork."""
+    def no_fork():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(blas, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def needs_openblas():
+    if blas._openblas_threads() is None:
+        pytest.skip("no OpenBLAS to pin, so no scoring worker")
+
+
+@pytest.fixture(params=["worker", "in-process"])
+def scoring(request, monkeypatch):
+    """Run the test with epochs scored by the forked worker, and again
+    in-process, as where no OpenBLAS is found."""
+    if request.param == "worker":
+        needs_openblas()
+    else:
+        without_openblas(monkeypatch)
+    return request.param
+
+
+def fail_scoring_at(monkeypatch, at, error):
+    """Make `_eval_epoch` raise `error` at epoch `at`; the forked worker
+    inherits the patch.  The message names the process that scored."""
+    real = tr._eval_epoch
+
+    def failing(model, values, data, spec, epoch):
+        if epoch == at:
+            raise error(f"epoch {epoch} scored in process {os.getpid()}")
+        return real(model, values, data, spec, epoch)
+
+    monkeypatch.setattr(tr, "_eval_epoch", failing)
+
+
+class TestScoring:
+    """Each epoch is scored while the next one trains; the report and the
+    errors are those of scoring each epoch before the next one's steps."""
+
+    def test_same_report_in_process(self, monkeypatch):
+        data = quick_task()
+        config = quick_config(epochs=4)
+        forked = tr.train(config, data)
+        without_openblas(monkeypatch)
+        local = tr.train(config, data)
+        assert local.history == forked.history
+        assert local.best_epoch == forked.best_epoch
+        assert np.array_equal(local.final_model.params, forked.final_model.params)
+        assert local.final_model.normalization_scale == forked.final_model.normalization_scale
+
+    def test_no_child_after_return(self):
+        tr.train(quick_config(epochs=2), quick_task())
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_after_a_step_diverges(self):
+        with pytest.raises(tr.TrainingDiverged):
+            tr.train(quick_config(learning_rate=1e200), quick_task())
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_after_scoring_diverges(self, monkeypatch):
+        fail_scoring_at(monkeypatch, 2, ad.NumericError)
+        with pytest.raises(tr.TrainingDiverged, match="epoch 2, iteration"):
+            tr.train(quick_config(epochs=4), quick_task())
+        assert multiprocessing.active_children() == []
+
+    def test_scoring_error_comes_before_next_epochs_step_error(self, scoring, monkeypatch):
+        data = quick_task()
+        iters = math.ceil(data.n / 64)
+        fail_scoring_at(monkeypatch, 1, ad.NumericError)
+        real = tr.ls.total_loss
+        calls = {"n": 0}
+
+        def exploding(*args, **kw):  # the first step of epoch 2
+            calls["n"] += 1
+            if calls["n"] == iters + 1:
+                raise ad.NumericError("step failed")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(tr.ls, "total_loss", exploding)
+        with pytest.raises(tr.TrainingDiverged, match="scored in process") as info:
+            tr.train(quick_config(epochs=3), data)
+        assert (info.value.epoch, info.value.iteration) == (1, iters - 1)
+
+    def test_epoch_zero_numeric_error_stays_unwrapped(self, scoring, monkeypatch):
+        fail_scoring_at(monkeypatch, 0, ad.NumericError)
+        with pytest.raises(ad.NumericError, match="epoch 0 scored") as info:
+            tr.train(quick_config(), quick_task())
+        assert not isinstance(info.value, tr.TrainingDiverged)
+
+    def test_other_errors_keep_type_and_message(self, scoring, monkeypatch):
+        fail_scoring_at(monkeypatch, 2, ValueError)
+        with pytest.raises(ValueError, match=r"^epoch 2 scored in process \d+$") as info:
+            tr.train(quick_config(), quick_task())
+        scored_here = str(info.value).endswith(f" {os.getpid()}")
+        assert scored_here == (scoring == "in-process")
+
+    def test_worker_death_names_its_exit_code(self, monkeypatch):
+        needs_openblas()
+        trainer_pid = os.getpid()
+
+        def dying(model, values, data, spec, epoch):
+            if os.getpid() == trainer_pid:
+                raise AssertionError("scored in the training process")
+            os._exit(7)
+
+        monkeypatch.setattr(tr, "_eval_epoch", dying)
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            tr.train(quick_config(), quick_task())
+        assert multiprocessing.active_children() == []
+
+    def test_blas_thread_count_restored(self):
+        needs_openblas()
+        get, set_ = blas._openblas_threads()
+        before = get()
+        set_(2)
+        try:
+            tr.train(quick_config(epochs=1), quick_task())
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 def sweep_cells(*lam_val):
