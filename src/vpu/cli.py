@@ -450,6 +450,9 @@ def main(argv=None) -> int:
         # a bad config value, or an input file that is missing or malformed
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
+        return 2
     except (TrainingDiverged, NumericError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

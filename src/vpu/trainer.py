@@ -9,14 +9,17 @@ parameters of the best epoch are restored before normalization.
 Training runs OpenBLAS on one thread, so its outputs do not depend on
 the BLAS thread count.  Each epoch is scored (`_eval_epoch`, which reads
 only that epoch's parameters and draws no random numbers) by one forked
-worker while the training process runs the next epoch's steps: on a
-two-core machine the scoring leaves the critical path.  The saving needs
-a free core; with every core busy the worker only competes for it.
+worker while the training process runs the next epoch's steps, and is
+collected when they are done: on a two-core machine the scoring leaves
+the critical path.  The saving needs a free core; with every core busy
+the worker only competes for it.  Without OpenBLAS, or in a daemonic
+process, the epochs are scored in-process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import signal
 from collections.abc import Sequence
@@ -102,7 +105,6 @@ def adam_step(config: TrainConfig, state: AdamState, params: np.ndarray,
 
 @dataclass(frozen=True)
 class EpochStats:
-    epoch: int
     train_lvar: float
     val_lvar: float  # nan when no validation split
     val_reg: float
@@ -117,8 +119,8 @@ class TrainReport:
 
     def history_csv(self) -> str:
         lines = ["epoch,train_lvar,val_lvar,val_reg,test_acc"]
-        for row in self.history:
-            lines.append(f"{row.epoch},{_cell(row.train_lvar)},{_cell(row.val_lvar)},"
+        for epoch, row in enumerate(self.history):
+            lines.append(f"{epoch},{_cell(row.train_lvar)},{_cell(row.val_lvar)},"
                          f"{_cell(row.val_reg)},{_cell(row.test_acc)}")
         return "\n".join(lines) + "\n"
 
@@ -129,7 +131,7 @@ def _cell(v: float) -> str:
 
 
 def _eval_epoch(model: md.ClassifierModel, values: np.ndarray, data: PuDataset,
-                spec: ls.LossSpec, epoch: int) -> EpochStats:
+                spec: ls.LossSpec) -> EpochStats:
     current = model.with_params(values)
 
     def lvar(pos, unl):
@@ -148,7 +150,7 @@ def _eval_epoch(model: md.ClassifierModel, values: np.ndarray, data: PuDataset,
         # variational objectives are scale-free and need the normalization
         snapshot = md.normalize(current, data) if spec.variational else current
         test_acc = mt.accuracy(snapshot, data.test_x, data.test_y)
-    return EpochStats(epoch, train_lvar, val_lvar, val_reg, test_acc)
+    return EpochStats(train_lvar, val_lvar, val_reg, test_acc)
 
 
 def _eval_reg(current: md.ClassifierModel, data: PuDataset,
@@ -168,25 +170,10 @@ def _eval_reg(current: md.ClassifierModel, data: PuDataset,
     return float(reg.value)
 
 
-def _eval_outcome(base: md.ClassifierModel, values: np.ndarray, data: PuDataset,
-                  spec: ls.LossSpec, epoch: int) -> EpochStats | Exception:
-    """`_eval_epoch`'s stats, or the exception it raised."""
-    try:
-        return _eval_epoch(base, values, data, spec, epoch)
-    except Exception as exc:
-        return exc
-
-
-def _unwrap(out: EpochStats | Exception) -> EpochStats:
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
 def _scoring_worker(conn, parent_end, base: md.ClassifierModel, data: PuDataset,
                     spec: ls.LossSpec) -> None:
-    """The scoring worker's loop: answer each `(values, epoch)` from `conn`
-    with `_eval_outcome`'s outcome until the parent closes its end."""
+    """The scoring worker's loop: answer each parameter vector from `conn` with
+    `_eval_epoch`'s stats or exception until the parent closes its end."""
     # the fork copied the parent's end too; while it is open here, recv
     # never sees the parent close it
     parent_end.close()
@@ -195,10 +182,13 @@ def _scoring_worker(conn, parent_end, base: md.ClassifierModel, data: PuDataset,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
-            values, epoch = conn.recv()
+            values = conn.recv()
         except (EOFError, ConnectionError):
             return
-        out = _eval_outcome(base, values, data, spec, epoch)
+        try:
+            out = _eval_epoch(base, values, data, spec)
+        except Exception as exc:
+            out = exc
         try:
             conn.send(out)
         except ConnectionError:  # the parent stopped without reading it
@@ -208,24 +198,29 @@ def _scoring_worker(conn, parent_end, base: md.ClassifierModel, data: PuDataset,
 @contextlib.contextmanager
 def _epoch_scorer(base: md.ClassifierModel, data: PuDataset, spec: ls.LossSpec,
                   fork: bool):
-    """Yield `score(values, epoch)`, which starts `_eval_epoch` on those
-    parameters and returns a call that gives its `EpochStats` or raises
-    what it raised.
+    """Yield `score(values)`, which returns a call that gives `_eval_epoch`'s
+    `EpochStats` on those parameters or raises what it raised.
 
     With `fork`, one forked worker scores an epoch while the caller runs
-    the next one's steps, and no process outlives the `with` block;
-    otherwise `score` evaluates in-process before it returns.
+    the next one's steps, and no process outlives the `with` block.
+    Otherwise, or in a daemonic process (which may not start children),
+    the returned call scores in-process.
     """
+    # glibc serves a block above its mmap threshold with mmap and trims free
+    # memory above twice the threshold off the heap top; freeing an mmapped
+    # block raises the threshold to its size.  Left low, it has every step
+    # hand its arrays back and fault them in again: a default train took
+    # 145k minor faults with the scoring in the worker, against 2k after
+    # freeing one block of the scoring's size here first.
+    np.empty((md.SCORE_ROWS, max(base.arch.hidden_widths)))
+    if fork:
+        # imported here only: it loads 19 modules that no other command needs
+        import multiprocessing
+
+        fork = not multiprocessing.current_process().daemon  # a `Pool` worker may not fork
     if not fork:
-        def evaluate(values, epoch):
-            out = _eval_outcome(base, values, data, spec, epoch)
-            return lambda: _unwrap(out)
-
-        yield evaluate
+        yield lambda values: functools.partial(_eval_epoch, base, values, data, spec)
         return
-    # imported here only: it loads 19 modules that no other command needs
-    import multiprocessing
-
     context = multiprocessing.get_context("fork")
     parent_end, child_end = context.Pipe()
     worker = context.Process(target=_scoring_worker, name="vpu-epoch-scorer",
@@ -237,9 +232,9 @@ def _epoch_scorer(base: md.ClassifierModel, data: PuDataset, spec: ls.LossSpec,
         worker.join()
         return RuntimeError(f"the epoch-scoring worker exited with code {worker.exitcode}")
 
-    def score(values, epoch):
+    def score(values):
         try:
-            parent_end.send((values, epoch))
+            parent_end.send(values)
         except ConnectionError:
             raise died() from None
 
@@ -248,7 +243,9 @@ def _epoch_scorer(base: md.ClassifierModel, data: PuDataset, spec: ls.LossSpec,
                 out = parent_end.recv()
             except (EOFError, ConnectionError):
                 raise died() from None
-            return _unwrap(out)
+            if isinstance(out, Exception):
+                raise out
+            return out
 
         return result
 
@@ -269,9 +266,10 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     OpenBLAS runs on one thread for the whole call (`blas.one_blas_thread`),
     so the outputs do not depend on the BLAS thread count.  One forked
     worker scores each epoch while this process runs the next epoch's
-    steps; errors still surface in the serial order, an epoch's scoring
-    before the next epoch's steps.  Where OpenBLAS cannot be found and
-    pinned (another BLAS), the epochs are scored in-process.
+    steps, and collects it when they are done; errors still surface in the
+    serial order, an epoch's scoring before the next epoch's steps.  Where
+    OpenBLAS cannot be found and pinned (another BLAS), or in a daemonic
+    process, each epoch is scored in-process when it is collected.
     """
     if config.early_stop_metric == "val_lvar" and not data.has_validation():
         raise ValueError("early stopping on val_lvar needs a validation split")
@@ -286,18 +284,12 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     iters_per_epoch = max(1, math.ceil(data.n / config.batch_size))
     history: list[EpochStats] = []
     best_epoch, best_values = 0, values
-    # glibc serves a block above its mmap threshold with mmap and trims free
-    # memory above twice the threshold off the heap top; freeing an mmapped
-    # block raises the threshold to its size.  Left low, it has every step
-    # hand its arrays back and fault them in again: a default train took
-    # 145k minor faults with the scoring in the worker, against 2k after
-    # freeing one block of the scoring's size here first.
-    np.empty((md.SCORE_ROWS, max(config.hidden_widths)))
 
     def take(scored):
-        """Record one scored epoch; the epochs arrive in order."""
+        """Record the next epoch's scoring; the epochs arrive in order."""
         nonlocal best_epoch, best_values
-        epoch, snapshot, result = scored
+        snapshot, result = scored
+        epoch = len(history)
         try:
             stats = result()
         except ad.NumericError as exc:
@@ -306,14 +298,13 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
             # charged to the epoch's last step, whose parameters it forwards
             raise TrainingDiverged(epoch, iters_per_epoch - 1, exc) from exc
         history.append(stats)
-        if epoch > 0 and (config.early_stop_metric == "none"
-                          or stats.val_lvar < history[best_epoch].val_lvar):
+        if config.early_stop_metric == "none" or stats.val_lvar < history[best_epoch].val_lvar:
             best_epoch, best_values = epoch, snapshot
 
     with (blas.one_blas_thread() as one_thread,
           _epoch_scorer(base, data, spec, fork=one_thread) as score):
         # `adam_step` returns fresh arrays, so `values` is never written in place
-        scored = 0, values, score(values, 0)
+        scored = values, score(values)
         for epoch in range(1, config.epochs + 1):
             try:
                 for it in range(iters_per_epoch):
@@ -334,7 +325,7 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
                     raise TrainingDiverged(epoch, it, exc) from exc
                 raise
             take(scored)
-            scored = epoch, values, score(values, epoch)
+            scored = values, score(values)
         take(scored)
 
         final = base.with_params(best_values)

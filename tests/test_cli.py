@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from vpu import cli
 from vpu import model as md
+from vpu import trainer as tr
 from vpu.data import load_csv
 from vpu.losses import LossSpec
 from vpu.trainer import TrainConfig
@@ -43,6 +45,17 @@ class TestGenerate:
         a = make_dataset(tmp_path, "a", ("--seed", "9"))
         b = make_dataset(tmp_path, "b", ("--seed", "9"))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, message):
+        def out_of_memory(*args, **kw):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate", out_of_memory)
+        assert run("generate", "--out", str(tmp_path / "g"), "--m", "1000000000000") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out of memory{': ' if message else ''}{message}\n"
+        assert not (tmp_path / "g").exists()
 
     def test_missing_out_is_usage_error(self, capsys):
         assert run("generate") == 2
@@ -165,6 +178,21 @@ class TestTrain:
         monkeypatch.setattr(cli, "train", boom)
         assert run("train", "--data", str(dataset),
                    "--out", str(tmp_path / "t"), *QUICK) == 3
+
+    def test_scoring_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # raised where the epochs are scored, which is the forked worker
+        # wherever OpenBLAS is found; no child may outlive the command
+        dataset = make_dataset(tmp_path)
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(tr, "_eval_epoch", out_of_memory)
+        capsys.readouterr()
+        assert run("train", "--data", str(dataset), "--out", str(tmp_path / "t"), *QUICK) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+        assert multiprocessing.active_children() == []
 
     def test_bare_objective_overfits_in_history(self, tmp_path):
         # lambda 0 / reg none on the overlapping task: the history file
