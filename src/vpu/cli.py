@@ -7,7 +7,7 @@ defaults.  Unknown keys are rejected.  Every key is parsed and checked once,
 before the command does any work, even a key the command ignores.  Every
 run given an ``out`` directory also echoes its effective configuration to
 ``<out>/config.resolved`` once the command returns, and re-running from
-that file reproduces the outputs bit for bit.
+that file reproduces the outputs bit for bit, at any BLAS thread count.
 
 Exit codes: 0 success, 1 property-suite failure, 2 usage/config error,
 3 numeric failure during training.
@@ -28,6 +28,7 @@ from . import metrics as mt
 from . import model as md
 from . import oracle
 from .autodiff import NumericError
+from .blas import one_blas_thread
 from .data import (GaussianComponent, GaussianMixtureSpec, PuDataset, check_fraction,
                    generate, inject_selection_bias, load_csv,
                    sample_class_conditional, sample_joint, split_validation,
@@ -392,8 +393,7 @@ def cmd_bias_experiment(cfg: Config) -> int:
                                 pi_p=spec.pi_p if objective == "nnpu" else None)
             config = replace(cfg.train, loss_spec=loss_spec, seed=seed + 2 * i + j)
             report = train(config, data)
-            acc = mt.accuracy(report.final_model, test_x, test_y)
-            rows.append(f"{ratio},{objective},{acc:.17g}")
+            rows.append(f"{ratio},{objective},{report.test_acc:.17g}")
         fractions = np.array(counts, dtype=np.float64) / sum(counts)
         env = fractions / subclass_weights
         eps = 1.0 - float(np.max(true_posterior(spec, data.all_inputs())))
@@ -441,13 +441,14 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = resolve_config(args)
-        code = HANDLERS[args.command](cfg)
+        with one_blas_thread():  # so no output depends on the BLAS thread count
+            code = HANDLERS[args.command](cfg)
         if cfg["out"]:
             _write(cfg["out"], "config.resolved",
                    "".join(f"{key} = {cfg.text[key]}\n" for key in sorted(cfg.text)))
         return code
     except (ValueError, OSError) as exc:
-        # a bad config value, or an input file that is missing or malformed
+        # a bad config value, a missing or malformed input file, a dead worker
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an input too large for this machine

@@ -7,13 +7,12 @@ each epoch; when early stopping on validation loss is enabled the
 parameters of the best epoch are restored before normalization.
 
 Training runs OpenBLAS on one thread, so its outputs do not depend on
-the BLAS thread count.  Each epoch is scored (`_eval_epoch`, which reads
-only that epoch's parameters and draws no random numbers) by one forked
-worker while the training process runs the next epoch's steps, and is
-collected when they are done: on a two-core machine the scoring leaves
-the critical path.  The saving needs a free core; with every core busy
-the worker only competes for it.  Without OpenBLAS, or in a daemonic
-process, the epochs are scored in-process.
+the BLAS thread count.  Each epoch is scored on what selection reads
+(`_eval_epoch`, which draws no random numbers) by one forked worker while
+the training process runs the next epoch's steps, and is collected when
+they are done: on a two-core machine the scoring leaves the critical path
+while a core is free.  Without OpenBLAS, or in a daemonic process, the
+epochs are scored in-process.  The test rows are scored once, at the end.
 """
 
 from __future__ import annotations
@@ -108,20 +107,23 @@ class EpochStats:
     train_lvar: float
     val_lvar: float  # nan when no validation split
     val_reg: float
-    test_acc: float  # nan when labels withheld
 
 
 @dataclass(frozen=True)
 class TrainReport:
+    """A run's scored epochs, the chosen one, and the returned model."""
+
     history: list[EpochStats]
     best_epoch: int  # an index into `history`
     final_model: md.ClassifierModel
+    test_acc: float  # the returned model's on the test rows; nan without them
 
     def history_csv(self) -> str:
         lines = ["epoch,train_lvar,val_lvar,val_reg,test_acc"]
         for epoch, row in enumerate(self.history):
+            test_acc = _cell(self.test_acc) if epoch == self.best_epoch else ""
             lines.append(f"{epoch},{_cell(row.train_lvar)},{_cell(row.val_lvar)},"
-                         f"{_cell(row.val_reg)},{_cell(row.test_acc)}")
+                         f"{_cell(row.val_reg)},{test_acc}")
         return "\n".join(lines) + "\n"
 
 
@@ -132,6 +134,7 @@ def _cell(v: float) -> str:
 
 def _eval_epoch(model: md.ClassifierModel, values: np.ndarray, data: PuDataset,
                 spec: ls.LossSpec) -> EpochStats:
+    """What selection reads of an epoch; no test row is scored here."""
     current = model.with_params(values)
 
     def lvar(pos, unl):
@@ -144,13 +147,7 @@ def _eval_epoch(model: md.ClassifierModel, values: np.ndarray, data: PuDataset,
     if data.has_validation():
         val_lvar = lvar(data.val_positive, data.val_unlabeled)
         val_reg = _eval_reg(current, data, spec)
-    test_acc = math.nan
-    if data.test_x is not None:
-        # baselines threshold the raw sigmoid (sign of the margin); the
-        # variational objectives are scale-free and need the normalization
-        snapshot = md.normalize(current, data) if spec.variational else current
-        test_acc = mt.accuracy(snapshot, data.test_x, data.test_y)
-    return EpochStats(train_lvar, val_lvar, val_reg, test_acc)
+    return EpochStats(train_lvar, val_lvar, val_reg)
 
 
 def _eval_reg(current: md.ClassifierModel, data: PuDataset,
@@ -230,7 +227,7 @@ def _epoch_scorer(base: md.ClassifierModel, data: PuDataset, spec: ls.LossSpec,
 
     def died():
         worker.join()
-        return RuntimeError(f"the epoch-scoring worker exited with code {worker.exitcode}")
+        return ChildProcessError(f"the epoch-scoring worker exited with code {worker.exitcode}")
 
     def score(values):
         try:
@@ -261,7 +258,8 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
 
     The best epoch is the last one when `early_stop_metric` is none, and
     otherwise the first with the lowest `val_lvar` (which needs a
-    validation split); the model keeps that epoch's parameters.
+    validation split); the model keeps that epoch's parameters.  The test
+    rows are scored once, on that model, for `TrainReport.test_acc`.
 
     OpenBLAS runs on one thread for the whole call (`blas.one_blas_thread`),
     so the outputs do not depend on the BLAS thread count.  One forked
@@ -331,7 +329,8 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
         final = base.with_params(best_values)
         if spec.variational:
             final = md.normalize(final, data)
-    return TrainReport(history=history, best_epoch=best_epoch, final_model=final)
+        test_acc = math.nan if data.test_x is None else mt.accuracy(final, data.test_x, data.test_y)
+    return TrainReport(history, best_epoch, final, test_acc)
 
 
 @dataclass(frozen=True)
@@ -384,8 +383,7 @@ def sweep_lambda(base_config: TrainConfig, grid: Sequence[float],
             cells.append(SweepCell(lam, math.nan, math.nan, error=str(exc)))
             reports.append(None)
             continue
-        at_best = rep.history[rep.best_epoch]
-        cells.append(SweepCell(lam, at_best.val_lvar, at_best.test_acc))
+        cells.append(SweepCell(lam, rep.history[rep.best_epoch].val_lvar, rep.test_acc))
         reports.append(rep)
     if all(rep is None for rep in reports):
         raise ad.NumericError(f"every sweep cell failed; the last: {cells[-1].error}")

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpu import cli
+from vpu import blas, cli
+from vpu import metrics as mt
 from vpu import model as md
 from vpu import trainer as tr
 from vpu.data import load_csv
 from vpu.losses import LossSpec
 from vpu.trainer import TrainConfig
+
+from test_trainer import kill_scoring_worker, needs_openblas
 
 
 def run(*args):
@@ -193,6 +196,60 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
         assert multiprocessing.active_children() == []
+
+    def test_dead_scoring_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        needs_openblas()
+        dataset = make_dataset(tmp_path)
+        kill_scoring_worker(monkeypatch, 9)
+        capsys.readouterr()
+        assert run("train", "--data", str(dataset), "--out", str(tmp_path / "t"), *QUICK) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the epoch-scoring worker exited with code 9\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("early_stop", ["val_lvar", "none"])
+    def test_history_test_acc_on_the_chosen_row_only(self, tmp_path, early_stop):
+        dataset = make_dataset(tmp_path)
+        out = tmp_path / "t"
+        assert run("train", "--data", str(dataset), "--out", str(out),
+                   "--early_stop", early_stop, *QUICK, "--epochs", "4") == 0
+        rows = [r.split(",") for r in (out / "history.csv").read_text().splitlines()[1:]]
+        if early_stop == "none":
+            chosen = len(rows) - 1
+        else:
+            vals = [float(r[2]) for r in rows]
+            chosen = vals.index(min(vals))
+        assert [i for i, r in enumerate(rows) if r[4]] == [chosen]
+        accuracy = (out / "metrics.csv").read_text().splitlines()[1].split(",")[0]
+        assert rows[chosen][4] == accuracy
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_metrics_on_one_blas_thread(self, tmp_path, monkeypatch, command):
+        # train writes its metrics after `train` returns and eval trains
+        # nothing: both score inside the command's pin
+        needs_openblas()
+        dataset = make_dataset(tmp_path)
+        model = tmp_path / "model.txt"
+        md.save_model(md.init(md.MlpArchitecture(2, (8, 8)), seed=0), str(model))
+        get, set_ = blas._openblas_threads()
+        real = mt.report
+        threads = []
+
+        def recorded(*args):
+            threads.append(get())
+            return real(*args)
+
+        monkeypatch.setattr(mt, "report", recorded)
+        before = get()
+        set_(2)
+        try:
+            assert get() == 2
+            assert run(command, "--data", str(dataset), "--model", str(model),
+                       "--out", str(tmp_path / "o"), *QUICK) == 0
+            assert get() == 2
+        finally:
+            set_(before)
+        assert threads == [1]
 
     def test_bare_objective_overfits_in_history(self, tmp_path):
         # lambda 0 / reg none on the overlapping task: the history file

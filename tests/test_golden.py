@@ -93,42 +93,42 @@ TRAINED = {
 TRAINED_DIGESTS = {  # model.txt, history.csv, metrics.csv
     "default": dict(zip(TRAINED_FILES, (
         "c910c3a16ff581343ae496c793b7f548dc2e62fa86a065737a48e49e2df2f147",
-        "c38f6bb0a54bce184c82b7f9243888749528168f1db433735bd12f8acf370ac9",
+        "c61dd7dd0e9df301aafeca1fa72d0a00666304d8df86dfc2091a265b3f7e1f66",
         "323230ad5c3fc0765484d465b63cff7fc2e0f5153697870168cb6a26394f43b6",
     ))),
     "large-margin": dict(zip(TRAINED_FILES, (
         "c130a3b4ab46ed6af13183ead8b31a355c641759dadfc76fde1b0531f03df983",
-        "69b4200428a4c77a567a07442e15a4218dbf358cbc97eec8a968e2c6b3deb17d",
+        "c0759b9b12590088685efbd85de73c783e77c16d9cc581eca05b86202ca57dc3",
         "b79c0ef00648ba26a833a78881bf38ea7e2c879c354695bd527b28457eba42c0",
     ))),
     "mse-mixup-pu-tanh": dict(zip(TRAINED_FILES, (
         "7bfa4d78621bd8c417e4975749856e7ecead2ae66e4e54243ea51fa62628506b",
-        "83593c3be07529ededa23eeffeae08eeda14ad98e6a05a5a495719ad45014310",
+        "e8216ead492b4602c3fea1f3e4a7bd2c61368c021bae989e17fb372123632c9c",
         "e862f7be0bbb172ebbbc8972b8aea03fecf0fe72d4e8c0d43a1ce540b5213311",
     ))),
     "nnpu": dict(zip(TRAINED_FILES, (
         "98c7d4e350347fc0b8e400c4a7ad10490274e4d47c7ca593a44b9de57b60fdea",
-        "e03f986e621cdd30d859f38221cd06e0e62307e8e5ffb5314dfc6878d740a9e7",
+        "aae8e768caeb8030330324a1a9be9d96af5985216ac0e1d41d0ef575c11e19e1",
         "2c826f99865ed6ec1e811b97ed6acf0d367b72281cc92151e199e4681069d21c",
     ))),
     "none": dict(zip(TRAINED_FILES, (
         "f891b13a21e8e4a016f9e5f2deec0729d77fd3616a385abbb2e16c01b29ba400",
-        "3bac7b6e95639e3a7b831f63425d2013c9ac84e0a626994e212d41eeadeaa9aa",
+        "0f18c1cbb15402ca0ac35430007e2fdeff5d725b46fccc0a028a861b732374bb",
         "b79c0ef00648ba26a833a78881bf38ea7e2c879c354695bd527b28457eba42c0",
     ))),
     "p-only": dict(zip(TRAINED_FILES, (
         "bcbd26c1f625ac7f049f3efc1c934b5cf0763572fdb45d2ace97eee552da24b5",
-        "b33a0157da2e8834c44ca7976d6ec7afbfba31091c88112f4f4338b6c6e43472",
+        "8b745f1c28afc32adda0ffc38be4449c6bd349482df4eb01cbc16c3a975943b9",
         "323230ad5c3fc0765484d465b63cff7fc2e0f5153697870168cb6a26394f43b6",
     ))),
     "upu": dict(zip(TRAINED_FILES, (
         "98c7d4e350347fc0b8e400c4a7ad10490274e4d47c7ca593a44b9de57b60fdea",
-        "e03f986e621cdd30d859f38221cd06e0e62307e8e5ffb5314dfc6878d740a9e7",
+        "aae8e768caeb8030330324a1a9be9d96af5985216ac0e1d41d0ef575c11e19e1",
         "2c826f99865ed6ec1e811b97ed6acf0d367b72281cc92151e199e4681069d21c",
     ))),
     "vpu-l2-pupu": dict(zip(TRAINED_FILES, (
         "fe0c39fb3d9235522b513be85422b7036c34ea41d3fee5c78d1f1b9869a493b0",
-        "2003a85332d572ecb8e7d916f119efa1f6efb07bb1ca42069286d1d73fefbe9f",
+        "219b24d3bcc4d6732baeb5674028d5edf3dc8179557e7a99d38d68e9b5ac7fff",
         "323230ad5c3fc0765484d465b63cff7fc2e0f5153697870168cb6a26394f43b6",
     ))),
 }

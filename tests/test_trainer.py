@@ -116,6 +116,7 @@ class TestTrain:
         r2 = tr.train(quick_config(), data)
         assert np.array_equal(r1.final_model.params, r2.final_model.params)
         assert r1.history == r2.history
+        assert r1.test_acc == r2.test_acc
 
     def test_history_rows(self):
         data = quick_task()
@@ -124,7 +125,11 @@ class TestTrain:
         assert epochs == ["0", "1", "2", "3"]
         assert all(math.isfinite(h.train_lvar) for h in report.history)
         assert all(math.isfinite(h.val_lvar) for h in report.history)
-        assert all(math.isfinite(h.test_acc) for h in report.history)
+        # the test rows are scored once, for the chosen epoch
+        cells = [line.split(",")[4] for line in report.history_csv().splitlines()[1:]]
+        assert [i for i, cell in enumerate(cells) if cell] == [report.best_epoch]
+        assert math.isfinite(report.test_acc)
+        assert float(cells[report.best_epoch]) == report.test_acc
 
     def test_best_epoch_is_argmin_val(self):
         data = quick_task()
@@ -214,6 +219,20 @@ def scoring(request, monkeypatch):
     return request.param
 
 
+def kill_scoring_worker(monkeypatch, code):
+    """Make the forked worker exit with `code` at its first scoring call;
+    epochs scored in the training process, if any, pass."""
+    trainer_pid = os.getpid()
+    real = tr._eval_epoch
+
+    def dying(*args):
+        if os.getpid() == trainer_pid:
+            return real(*args)
+        os._exit(code)
+
+    monkeypatch.setattr(tr, "_eval_epoch", dying)
+
+
 def fail_scoring_at(monkeypatch, at, error):
     """Make `_eval_epoch` raise `error` at epoch `at`; the forked worker
     inherits the patch.  Each process scores its epochs in order, so epoch
@@ -244,6 +263,7 @@ class TestScoring:
         local = tr.train(config, data)
         assert local.history == forked.history
         assert local.best_epoch == forked.best_epoch
+        assert local.test_acc == forked.test_acc
         assert np.array_equal(local.final_model.params, forked.final_model.params)
         assert local.final_model.normalization_scale == forked.final_model.normalization_scale
 
@@ -295,18 +315,25 @@ class TestScoring:
 
     def test_worker_death_names_its_exit_code(self, monkeypatch):
         needs_openblas()
-        trainer_pid = os.getpid()
-        real = tr._eval_epoch
-
-        def dying(*args):  # epochs scored in the training process, if any, pass
-            if os.getpid() == trainer_pid:
-                return real(*args)
-            os._exit(7)
-
-        monkeypatch.setattr(tr, "_eval_epoch", dying)
-        with pytest.raises(RuntimeError, match="exited with code 7"):
+        kill_scoring_worker(monkeypatch, 7)
+        with pytest.raises(ChildProcessError, match="exited with code 7"):
             tr.train(quick_config(), quick_task())
         assert multiprocessing.active_children() == []
+
+    def test_test_rows_scored_once(self, monkeypatch):
+        # counted in-process, where every scoring call is seen
+        without_openblas(monkeypatch)
+        real = mt.accuracy
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mt, "accuracy", counted)
+        report = tr.train(quick_config(epochs=3), quick_task())
+        assert len(calls) == 1
+        assert report.test_acc == real(*calls[0])
 
     def test_blas_thread_count_restored(self):
         needs_openblas()
@@ -344,6 +371,7 @@ class TestScoring:
             direct = train_seed(seed)
             assert report.history == direct.history
             assert report.best_epoch == direct.best_epoch
+            assert report.test_acc == direct.test_acc
             assert np.array_equal(report.final_model.params, direct.final_model.params)
             assert (report.final_model.normalization_scale
                     == direct.final_model.normalization_scale)
