@@ -69,7 +69,10 @@ def _int_at_least(low: int):
 
 def _list(parse):
     def parse_list(text: str) -> tuple:
-        return tuple(parse(v) for v in text.split(",") if v.strip())
+        values = tuple(parse(v) for v in text.split(",") if v.strip())
+        if not values:
+            raise ValueError("the list is empty")
+        return values
     return parse_list
 
 
@@ -78,10 +81,8 @@ def _prior(text: str) -> float | None:
 
 
 def _lambda_grid(text: str) -> tuple[float, ...]:
-    """A nonempty list of lambdas, each checked as `LossSpec` checks one."""
+    """A list of lambdas, each checked as `LossSpec` checks one."""
     grid = _list(_number)(text)
-    if not grid:
-        raise ValueError("the grid is empty")
     for lam in grid:
         LossSpec(lam=lam)
     return grid

@@ -4,13 +4,13 @@ variational loss, and the uPU / nnPU baseline risks.
 
 `total_loss` is the one place that runs the network on a training batch:
 it forwards the positive rows, then the unlabeled rows, once each, and hands
-the outputs to the heads.  The heads (`*_values`, `*_from_margins`) take
-probability or margin vectors; the regularizers that need outputs at other
-points (`mixup_consistency_reg`, the large-margin term) forward those rows
-themselves.  `mixup_consistency_reg` is the one builder of every MixUp
-variant: it picks the mixed points and their target, and applies the
-penalty.  Everything returns a differentiable scalar (an autodiff Tensor)
-on the flat parameter Tensor `theta`.
+the outputs to the heads and regularizers.  The heads (`*_values`,
+`*_from_margins`) take probability or margin vectors; the only rows forwarded
+outside those two forwards are the MixUp points, which are new rows.
+`mixup_consistency_reg` is the one builder of every MixUp variant: it picks
+the mixed points and their target, and applies the penalty.  Everything
+returns a differentiable scalar (an autodiff Tensor) on the flat parameter
+Tensor `theta`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ OBJECTIVES = ("vpu", "vpu_l2", "upu", "nnpu")
 REG_VARIANTS = ("msle_mixup_pu", "none", "msle_mixup_p_only",
                 "msle_mixup_pupu", "mse_mixup_pu", "large_margin")
 _MIXUP_VARIANTS = ("msle_mixup_pu", "msle_mixup_p_only", "msle_mixup_pupu", "mse_mixup_pu")
-_PU_TARGET_VARIANTS = ("msle_mixup_pu", "mse_mixup_pu")  # targets built from the U outputs
+_PU_TARGET_VARIANTS = ("msle_mixup_pu", "mse_mixup_pu")  # each P row mixed with one U row
 
 
 @dataclass(frozen=True)
@@ -99,43 +99,42 @@ def mixup_consistency_reg(model, theta, xp: np.ndarray, xu: np.ndarray, phi_u, g
     mean squared gap between a guessed target and the network's output at
     mixed points, in logs (msle) or plain (mse).
 
-    `xp` and `xu` are the positive and unlabeled rows.  The pu variants
-    build their target from the unlabeled outputs `phi_u`, which is
-    ``model.raw(theta, xu)`` or None to forward `xu` here (from its values
-    when the target stops the gradient); the other variants ignore it.
-    `gamma` is the batch's one mixing weight.  Pairing is positional; the
-    randomness comes from batch sampling.  The pupu variant pairs the
+    `xp` and `xu` are the positive and unlabeled rows.  The pu and pupu
+    variants label each unlabeled row by its output in `phi_u`, which is
+    ``model.raw(theta, xu)`` or None to forward `xu` here; p_only ignores
+    it.  `gamma` is the batch's one mixing weight.  Pairing is positional;
+    the randomness comes from batch sampling.  The pupu variant pairs the
     concatenated rows with their rotation, so both endpoints range over
-    positives and unlabeled points.
+    positives (label 1) and unlabeled points.
     """
     if variant not in _MIXUP_VARIANTS:
         raise ValueError(f"not a mixup variant: {variant!r}")
     t = ad.as_tensor(theta)
     g = float(gamma)
+    if variant != "msle_mixup_p_only":
+        phi_u = model.raw(t, xu) if phi_u is None else ad.as_tensor(phi_u)
+        if target_stop_gradient:
+            phi_u = phi_u.value
 
     if variant in _PU_TARGET_VARIANTS:
         if xp.shape != xu.shape:
             raise ValueError("pu mixup needs equal-size batches")
         x_mix = g * xp + (1.0 - g) * xu
-        phi_u = model.raw(t, xu) if phi_u is None else ad.as_tensor(phi_u)
-        target = g + (1.0 - g) * (phi_u.value if target_stop_gradient else phi_u)
+        target = g + (1.0 - g) * phi_u
     elif variant == "msle_mixup_p_only":
         x_mix = g * xp + (1.0 - g) * _rotate(xp)
         target = np.ones(xp.shape[0])  # both endpoints carry label 1
     else:
         # msle_mixup_pupu: endpoints drawn from the union of both batches
         union = np.concatenate([xp, xu], axis=0)
-        n = union.shape[0]
+        n, n_p = union.shape[0], xp.shape[0]
         x_mix = g * union + (1.0 - g) * _rotate(union)
-        # per-point target: 1 for positive-origin points, phi(x) otherwise
+        # per-point label: 1 for positive-origin points, phi(x) otherwise
+        # (the positives read row 0 of phi_u, which the mask zeroes)
         mask_p = np.zeros(n)
-        mask_p[:xp.shape[0]] = 1.0
-        # the union's own forward: its U half matches phi_u only up to the
-        # rounding that a different matrix shape gives
-        labels = model.raw(t, union) * (1.0 - mask_p) + mask_p
+        mask_p[:n_p] = 1.0
+        labels = phi_u[np.maximum(np.arange(n) - n_p, 0)] * (1.0 - mask_p) + mask_p
         target = g * labels + (1.0 - g) * labels[np.roll(np.arange(n), -1)]
-        if target_stop_gradient:
-            target = target.value
 
     phi_mix = model.raw(t, x_mix)
     target = ad.as_tensor(target)
@@ -182,9 +181,11 @@ def total_loss(spec: LossSpec, model, theta, xp: np.ndarray, xu: np.ndarray,
     positive rows `xp` and the unlabeled rows `xu`.
 
     The objective forwards each set of rows once, positives first (margins
-    for the baselines, sigmoid outputs otherwise), and the pu MixUp target
-    reuses the unlabeled outputs, with its gradient stopped.  Baseline
-    objectives (upu, nnpu) ignore the regularizer entirely.
+    for the baselines, sigmoid outputs otherwise).  The regularizers reuse
+    those outputs: the large-margin term reads the positive ones, and the
+    MixUp target the unlabeled ones, with its gradient stopped; only the
+    MixUp points are forwarded on top.  Baseline objectives (upu, nnpu)
+    ignore the regularizer entirely.
     """
     t = ad.as_tensor(theta)
     if not spec.variational:
@@ -197,9 +198,7 @@ def total_loss(spec: LossSpec, model, theta, xp: np.ndarray, xu: np.ndarray,
     if spec.reg_variant == "none" or spec.lam == 0.0:
         return base
     if spec.reg_variant == "large_margin":
-        # its own forward of the positives: sharing phi_p would sum the two
-        # heads' gradients before the network's backward and round differently
-        reg = large_margin_values(model.raw(t, xp), spec.alpha)
+        reg = large_margin_values(phi_p, spec.alpha)
     else:
         if gamma is None:
             raise ValueError("mixup regularizers need a gamma draw")

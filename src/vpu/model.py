@@ -146,23 +146,17 @@ class ClassifierModel:
     def raw_values(self, x: np.ndarray) -> np.ndarray:
         """sigmoid(logits) of the rows of `x` as plain values, one block of
         rows at a time (see `SCORE_ROWS`): only one block's activations are
-        alive at once."""
+        alive at once, also when a block raises `NumericError`, which then
+        names the first failing node of the first failing block."""
         X = np.asarray(x, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"expected a 2-D array of rows, got shape {X.shape}")
         n = X.shape[0]
         out = np.empty(n, dtype=np.float64)
         start = 0
-        try:
-            for stop in [*range(SCORE_ROWS, n - SCORE_ROWS + 1, SCORE_ROWS), n]:
-                out[start:stop] = self.raw(self.params, X[start:stop]).value
-                start = stop
-        except ad.NumericError:
-            # a block names its own first failing node, which may come after
-            # the first one over all rows (a row here overflows at `+ b`, one
-            # in a later block at the matmul before it): one pass names that
-            self.raw(self.params, X)
-            raise
+        for stop in [*range(SCORE_ROWS, n - SCORE_ROWS + 1, SCORE_ROWS), n]:
+            out[start:stop] = self.raw(self.params, X[start:stop]).value
+            start = stop
         return out
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

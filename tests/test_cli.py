@@ -274,7 +274,7 @@ class TestTrain:
         pytest.param(["train", "--val_fraction", "0.001"], "empty side",
                      id="tiny-val_fraction"),
         pytest.param(["train", "--hidden", "0"], "hidden widths", id="zero-hidden"),
-        pytest.param(["train", "--hidden", ""], "hidden layer", id="empty-hidden"),
+        pytest.param(["train", "--hidden", ""], "'hidden'", id="empty-hidden"),
         pytest.param(["train", "--activation", "foo"], "activation", id="foo-activation"),
         pytest.param(["train", "--learning_rate", "nan"], "learning rate",
                      id="nan-learning_rate"),
@@ -303,6 +303,8 @@ class TestTrain:
         pytest.param(["generate", "--lambda_grid", "1,-1"], "'lambda_grid'",
                      id="negative-lambda-in-grid"),
         pytest.param(["generate", "--lambda_grid", ","], "'lambda_grid'", id="empty-lambda_grid"),
+        pytest.param(["bias-exp", "--ratios", ","], "'ratios'", id="empty-ratios"),
+        pytest.param(["train", "--hidden", ","], "'hidden'", id="comma-hidden"),
         pytest.param(["train", "--batch_size", "0"], "batch_size", id="zero-batch_size"),
         pytest.param(["train", "--epochs", "-1"], "epochs", id="negative-epochs"),
         pytest.param(["train", "--adam_beta1", "1"], "adam_beta1", id="unit-adam_beta1"),
@@ -457,6 +459,21 @@ class TestEval:
         assert "normalization_scale" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
+    def test_weights_that_overflow_on_the_data_exit_3(self, tmp_path, capsys):
+        # finite weights, so the file loads; the first matmul overflows
+        dataset = make_dataset(tmp_path)
+        net = md.init(md.MlpArchitecture(2, (8, 8)), seed=0)
+        params = net.params.copy()
+        params[net.arch.layers[0].weight] = 1e308
+        path = tmp_path / "model.txt"
+        md.save_model(net.with_params(params), str(path))
+        capsys.readouterr()
+        assert run("eval", "--model", str(path), "--data", str(dataset),
+                   "--out", str(tmp_path / "e")) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric failure: ") and "'matmul'" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not list((tmp_path / "e").glob("metrics.*"))
 
     def test_model_of_another_input_size_is_usage_error(self, tmp_path, capsys):
         dataset = make_dataset(tmp_path)

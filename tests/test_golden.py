@@ -97,8 +97,8 @@ TRAINED_DIGESTS = {  # model.txt, history.csv, metrics.csv
         "323230ad5c3fc0765484d465b63cff7fc2e0f5153697870168cb6a26394f43b6",
     ))),
     "large-margin": dict(zip(TRAINED_FILES, (
-        "c130a3b4ab46ed6af13183ead8b31a355c641759dadfc76fde1b0531f03df983",
-        "c0759b9b12590088685efbd85de73c783e77c16d9cc581eca05b86202ca57dc3",
+        "069a53659893913b8d8eca9389c605f37e6bbc53cbb8910255db671989a539d8",
+        "4e56206b0bbe7af7c577e135b28fd01fb4f1d726d2d39140384e855aec5ca7a1",
         "b79c0ef00648ba26a833a78881bf38ea7e2c879c354695bd527b28457eba42c0",
     ))),
     "mse-mixup-pu-tanh": dict(zip(TRAINED_FILES, (

@@ -357,10 +357,11 @@ class TestTotalLoss:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_matches_two_forward_reference(self, activation):
-        # the pu MixUp target reuses the objective's U outputs: with a
-        # constant target that is the same rows through the same theta, so
-        # every bit agrees; a differentiated target sums both heads'
-        # gradients before the network's backward, which rounds differently
+        # the MixUp target reuses the objective's U outputs, and the
+        # large-margin term its P outputs: a value from the same rows
+        # through the same theta agrees in every bit; a differentiated
+        # reuse sums both heads' gradients before the network's backward,
+        # which rounds differently
         net = md.init(md.MlpArchitecture(2, (8, 5), activation), seed=1)
         rng = np.random.default_rng(4)
         net = net.with_params(net.params + rng.normal(scale=0.3, size=len(net.params)))
@@ -378,20 +379,21 @@ class TestTotalLoss:
                         net.params)
                     case = (objective, reg, stop)
                     assert bits(v_new) == bits(v_ref), case
-                    if not stop and reg in ("msle_mixup_pu", "mse_mixup_pu") \
-                            and spec.variational:
+                    live = reg == "large_margin" or not stop and reg in (
+                        "msle_mixup_pu", "mse_mixup_pu", "msle_mixup_pupu")
+                    if live and spec.variational:
                         np.testing.assert_allclose(g_new, g_ref, rtol=1e-12, atol=0.0,
                                                    err_msg=str(case))
                     else:
                         assert np.array_equal(bits(g_new), bits(g_ref)), case
 
-    # P and U once each, plus the MixUp points or the large-margin
-    # positives; the pupu target forwards the stacked union on top
+    # P and U once each, plus the MixUp points; no head or regularizer
+    # forwards the batch rows again
     @pytest.mark.parametrize("objective, reg, calls", [
         ("vpu", "msle_mixup_pu", 3), ("vpu", "mse_mixup_pu", 3),
-        ("vpu_l2", "msle_mixup_pupu", 4), ("vpu", "msle_mixup_p_only", 3),
-        ("vpu", "large_margin", 3), ("vpu", "none", 2), ("upu", "none", 2),
-        ("nnpu", "msle_mixup_pu", 2),
+        ("vpu_l2", "msle_mixup_pupu", 3), ("vpu", "msle_mixup_p_only", 3),
+        ("vpu", "large_margin", 2), ("vpu_l2", "large_margin", 2), ("vpu", "none", 2),
+        ("upu", "none", 2), ("nnpu", "msle_mixup_pu", 2),
     ])
     def test_forwards_each_batch_once(self, batches, objective, reg, calls):
         xp, xu = batches

@@ -405,18 +405,37 @@ class TestBlockScoring:
             with pytest.raises(ad.NumericError, match=f"'{node}'"):
                 score(x)
 
-    def test_first_failing_node_over_all_rows(self):
+    def test_first_failing_node_of_the_first_failing_block(self):
         # a row of the first block overflows only at `+ b`, a row of the
-        # third block at the matmul before it: one pass over all rows, and
-        # so the blocked one, names 'matmul'
+        # third block at the matmul before it: blocked scoring stops at the
+        # first block and names 'add', one pass over all rows 'matmul'
         net = self.overflow_net("add")
         net.params[net.arch.layers[0].weight].reshape(2, 8)[1, :] = 4.0
         x = np.zeros((3 * md.SCORE_ROWS + 10, 2))
         x[5, 0] = 1e308
-        with pytest.raises(ad.NumericError, match="'add'"):
-            net.raw_values(x[:md.SCORE_ROWS])
         x[2 * md.SCORE_ROWS + 5, 1] = 1e308
-        for score in (net.raw_values, lambda x: net.raw(net.params, x),
-                      as_tape_model(net).raw_values):
-            with pytest.raises(ad.NumericError, match="'matmul'"):
+        for score in (net.raw_values, as_tape_model(net).raw_values):
+            with pytest.raises(ad.NumericError, match="'add'"):
                 score(x)
+        with pytest.raises(ad.NumericError, match="'matmul'"):
+            net.raw(net.params, x)
+
+    def test_peak_memory_is_one_block_when_a_block_fails(self):
+        # the failing block used to be scored again with all rows in one
+        # pass: a tracemalloc peak of about 60 MB on the net of
+        # `test_peak_memory_is_one_block` (the 8-wide `overflow_net` stays
+        # under the bound either way)
+        net = md.init(md.MlpArchitecture(2, (64, 64)), seed=0)
+        params = net.params.copy()
+        params[net.arch.layers[0].weight.start] = 1e200
+        net = net.with_params(params)
+        x = np.random.default_rng(0).normal(size=(100_000, 2))
+        x[50_000, 0] = 1e200
+        tracemalloc.start()
+        try:
+            with pytest.raises(ad.NumericError, match="'matmul'"):
+                net.raw_values(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
