@@ -449,7 +449,7 @@ def main(argv=None) -> int:
                    "".join(f"{key} = {cfg.text[key]}\n" for key in sorted(cfg.text)))
         return code
     except (ValueError, OSError) as exc:
-        # a bad config value, a missing or malformed input file, a dead worker
+        # a bad config value, a missing or malformed input file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an input too large for this machine

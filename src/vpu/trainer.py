@@ -7,20 +7,14 @@ each epoch; when early stopping on validation loss is enabled the
 parameters of the best epoch are restored before normalization.
 
 Training runs OpenBLAS on one thread, so its outputs do not depend on
-the BLAS thread count.  Each epoch is scored on what selection reads
-(`_eval_epoch`, which draws no random numbers) by one forked worker while
-the training process runs the next epoch's steps, and is collected when
-they are done: on a two-core machine the scoring leaves the critical path
-while a core is free.  Without OpenBLAS, or in a daemonic process, the
-epochs are scored in-process.  The test rows are scored once, at the end.
+the BLAS thread count.  Each epoch is scored right after its last step,
+in the training process, on what selection reads (`_eval_epoch`, which
+draws no random numbers).  The test rows are scored once, at the end.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
-import signal
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -167,92 +161,6 @@ def _eval_reg(current: md.ClassifierModel, data: PuDataset,
     return float(reg.value)
 
 
-def _scoring_worker(conn, parent_end, base: md.ClassifierModel, data: PuDataset,
-                    spec: ls.LossSpec) -> None:
-    """The scoring worker's loop: answer each parameter vector from `conn` with
-    `_eval_epoch`'s stats or exception until the parent closes its end."""
-    # the fork copied the parent's end too; while it is open here, recv
-    # never sees the parent close it
-    parent_end.close()
-    # Ctrl-C reaches the whole process group: the parent stops and closes
-    # the pipe, and this loop then ends on its own
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            values = conn.recv()
-        except (EOFError, ConnectionError):
-            return
-        try:
-            out = _eval_epoch(base, values, data, spec)
-        except Exception as exc:
-            out = exc
-        try:
-            conn.send(out)
-        except ConnectionError:  # the parent stopped without reading it
-            return
-
-
-@contextlib.contextmanager
-def _epoch_scorer(base: md.ClassifierModel, data: PuDataset, spec: ls.LossSpec,
-                  fork: bool):
-    """Yield `score(values)`, which returns a call that gives `_eval_epoch`'s
-    `EpochStats` on those parameters or raises what it raised.
-
-    With `fork`, one forked worker scores an epoch while the caller runs
-    the next one's steps, and no process outlives the `with` block.
-    Otherwise, or in a daemonic process (which may not start children),
-    the returned call scores in-process.
-    """
-    # glibc serves a block above its mmap threshold with mmap and trims free
-    # memory above twice the threshold off the heap top; freeing an mmapped
-    # block raises the threshold to its size.  Left low, it has every step
-    # hand its arrays back and fault them in again: a default train took
-    # 145k minor faults with the scoring in the worker, against 2k after
-    # freeing one block of the scoring's size here first.
-    np.empty((md.SCORE_ROWS, max(base.arch.hidden_widths)))
-    if fork:
-        # imported here only: it loads 19 modules that no other command needs
-        import multiprocessing
-
-        fork = not multiprocessing.current_process().daemon  # a `Pool` worker may not fork
-    if not fork:
-        yield lambda values: functools.partial(_eval_epoch, base, values, data, spec)
-        return
-    context = multiprocessing.get_context("fork")
-    parent_end, child_end = context.Pipe()
-    worker = context.Process(target=_scoring_worker, name="vpu-epoch-scorer",
-                             args=(child_end, parent_end, base, data, spec))
-    worker.start()
-    child_end.close()
-
-    def died():
-        worker.join()
-        return ChildProcessError(f"the epoch-scoring worker exited with code {worker.exitcode}")
-
-    def score(values):
-        try:
-            parent_end.send(values)
-        except ConnectionError:
-            raise died() from None
-
-        def result():
-            try:
-                out = parent_end.recv()
-            except (EOFError, ConnectionError):
-                raise died() from None
-            if isinstance(out, Exception):
-                raise out
-            return out
-
-        return result
-
-    try:
-        yield score
-    finally:
-        parent_end.close()
-        worker.join()
-
-
 def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     """Run the full stochastic-gradient loop and return the normalized model.
 
@@ -262,12 +170,11 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     rows are scored once, on that model, for `TrainReport.test_acc`.
 
     OpenBLAS runs on one thread for the whole call (`blas.one_blas_thread`),
-    so the outputs do not depend on the BLAS thread count.  One forked
-    worker scores each epoch while this process runs the next epoch's
-    steps, and collects it when they are done; errors still surface in the
-    serial order, an epoch's scoring before the next epoch's steps.  Where
-    OpenBLAS cannot be found and pinned (another BLAS), or in a daemonic
-    process, each epoch is scored in-process when it is collected.
+    so the outputs do not depend on the BLAS thread count.  Epoch 0 is
+    scored before the first step and each later epoch after its last, in
+    this process.  A `NumericError` in a step, or in scoring a later epoch
+    (charged to its last step), raises `TrainingDiverged`; one in scoring
+    the untrained model propagates as it is.
     """
     if config.early_stop_metric == "val_lvar" and not data.has_validation():
         raise ValueError("early stopping on val_lvar needs a validation split")
@@ -283,29 +190,18 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
     history: list[EpochStats] = []
     best_epoch, best_values = 0, values
 
-    def take(scored):
-        """Record the next epoch's scoring; the epochs arrive in order."""
-        nonlocal best_epoch, best_values
-        snapshot, result = scored
-        epoch = len(history)
-        try:
-            stats = result()
-        except ad.NumericError as exc:
-            if epoch == 0:
-                raise
-            # charged to the epoch's last step, whose parameters it forwards
-            raise TrainingDiverged(epoch, iters_per_epoch - 1, exc) from exc
-        history.append(stats)
-        if config.early_stop_metric == "none" or stats.val_lvar < history[best_epoch].val_lvar:
-            best_epoch, best_values = epoch, snapshot
-
-    with (blas.one_blas_thread() as one_thread,
-          _epoch_scorer(base, data, spec, fork=one_thread) as score):
-        # `adam_step` returns fresh arrays, so `values` is never written in place
-        scored = values, score(values)
-        for epoch in range(1, config.epochs + 1):
+    with blas.one_blas_thread():
+        # glibc serves a block above its mmap threshold with mmap and trims
+        # free memory above twice the threshold off the heap top; freeing an
+        # mmapped block raises the threshold to its size.  Left low, it has
+        # every step hand its arrays back and fault them in again: a default
+        # train took 117k minor faults without freeing this block, 772 with.
+        np.empty((md.SCORE_ROWS, max(config.hidden_widths)))
+        # epoch 0 scores the untrained model; `adam_step` returns fresh
+        # arrays, so `values` is never written in place
+        for epoch in range(config.epochs + 1):
             try:
-                for it in range(iters_per_epoch):
+                for it in range(iters_per_epoch if epoch else 0):
                     xp = sample_minibatch(data.positive, config.batch_size, rng)
                     xu = sample_minibatch(data.unlabeled, config.batch_size, rng)
                     gamma = sample_beta(spec.alpha, rng) if spec.needs_gamma else None
@@ -317,14 +213,18 @@ def train(config: TrainConfig, data: PuDataset) -> TrainReport:
                     values, adam = adam_step(config, adam, values, grads)
                     if not np.all(np.isfinite(values)):
                         raise ad.NumericError("parameters became non-finite")
-            except Exception as exc:
-                take(scored)  # the last epoch's scoring fails first, as in serial order
-                if isinstance(exc, ad.NumericError):
-                    raise TrainingDiverged(epoch, it, exc) from exc
-                raise
-            take(scored)
-            scored = values, score(values)
-        take(scored)
+            except ad.NumericError as exc:
+                raise TrainingDiverged(epoch, it, exc) from exc
+            try:
+                stats = _eval_epoch(base, values, data, spec)
+            except ad.NumericError as exc:
+                if epoch == 0:
+                    raise
+                # charged to the epoch's last step, whose parameters it forwards
+                raise TrainingDiverged(epoch, iters_per_epoch - 1, exc) from exc
+            history.append(stats)
+            if config.early_stop_metric == "none" or stats.val_lvar < history[best_epoch].val_lvar:
+                best_epoch, best_values = epoch, values
 
         final = base.with_params(best_values)
         if spec.variational:

@@ -7,9 +7,9 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running, such as a `train`
-    scoring worker that outlived its call; the child is killed first, so
-    the next test starts clean."""
+    """Fail a test that leaves a child process running, such as the worker
+    of a `multiprocessing.Pool` that was never joined; the child is killed
+    first, so the next test starts clean."""
     yield
     left = multiprocessing.active_children()
     for child in left:

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 
 import numpy as np
@@ -14,7 +13,7 @@ from vpu.data import load_csv
 from vpu.losses import LossSpec
 from vpu.trainer import TrainConfig
 
-from test_trainer import kill_scoring_worker, needs_openblas
+from test_trainer import needs_openblas
 
 
 def run(*args):
@@ -183,8 +182,6 @@ class TestTrain:
                    "--out", str(tmp_path / "t"), *QUICK) == 3
 
     def test_scoring_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        # raised where the epochs are scored, which is the forked worker
-        # wherever OpenBLAS is found; no child may outlive the command
         dataset = make_dataset(tmp_path)
 
         def out_of_memory(*args):
@@ -195,17 +192,6 @@ class TestTrain:
         assert run("train", "--data", str(dataset), "--out", str(tmp_path / "t"), *QUICK) == 2
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
-        assert multiprocessing.active_children() == []
-
-    def test_dead_scoring_worker_exits_2(self, tmp_path, capsys, monkeypatch):
-        needs_openblas()
-        dataset = make_dataset(tmp_path)
-        kill_scoring_worker(monkeypatch, 9)
-        capsys.readouterr()
-        assert run("train", "--data", str(dataset), "--out", str(tmp_path / "t"), *QUICK) == 2
-        err = capsys.readouterr().err
-        assert err == "error: the epoch-scoring worker exited with code 9\n"
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("early_stop", ["val_lvar", "none"])
     def test_history_test_acc_on_the_chosen_row_only(self, tmp_path, early_stop):

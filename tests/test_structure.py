@@ -11,7 +11,7 @@ only: `sampling._mix` is read by `_take` and `_take_lockstep` alone.  Every
 dataclass is frozen, so a value, once built, is not changed behind its
 holder's back.  Every span name the benchmark reads names a function or
 method in the package.  Importing the command-line entry point loads no
-`multiprocessing`: only `train` needs it, when it starts its worker.
+`multiprocessing`: no command starts a process.
 """
 
 import ast

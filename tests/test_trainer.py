@@ -1,7 +1,10 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from vpu import losses as ls
 from vpu import metrics as mt
 from vpu import trainer as tr
 from vpu.data import GaussianComponent, GaussianMixtureSpec, generate, split_validation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def quick_task(seed=0, m=60, n=240, n_test=200, sep=2.0):
@@ -205,45 +210,24 @@ def without_openblas(monkeypatch):
 
 def needs_openblas():
     if blas._openblas_threads() is None:
-        pytest.skip("no OpenBLAS to pin, so no scoring worker")
+        pytest.skip("no OpenBLAS to pin")
 
 
-@pytest.fixture(params=["worker", "in-process"])
-def scoring(request, monkeypatch):
-    """Run the test with epochs scored by the forked worker, and again
-    in-process, as where no OpenBLAS is found."""
-    if request.param == "worker":
-        needs_openblas()
-    else:
-        without_openblas(monkeypatch)
-    return request.param
-
-
-def kill_scoring_worker(monkeypatch, code):
-    """Make the forked worker exit with `code` at its first scoring call;
-    epochs scored in the training process, if any, pass."""
-    trainer_pid = os.getpid()
-    real = tr._eval_epoch
-
-    def dying(*args):
-        if os.getpid() == trainer_pid:
-            return real(*args)
-        os._exit(code)
-
-    monkeypatch.setattr(tr, "_eval_epoch", dying)
+@pytest.fixture(params=["in-process"])
+def scoring(monkeypatch):
+    """Run the test where no OpenBLAS is found and no process may fork."""
+    without_openblas(monkeypatch)
 
 
 def fail_scoring_at(monkeypatch, at, error):
-    """Make `_eval_epoch` raise `error` at epoch `at`; the forked worker
-    inherits the patch.  Each process scores its epochs in order, so epoch
-    `at` is its call `at` there.  The message names the process that
-    scored."""
+    """Make `_eval_epoch` raise `error` at its call `at`, which scores
+    epoch `at`; the message names the process that scored."""
     real = tr._eval_epoch
-    calls: dict[int, int] = {}  # process id -> `_eval_epoch` calls
+    calls = {"n": 0}
 
     def failing(*args):
-        epoch = calls.get(os.getpid(), 0)
-        calls[os.getpid()] = epoch + 1
+        epoch = calls["n"]
+        calls["n"] += 1
         if epoch == at:
             raise error(f"epoch {epoch} scored in process {os.getpid()}")
         return real(*args)
@@ -252,20 +236,41 @@ def fail_scoring_at(monkeypatch, at, error):
 
 
 class TestScoring:
-    """Each epoch is scored while the next one trains; the report and the
-    errors are those of scoring each epoch before the next one's steps."""
+    """Each epoch is scored in the training process right after its last
+    step, so an epoch's scoring errors come before the next one's steps."""
 
     def test_same_report_in_process(self, monkeypatch):
         data = quick_task()
         config = quick_config(epochs=4)
-        forked = tr.train(config, data)
+        pinned = tr.train(config, data)
         without_openblas(monkeypatch)
         local = tr.train(config, data)
-        assert local.history == forked.history
-        assert local.best_epoch == forked.best_epoch
-        assert local.test_acc == forked.test_acc
-        assert np.array_equal(local.final_model.params, forked.final_model.params)
-        assert local.final_model.normalization_scale == forked.final_model.normalization_scale
+        assert local.history == pinned.history
+        assert local.best_epoch == pinned.best_epoch
+        assert local.test_acc == pinned.test_acc
+        assert np.array_equal(local.final_model.params, pinned.final_model.params)
+        assert local.final_model.normalization_scale == pinned.final_model.normalization_scale
+
+    def test_train_starts_no_process(self, monkeypatch, tmp_path):
+        needs_openblas()
+
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        tr.train(quick_config(epochs=2), quick_task())
+        # the tests load `multiprocessing` themselves, so look in a fresh
+        # interpreter that only trains
+        code = ("import sys; from vpu.cli import main; "
+                f"assert main(['generate', '--out', {str(tmp_path)!r}, '--m', '60', "
+                "'--n', '240', '--n_test', '200']) == 0; "
+                f"assert main(['train', '--data', {str(tmp_path / 'dataset.csv')!r}, "
+                f"'--out', {str(tmp_path / 't')!r}, '--epochs', '2', '--hidden', '8,8']) == 0; "
+                "print('multiprocessing' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_no_child_after_return(self):
         tr.train(quick_config(epochs=2), quick_task())
@@ -308,21 +313,10 @@ class TestScoring:
 
     def test_other_errors_keep_type_and_message(self, scoring, monkeypatch):
         fail_scoring_at(monkeypatch, 2, ValueError)
-        with pytest.raises(ValueError, match=r"^epoch 2 scored in process \d+$") as info:
+        with pytest.raises(ValueError, match=rf"^epoch 2 scored in process {os.getpid()}$"):
             tr.train(quick_config(), quick_task())
-        scored_here = str(info.value).endswith(f" {os.getpid()}")
-        assert scored_here == (scoring == "in-process")
-
-    def test_worker_death_names_its_exit_code(self, monkeypatch):
-        needs_openblas()
-        kill_scoring_worker(monkeypatch, 7)
-        with pytest.raises(ChildProcessError, match="exited with code 7"):
-            tr.train(quick_config(), quick_task())
-        assert multiprocessing.active_children() == []
 
     def test_test_rows_scored_once(self, monkeypatch):
-        # counted in-process, where every scoring call is seen
-        without_openblas(monkeypatch)
         real = mt.accuracy
         calls = []
 
@@ -359,8 +353,8 @@ class TestScoring:
             set_(before)
 
     def test_same_reports_in_a_daemonic_pool_worker(self):
-        # a `multiprocessing.Pool` worker is daemonic and may not fork, so
-        # it scores in-process
+        # a `multiprocessing.Pool` worker is daemonic and may not start
+        # children; `train` starts none
         pool = multiprocessing.get_context("fork").Pool(1)
         try:
             pooled = pool.map(train_seed, [0, 1])
