@@ -36,15 +36,15 @@ def _openblas_threads():
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body with OpenBLAS on one thread, then restore its thread
-    count; yields whether the BLAS runs on one thread in the body."""
+    count; another BLAS runs the body as it is."""
     calls = _openblas_threads()
     if calls is None:
-        yield False
+        yield
         return
     get, set_ = calls
     before = get()
     set_(1)
     try:
-        yield get() == 1
+        yield
     finally:
         set_(before)

@@ -297,9 +297,10 @@ def _parse_rows(rows: list[list[str]], dim: int, has_label: bool,
     at a time, and the labels of their T rows to `labels`.
 
     The rules run over all rows at once, in this order: a known set tag,
-    the field count, numeric features, a label on every T row, and T labels
-    of +1 or -1.  The first rule that fails raises ValueError with the error
-    of a row that breaks it; for one row, that is the row's first error.
+    the field count, numeric features, finite features, a label on every T
+    row, and T labels of +1 or -1.  The first rule that fails raises
+    ValueError with the error of a row that breaks it; for one row, that is
+    the row's first error.
     """
     rows = [row for row in rows if row]
     if not rows:
@@ -318,6 +319,9 @@ def _parse_rows(rows: list[list[str]], dim: int, has_label: bool,
                              for col in columns[1:dim + 1]])
     except ValueError as exc:
         raise ValueError(f"bad number ({exc})") from None
+    if not np.isfinite(x).all():  # float() takes nan, inf and 1e400
+        row, col = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"feature {columns[1 + col][row]!r} is not finite")
     for tag in _SET_TAGS:
         mask = tags == tag
         if mask.any():

@@ -13,7 +13,6 @@ import pytest
 
 from vpu import autodiff as ad
 from vpu import losses as ls
-from vpu import metrics as mt
 from vpu import model as md
 from vpu import oracle as oc
 from vpu import trainer as tr
@@ -153,8 +152,7 @@ def test_criterion_7_consistency_at_desk_scale():
         start = time.time()
         data = _two_gaussian_task(seed)
         config = tr.TrainConfig(loss_spec=ls.LossSpec(), seed=seed)  # defaults
-        rep = tr.train(config, data)
-        acc = mt.accuracy(rep.final_model, data.test_x, data.test_y)
+        acc = tr.train(config, data).test_acc
         elapsed = time.time() - start
         worst_time = max(worst_time, elapsed)
         accs.append(acc)
@@ -176,8 +174,7 @@ def test_criterion_8_regularization_ablation():
             loss_spec=ls.LossSpec("vpu", variant, lam=lam, alpha=0.3),
             seed=seed, hidden_widths=(128, 128), epochs=100)
         rep = tr.train(config, data)
-        acc = mt.accuracy(rep.final_model, data.test_x, data.test_y)
-        return acc, rep.history[rep.best_epoch].val_lvar, rep.history[-1].val_lvar
+        return rep.test_acc, rep.history[rep.best_epoch].val_lvar, rep.history[-1].val_lvar
 
     msle_accs, none_accs, signatures = [], [], []
     for seed in range(10):

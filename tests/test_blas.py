@@ -30,6 +30,6 @@ def test_found_without_the_process_maps(monkeypatch):
     assert calls is not None
     get, set_ = calls
     before = get()
-    with blas.one_blas_thread() as one_thread:
-        assert one_thread and get() == 1
+    with blas.one_blas_thread():
+        assert get() == 1
     assert get() == before

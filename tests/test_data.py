@@ -349,8 +349,9 @@ class TestCsv:
     def test_non_finite_feature_names_file(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("set,x0,x1\nP,1.0,2.0\nU,nan,0.0\n")
-        with pytest.raises(ValueError, match="nan.csv: unlabeled holds a non-finite"):
+        with pytest.raises(ValueError) as err:
             dt.load_csv(str(path))
+        assert str(err.value) == f"{path}:3: feature 'nan' is not finite"
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "dim.csv"
@@ -431,6 +432,10 @@ class TestCsvErrorLines:
         ("T,1.0,2.0,\n", "test row without label"),
         ("T,1.0,2.0,one\n", "test label 'one' is not +1 or -1"),
         ("T,1.0,2.0,1.5\n", "test label '1.5' is not +1 or -1"),
+        ("T,1.0,inf,+1\n", "feature 'inf' is not finite"),
+        ("T,1e400,2.0,\n", "feature '1e400' is not finite"),
+        ("VU,-inf,2.0,\n", "feature '-inf' is not finite"),
+        ("VU,1.0,1e400,\n", "feature '1e400' is not finite"),
     ])
     def test_a_rule_gives_one_message_anywhere(self, tmp_path, long_csv, row, error):
         # each row breaks the rule named, and only rules after it: a chunk

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from vpu import autodiff as ad
+from vpu import blas
 from vpu import losses as ls
 from vpu import metrics as mt
 from vpu import model as md
-from vpu.blas import one_blas_thread
 from vpu.data import PuDataset
 
 from reference import as_tape_model, total_loss_live_target
@@ -320,8 +320,10 @@ class TestBlockScoring:
         # BLAS rounding depends on the CPU, the kernel and how the rows are
         # split between threads: the bits are asserted where the golden
         # outputs were recorded, on one thread, and closeness elsewhere
-        with one_blas_thread() as one_thread:
-            exact = one_thread and environment_fingerprint() == FINGERPRINT
+        with blas.one_blas_thread():
+            calls = blas._openblas_threads()
+            exact = (calls is not None and calls[0]() == 1
+                     and environment_fingerprint() == FINGERPRINT)
             for n in BLOCK_ROWS:
                 blocked = net.raw_values(x[:n])
                 one_pass = net.raw(net.params, x[:n]).value

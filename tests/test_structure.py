@@ -9,12 +9,14 @@ public function, class and method, so that `src/` holds no code that only
 the tests run.  Outputs of the generator are mixed in numpy in two places
 only: `sampling._mix` is read by `_take` and `_take_lockstep` alone.  Every
 dataclass is frozen, so a value, once built, is not changed behind its
-holder's back.  Every span name the benchmark reads names a function or
-method in the package.  Importing the command-line entry point loads no
-`multiprocessing`: no command starts a process.
+holder's back.  A small traced twin of each benchmark workload fails no
+command and measures every per-layer metric the workload runs.  Importing
+the command-line entry point loads no `multiprocessing`: no command starts
+a process.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -339,73 +341,52 @@ def test_unreferenced_code_is_found(tmp_path):
 
 BENCH = SRC.parent.parent / "bench"
 
+# Run in a fresh interpreter: importing `bench/run.py` sets the BLAS thread
+# variables, and the tracer patches the vpu modules; `-B` keeps bytecode out
+# of `bench/`, so the run writes only under its temporary directory.  Each
+# workload's twin keeps its flags and separation on fewer rows, epochs and
+# trials; one traced set-up and iteration of it must fail no command and
+# measure every per-layer metric the workload runs, which is what makes a
+# traced benchmark run correct.  A workload class with no twin here fails
+# the run.
+TRACED_TWINS = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from run import SPANS_PER_SECOND, import_program, per_layer
+import_program()
+from tracing import Summary, Tracer
+from workloads import WORKLOADS, Run, ToolkitWorkload, TrainWorkload
 
-def bench_span_names(bench: Path = BENCH) -> set[str]:
-    """The span names the benchmark reads, from the source of `run.py` and
-    `tracing.py`: each string passed to `inc.get` or `work.get`,
-    `oracle.suite_<s>` for each entry of `SUITES`, the keys of `MEASURES`,
-    `STEP`, and each string that `tracing.py` compares with `==`."""
-    names = set()
-    for file in ("run.py", "tracing.py"):
-        tree = ast.parse((bench / file).read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in ("inc", "work")
-                    and isinstance(node.args[0], ast.Constant)):
-                names.add(node.args[0].value)
-            elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-                target, value = node.targets[0].id, node.value
-                if target == "SUITES":
-                    names.update(f"oracle.suite_{s}" for s in ast.literal_eval(value))
-                elif target == "MEASURES":
-                    names.update(key.value for key in value.keys)
-                elif target == "STEP":
-                    names.add(value.value)
-            elif file == "tracing.py" and isinstance(node, ast.Compare):
-                names.update(c.value for c in [node.left, *node.comparators]
-                             if isinstance(c, ast.Constant) and isinstance(c.value, str)
-                             and isinstance(node.ops[0], ast.Eq))
-    return names
+def twin(w):
+    if type(w) is TrainWorkload:
+        return TrainWorkload(w.name, w.why, w.separation, m=60, train_flags=w.train_flags,
+                             epochs=2, n=240, n_test=200)
+    if type(w) is ToolkitWorkload:
+        return ToolkitWorkload(w.name, w.why, n_test=500, trials=20, m=60, n=240)
+    raise TypeError(f"no small twin of {w.name}, a {type(w).__name__}")
 
-
-def unresolved(names, src: Path = SRC) -> list[str]:
-    """The names, sorted, that are not `module.function` or
-    `module.Class.method` of a function defined in `src`."""
-    defined = set()
-    for path in src.glob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.add(f"{path.stem}.{node.name}")
-            elif isinstance(node, ast.ClassDef):
-                defined.update(f"{path.stem}.{node.name}.{m.name}" for m in node.body
-                               if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
-    return sorted(set(names) - defined)
+problems = {}
+for name, workload in WORKLOADS.items():
+    small, run = twin(workload), Run(os.path.join(sys.argv[2], name), seed=0)
+    tracer = Tracer(name, "twin", capacity=SPANS_PER_SECOND)
+    for kind, body in (("setup", small.setup), ("iteration", small.iteration)):
+        with tracer:
+            tracer.root(kind, lambda: body(run))
+    problems[name] = run.errors + [
+        f"metric {metric} was not measured" for metric, value in per_layer(Summary(tracer)).items()
+        if value is None and metric not in workload.idle_layers]
+print(json.dumps(problems))
+"""
 
 
-def test_bench_spans_resolve():
-    names = bench_span_names()
-    assert {"data.load_csv", "trainer.train", "autodiff.value_and_gradient",
-            "model.ClassifierModel.logits", "oracle.suite_l2_identity"} <= names
-    assert unresolved(names) == []
-
-
-def test_unresolved_spans_are_found(tmp_path):
-    (tmp_path / "run.py").write_text(
-        'SUITES = ("kl_identity", "gone")\n\n'
-        'def per_layer(inc, work, other):\n'
-        '    return (inc.get("data.load_csv"), work.get("data.load_cvs"),\n'
-        '            inc.get("metrics.Report.as_text"), other.get("not.read"))\n')
-    (tmp_path / "tracing.py").write_text(
-        'MEASURES = {"model.ClassifierModel.logits": None, "model.Missing.logits": None}\n'
-        'STEP = "autodiff.step"\n\n'
-        'def f(name):\n'
-        '    return name == "trainer.training" or name != "not.compared"\n')
-    names = bench_span_names(tmp_path)
-    assert unresolved(names) == [
-        "autodiff.step", "data.load_cvs", "metrics.Report.as_text",
-        "model.Missing.logits", "oracle.suite_gone", "trainer.training"]
-    assert {"data.load_csv", "model.ClassifierModel.logits", "oracle.suite_kl_identity"} <= names
+def test_traced_workloads_measure_every_layer(tmp_path):
+    done = subprocess.run([sys.executable, "-B", "-c", TRACED_TWINS, str(BENCH), str(tmp_path)],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    problems = json.loads(done.stdout.splitlines()[-1])
+    assert {"train-default", "train-ablation", "toolkit-io"} <= set(problems)
+    failed = {name: found for name, found in problems.items() if found}
+    assert not failed, failed
 
 
 def test_cli_import_loads_no_multiprocessing():
