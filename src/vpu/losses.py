@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .sampling import MIN_BETA_SHAPE
 
 OBJECTIVES = ("vpu", "vpu_l2", "upu", "nnpu")
 REG_VARIANTS = ("msle_mixup_pu", "none", "msle_mixup_p_only",
@@ -33,8 +34,9 @@ _PU_TARGET_VARIANTS = ("msle_mixup_pu", "mse_mixup_pu")  # each P row mixed with
 class LossSpec:
     """Which objective and regularizer to train, with their constants.
 
-    `alpha` is both the Beta shape for MixUp draws and the margin constant
-    of the large-margin regularizer.  `pi_p` is required exactly for the
+    `alpha` is both the Beta shape for MixUp draws, at least
+    `sampling.MIN_BETA_SHAPE`, and the margin constant of the large-margin
+    regularizer, any positive value.  `pi_p` is required exactly for the
     baseline objectives (upu, nnpu) and must be absent otherwise.
     """
 
@@ -53,6 +55,8 @@ class LossSpec:
             raise ValueError("lambda must be finite and >= 0")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be finite and > 0")
+        if self.needs_gamma and self.alpha < MIN_BETA_SHAPE:
+            raise ValueError(f"alpha must be >= {MIN_BETA_SHAPE:g} as the MixUp Beta shape")
         if not self.variational and (self.pi_p is None or not 0.0 < self.pi_p < 1.0):
             raise ValueError("baseline objectives require pi_p in (0, 1)")
         if self.variational and self.pi_p is not None:
@@ -93,28 +97,25 @@ def _rotate(a: np.ndarray) -> np.ndarray:
 
 
 def mixup_consistency_reg(model, theta, xp: np.ndarray, xu: np.ndarray, phi_u, gamma,
-                          variant: str = "msle_mixup_pu",
-                          target_stop_gradient: bool = True) -> ad.Tensor:
+                          variant: str) -> ad.Tensor:
     """MixUp consistency regularizer in one of its ablation variants: the
     mean squared gap between a guessed target and the network's output at
     mixed points, in logs (msle) or plain (mse).
 
     `xp` and `xu` are the positive and unlabeled rows.  The pu and pupu
-    variants label each unlabeled row by its output in `phi_u`, which is
-    ``model.raw(theta, xu)`` or None to forward `xu` here; p_only ignores
-    it.  `gamma` is the batch's one mixing weight.  Pairing is positional;
-    the randomness comes from batch sampling.  The pupu variant pairs the
-    concatenated rows with their rotation, so both endpoints range over
-    positives (label 1) and unlabeled points.
+    variants label each unlabeled row by its output in `phi_u`: plain values
+    make a fixed target, as in training, and a Tensor (``model.raw(theta,
+    xu)``) a target that is differentiated too; p_only reads no `phi_u`
+    (None will do).  Only the mixed points are forwarded.  `gamma` is the
+    batch's one mixing weight.  Pairing is positional; the randomness comes
+    from batch sampling.  The pupu variant pairs the concatenated rows with
+    their rotation, so both endpoints range over positives (label 1) and
+    unlabeled points.
     """
     if variant not in _MIXUP_VARIANTS:
         raise ValueError(f"not a mixup variant: {variant!r}")
     t = ad.as_tensor(theta)
     g = float(gamma)
-    if variant != "msle_mixup_p_only":
-        phi_u = model.raw(t, xu) if phi_u is None else ad.as_tensor(phi_u)
-        if target_stop_gradient:
-            phi_u = phi_u.value
 
     if variant in _PU_TARGET_VARIANTS:
         if xp.shape != xu.shape:
@@ -183,7 +184,7 @@ def total_loss(spec: LossSpec, model, theta, xp: np.ndarray, xu: np.ndarray,
     The objective forwards each set of rows once, positives first (margins
     for the baselines, sigmoid outputs otherwise).  The regularizers reuse
     those outputs: the large-margin term reads the positive ones, and the
-    MixUp target the unlabeled ones, with its gradient stopped; only the
+    MixUp target the values of the unlabeled ones, a fixed label; only the
     MixUp points are forwarded on top.  Baseline objectives (upu, nnpu)
     ignore the regularizer entirely.
     """
@@ -202,5 +203,5 @@ def total_loss(spec: LossSpec, model, theta, xp: np.ndarray, xu: np.ndarray,
     else:
         if gamma is None:
             raise ValueError("mixup regularizers need a gamma draw")
-        reg = mixup_consistency_reg(model, t, xp, xu, phi_u, gamma, spec.reg_variant)
+        reg = mixup_consistency_reg(model, t, xp, xu, phi_u.value, gamma, spec.reg_variant)
     return base + spec.lam * reg

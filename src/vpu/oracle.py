@@ -343,18 +343,18 @@ def _coins(rngs) -> np.ndarray:
     return _as_uniform(_take_lockstep(1, rngs)) < 0.5
 
 
-def suite_kl_identity(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
+def suite_kl_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     def check(rngs):
-        instances = random_instances(rngs, k_max, anchor=_coins(rngs))
+        instances = random_instances(rngs, anchor=_coins(rngs))
         for (t, d), phi in zip(instances, _per_point(instances, rngs)):
             yield t, d, phi, kl_identity_residual(d, phi)
 
     return _run_suite("kl_identity", trials, seed, check, 1e-10)
 
 
-def suite_kl_nonnegative(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
+def suite_kl_nonnegative(trials: int = 1000, seed: int = 0) -> SuiteResult:
     def check(rngs):
-        instances = random_instances(rngs, k_max)
+        instances = random_instances(rngs)
         for (t, d), phi in zip(instances, _per_point(instances, rngs)):
             gap = exact_lvar(d, phi) - exact_lvar(d, bayes_posterior(d))
             yield t, d, phi, np.maximum(0.0, -gap)
@@ -362,14 +362,14 @@ def suite_kl_nonnegative(trials: int = 1000, seed: int = 0, k_max: int = 32) -> 
     return _run_suite("kl_nonnegative", trials, seed, check, 1e-12)
 
 
-def suite_scale_invariance(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
+def suite_scale_invariance(trials: int = 1000, seed: int = 0) -> SuiteResult:
     scales = np.array([1.0, 0.1, 0.5, 0.9])[:, None, None]  # the base, then each c
 
     def sizes(rngs):
         return 4 + _randbelow_lockstep(np.full(len(rngs), 29), rngs)
 
     def check(rngs):
-        instances = random_instances(rngs, k_max)
+        instances = random_instances(rngs)
         phis = _per_point(instances, rngs)
         runs_p = _uniform_runs(sizes(rngs), rngs)
         runs_u = _uniform_runs(sizes(rngs), rngs)
@@ -388,9 +388,9 @@ def suite_scale_invariance(trials: int = 1000, seed: int = 0, k_max: int = 32) -
     return _run_suite("scale_invariance", trials, seed, check, 1e-10)
 
 
-def suite_minimizer_family(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
+def suite_minimizer_family(trials: int = 1000, seed: int = 0) -> SuiteResult:
     def check(rngs):
-        for t, d in random_instances(rngs, k_max, anchor=True):
+        for t, d in random_instances(rngs, anchor=True):
             phi = exact_minimizer(d)
             scaled = phi / phi.max(axis=-1, keepdims=True)
             yield t, d, None, np.max(np.abs(scaled - bayes_posterior(d)), axis=-1)
@@ -398,9 +398,9 @@ def suite_minimizer_family(trials: int = 1000, seed: int = 0, k_max: int = 32) -
     return _run_suite("minimizer_family", trials, seed, check, 1e-9)
 
 
-def suite_bias_bound(trials: int = 1000, seed: int = 0, k_max: int = 16) -> SuiteResult:
+def suite_bias_bound(trials: int = 1000, seed: int = 0) -> SuiteResult:
     def check(rngs):
-        instances = random_instances(rngs, k_max, anchor=_coins(rngs))
+        instances = random_instances(rngs, 16, anchor=_coins(rngs))
         for (t, d), u in zip(instances, _per_point(instances, rngs, lo=0.0)):
             labeled = _biased_labeled(d, u)
             lhs, bound, holds = theorem3_check(d, labeled)
@@ -409,9 +409,9 @@ def suite_bias_bound(trials: int = 1000, seed: int = 0, k_max: int = 16) -> Suit
     return _run_suite("bias_bound", trials, seed, check, 1e-12)
 
 
-def suite_irreducibility(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
+def suite_irreducibility(trials: int = 1000, seed: int = 0) -> SuiteResult:
     def check(rngs):
-        for t, d in random_instances(rngs, k_max, anchor=_coins(rngs)):
+        for t, d in random_instances(rngs, anchor=_coins(rngs)):
             via_ratio = check_irreducibility(d, 1e-9)
             via_posterior = bayes_posterior(d).max(axis=-1) >= posterior_threshold(d.pi_p, 1e-9)
             yield t, d, None, np.where(via_ratio == via_posterior, 0.0, 1.0)
@@ -419,9 +419,9 @@ def suite_irreducibility(trials: int = 1000, seed: int = 0, k_max: int = 32) -> 
     return _run_suite("irreducibility_equiv", trials, seed, check, 0.5)
 
 
-def suite_l2_identity(trials: int = 1000, seed: int = 0, k_max: int = 32) -> SuiteResult:
+def suite_l2_identity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     def check(rngs):
-        instances = random_instances(rngs, k_max)
+        instances = random_instances(rngs)
         for (t, d), phi in zip(instances, _per_point(instances, rngs)):
             yield t, d, phi, l2_identity_residual(d, phi)
 

@@ -147,7 +147,8 @@ def _eval_epoch(model: md.ClassifierModel, values: np.ndarray, data: PuDataset,
 def _eval_reg(current: md.ClassifierModel, data: PuDataset,
               spec: ls.LossSpec) -> float:
     """Reporting-only regularizer value on the validation split (gamma fixed
-    at 0.5 so the curve is deterministic); 0 when no regularizer applies."""
+    at 0.5 so the curve is deterministic); 0 when no regularizer applies.
+    The MixUp target is the values of the first k unlabeled rows."""
     if not spec.variational or spec.reg_variant == "none":
         return 0.0
     theta = current.params
@@ -156,8 +157,8 @@ def _eval_reg(current: md.ClassifierModel, data: PuDataset,
         reg = ls.large_margin_values(current.raw(theta, vp), spec.alpha)
     else:
         k = min(vp.shape[0], vu.shape[0])
-        reg = ls.mixup_consistency_reg(current, theta, vp[:k], vu[:k], None, 0.5,
-                                       spec.reg_variant)
+        reg = ls.mixup_consistency_reg(current, theta, vp[:k], vu[:k],
+                                       current.raw_values(vu[:k]), 0.5, spec.reg_variant)
     return float(reg.value)
 
 

@@ -341,8 +341,8 @@ def total_loss_two_forwards(spec, model, theta, xp, xu, gamma=None,
 
 def total_loss_live_target(spec, model, theta, xp, xu, gamma=None) -> ad.Tensor:
     """`losses.total_loss` with the MixUp target left differentiable: the
-    same forwards, heads and order, and the regularizer called with
-    `target_stop_gradient=False`."""
+    same forwards, heads and order, and the regularizer handed the unlabeled
+    outputs as a Tensor rather than as their values."""
     if not spec.variational or spec.reg_variant in ("none", "large_margin") \
             or spec.lam == 0.0:
         return ls.total_loss(spec, model, theta, xp, xu, gamma)
@@ -350,6 +350,5 @@ def total_loss_live_target(spec, model, theta, xp, xu, gamma=None) -> ad.Tensor:
     phi_p, phi_u = model.raw(t, xp), model.raw(t, xu)
     head = ls.variational_loss_values if spec.objective == "vpu" else ls.l2_variational_loss_values
     base = head(phi_p, phi_u)
-    reg = ls.mixup_consistency_reg(model, t, xp, xu, phi_u, gamma, spec.reg_variant,
-                                   target_stop_gradient=False)
+    reg = ls.mixup_consistency_reg(model, t, xp, xu, phi_u, gamma, spec.reg_variant)
     return base + spec.lam * reg

@@ -32,7 +32,7 @@ def report(number, name, ok, detail=""):
 
 def test_criterion_1_kl_identity():
     start = time.time()
-    result = oc.suite_kl_identity(trials=1000, seed=0, k_max=32)
+    result = oc.suite_kl_identity(trials=1000, seed=0)
     elapsed = time.time() - start
     ok = result.passed and result.worst_residual <= 1e-10 and elapsed < 10.0
     report(1, "KL identity on 1000 exact instances", ok,
@@ -40,14 +40,14 @@ def test_criterion_1_kl_identity():
 
 
 def test_criterion_2_scale_invariance():
-    result = oc.suite_scale_invariance(trials=1000, seed=0, k_max=32)
+    result = oc.suite_scale_invariance(trials=1000, seed=0)
     ok = result.passed and result.worst_residual <= 1e-10
     report(2, "scale invariance, exact and empirical", ok,
            f"worst={result.worst_residual:.2e}")
 
 
 def test_criterion_3_minimizer_family():
-    result = oc.suite_minimizer_family(trials=1000, seed=0, k_max=32)
+    result = oc.suite_minimizer_family(trials=1000, seed=0)
     ok = result.passed and result.worst_residual <= 1e-9
     report(3, "max-normalized minimizer equals posterior", ok,
            f"worst={result.worst_residual:.2e}")
@@ -55,7 +55,7 @@ def test_criterion_3_minimizer_family():
 
 def test_criterion_4_bias_bound():
     start = time.time()
-    result = oc.suite_bias_bound(trials=1000, seed=0, k_max=16)
+    result = oc.suite_bias_bound(trials=1000, seed=0)
     elapsed = time.time() - start
     ok = result.passed and elapsed < 10.0
     report(4, "selection-bias excess-risk bound", ok,
@@ -63,7 +63,7 @@ def test_criterion_4_bias_bound():
 
 
 def test_criterion_5_irreducibility_equivalence():
-    result = oc.suite_irreducibility(trials=1000, seed=0, k_max=32)
+    result = oc.suite_irreducibility(trials=1000, seed=0)
     report(5, "anchor criterion equals posterior criterion", result.passed,
            f"disagreements={result.failures}")
 
@@ -78,13 +78,13 @@ LOSS_VARIANTS = {
         m.logits(t, xp), m.logits(t, xu), 0.4)),
     "reg_large_margin": lambda m, xp, xu: (lambda t: ls.large_margin_values(m.raw(t, xp), 0.3)),
     "reg_msle_mixup_pu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
-        m, t, xp, xu, m.raw(t, xu), 0.3, "msle_mixup_pu", target_stop_gradient=False)),
+        m, t, xp, xu, m.raw(t, xu), 0.3, "msle_mixup_pu")),
     "reg_msle_mixup_p_only": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
         m, t, xp, xu, None, 0.3, "msle_mixup_p_only")),
     "reg_msle_mixup_pupu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
-        m, t, xp, xu, None, 0.3, "msle_mixup_pupu", target_stop_gradient=False)),
+        m, t, xp, xu, m.raw(t, xu), 0.3, "msle_mixup_pupu")),
     "reg_mse_mixup_pu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
-        m, t, xp, xu, m.raw(t, xu), 0.3, "mse_mixup_pu", target_stop_gradient=False)),
+        m, t, xp, xu, m.raw(t, xu), 0.3, "mse_mixup_pu")),
 }
 
 

@@ -254,6 +254,7 @@ class TestTrain:
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["train", "--alpha", "nan"], "finite", id="nan-alpha"),
         pytest.param(["train", "--alpha", "inf"], "finite", id="inf-alpha"),
+        pytest.param(["train", "--alpha", "1e-300"], "alpha", id="tiny-alpha"),
         pytest.param(["train", "--lambda", "nan"], "finite", id="nan-lambda"),
         pytest.param(["train", "--lambda", "inf"], "finite", id="inf-lambda"),
         pytest.param(["train", "--val_fraction", "0"], "(0, 1)", id="zero-val_fraction"),
@@ -299,9 +300,9 @@ class TestTrain:
     ])
     def test_non_finite_constant_is_usage_error(self, tmp_path, capsys, argv, message):
         # every bad config value or input exits 2 before any work, naming
-        # the bad file: --alpha nan used to hang in the Beta sampler, others
-        # ended in a traceback (exit 1), failed late as numeric errors
-        # (exit 3), were accepted, or named no file
+        # the bad file: --alpha nan or 1e-300 used to hang in the Beta
+        # sampler, others ended in a traceback (exit 1), failed late as
+        # numeric errors (exit 3), were accepted, or named no file
         command, *flags = argv
         dataset = make_dataset(tmp_path)
         rows = dataset.read_text().splitlines()

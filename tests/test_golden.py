@@ -8,7 +8,13 @@ the environment they were recorded in (see `FINGERPRINT`).  A change to one
 of these digests is a change of output and must be recorded as one.
 """
 
+import ast
+import ctypes
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,9 +78,11 @@ def test_initial_model(tmp_path):
 # Trained outputs go through np.exp / np.log (numpy's SIMD kernels) and the
 # BLAS, whose kernels depend on the CPU and the matrix shape: their digests
 # are asserted only in the environment they were recorded in, and elsewhere
-# two runs must still give the same bytes.
+# two runs must still give the same bytes.  The same OpenBLAS picks another
+# kernel on another CPU, or as `OPENBLAS_CORETYPE` says: under Haswell's, 7
+# of these tests gave other digests than under SkylakeX's.
 FINGERPRINT = ("2.4.6", "scipy-openblas 0.3.31.188.0",
-               ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+               ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"), "SkylakeX")
 
 TRAIN = ["--epochs", "3", "--batch_size", "40"]
 TRAINED_FILES = ("model.txt", "history.csv", "metrics.csv")
@@ -137,16 +145,44 @@ SWEEP = ["--lambda_grid", "0.1,0.3"]
 SWEEP_DIGEST = "241eec81ae6a06b94086e1a9925bdf0bf82393ecbfbee8c18c6a07d113977082"
 
 
+def openblas_kernel():
+    """The name of the kernel numpy's scipy-openblas runs, or None (another
+    BLAS); looked up on numpy's core extension, as `vpu.blas` does."""
+    core = np._core if int(np.__version__.split(".")[0]) >= 2 else np.core
+    get = getattr(ctypes.CDLL(core._multiarray_umath.__file__),
+                  "scipy_openblas_get_corename64_", None)
+    if get is None:
+        return None
+    get.restype = ctypes.c_char_p
+    get.argtypes = []
+    return get().decode()
+
+
 def environment_fingerprint():
-    """numpy version, BLAS name and version, and the SIMD features numpy
-    dispatches to on this CPU; None where numpy cannot report them."""
+    """numpy version, BLAS name and version, the SIMD features numpy
+    dispatches to on this CPU, and the OpenBLAS kernel; None where numpy
+    cannot report them."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.25 only prints its configuration
         return None
     blas = config.get("Build Dependencies", {}).get("blas", {})
     return (np.__version__, f"{blas.get('name')} {blas.get('version')}",
-            tuple(config.get("SIMD Extensions", {}).get("found", ())))
+            tuple(config.get("SIMD Extensions", {}).get("found", ())), openblas_kernel())
+
+
+def test_fingerprint_names_the_openblas_kernel():
+    if environment_fingerprint() is None or openblas_kernel() is None:
+        pytest.skip("no fingerprint, or no OpenBLAS that names its kernel")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join([str(tests), str(tests.parent / "src")])}
+    code = "import test_golden; print(repr(test_golden.environment_fingerprint()))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    fingerprint = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert fingerprint[-1] == "Haswell"
+    assert fingerprint != FINGERPRINT
 
 
 @pytest.fixture(scope="module")

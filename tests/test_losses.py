@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vpu import autodiff as ad
 from vpu import losses as ls
 from vpu import model as md
+from vpu import sampling as sp
 
 from reference import bits, mixup_penalty, total_loss_live_target, total_loss_two_forwards
 
@@ -134,24 +135,8 @@ class TestMixupReg:
         x = np.zeros((3, 2))
         for variant in ("msle_mixup_pu", "msle_mixup_p_only", "msle_mixup_pupu",
                         "mse_mixup_pu"):
-            reg = ls.mixup_consistency_reg(m, m.params, x, x, None, 0.5, variant)
+            reg = ls.mixup_consistency_reg(m, m.params, x, x, m.raw_values(x), 0.5, variant)
             assert value(reg) == 0.0, variant
-
-    @pytest.mark.parametrize("stop", [True, False])
-    @pytest.mark.parametrize("variant", ["msle_mixup_pu", "mse_mixup_pu"])
-    def test_forwards_unlabeled_rows_when_not_given(self, net, batches, variant, stop):
-        # phi_u=None: the regularizer forwards xu itself, with the bits of
-        # being handed model.raw(theta, xu)
-        xp, xu = batches
-
-        def value_and_grad(phi_u_of):
-            return ad.value_and_gradient(lambda th: ls.mixup_consistency_reg(
-                net, th, xp, xu, phi_u_of(th), 0.4, variant, stop), net.params)
-
-        v_none, g_none = value_and_grad(lambda th: None)
-        v_given, g_given = value_and_grad(lambda th: net.raw(th, xu))
-        assert bits(v_none) == bits(v_given)
-        assert np.array_equal(bits(g_none), bits(g_given))
 
     def test_underestimation_blows_up(self):
         # (log 0.9 - log 1e-12)^2 =~ 757: the msle penalty explodes as phi -> 0
@@ -181,10 +166,9 @@ class TestMixupReg:
         xp, xu = batches
         theta = ad.Tensor(net.params)
         phi_u = net.raw(theta, xu)
-        frozen = ls.mixup_consistency_reg(net, theta, xp, xu, phi_u, 0.4, "msle_mixup_pu")
-        # same value as the non-stop variant, but the target subtree is constant
-        live = ls.mixup_consistency_reg(net, theta, xp, xu, phi_u, 0.4, "msle_mixup_pu",
-                                        target_stop_gradient=False)
+        # an array target: the same value as a Tensor target, but constant
+        frozen = ls.mixup_consistency_reg(net, theta, xp, xu, phi_u.value, 0.4, "msle_mixup_pu")
+        live = ls.mixup_consistency_reg(net, theta, xp, xu, phi_u, 0.4, "msle_mixup_pu")
         assert value(frozen) == pytest.approx(value(live), abs=1e-15)
 
     def test_p_only_targets_one(self, net):
@@ -285,6 +269,17 @@ class TestLossSpec:
     def test_rejects_non_finite_constants(self, key, value):
         with pytest.raises(ValueError):
             ls.LossSpec(**{key: value})
+
+    def test_mixup_alpha_floor(self):
+        # a MixUp Beta shape below the sampler's floor is rejected up front;
+        # the large-margin constant and regularizers that draw no Beta take
+        # any positive alpha
+        with pytest.raises(ValueError, match="alpha"):
+            ls.LossSpec(alpha=1e-300)
+        assert ls.LossSpec(alpha=sp.MIN_BETA_SHAPE).alpha == sp.MIN_BETA_SHAPE
+        for reg in ("large_margin", "none"):
+            assert ls.LossSpec(reg_variant=reg, alpha=1e-300).alpha == 1e-300
+        ls.LossSpec("nnpu", "msle_mixup_pu", alpha=1e-300, pi_p=0.5)
 
 
 class TestL2Loss:
@@ -419,13 +414,13 @@ class TestGradientsAgainstFiniteDiff:
             m.logits(t, xp), m.logits(t, xu), 0.4)),
         "large_margin": lambda m, xp, xu: (lambda t: ls.large_margin_values(m.raw(t, xp), 0.3)),
         "msle_mixup_pu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
-            m, t, xp, xu, m.raw(t, xu), 0.3, "msle_mixup_pu", target_stop_gradient=False)),
+            m, t, xp, xu, m.raw(t, xu), 0.3, "msle_mixup_pu")),
         "msle_mixup_p_only": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
             m, t, xp, xu, None, 0.3, "msle_mixup_p_only")),
         "msle_mixup_pupu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
-            m, t, xp, xu, None, 0.3, "msle_mixup_pupu", target_stop_gradient=False)),
+            m, t, xp, xu, m.raw(t, xu), 0.3, "msle_mixup_pupu")),
         "mse_mixup_pu": lambda m, xp, xu: (lambda t: ls.mixup_consistency_reg(
-            m, t, xp, xu, m.raw(t, xu), 0.3, "mse_mixup_pu", target_stop_gradient=False)),
+            m, t, xp, xu, m.raw(t, xu), 0.3, "mse_mixup_pu")),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -455,7 +450,7 @@ class TestGradientsAgainstFiniteDiff:
         fd = ad.finite_diff_gradient(fn, m.params, 1e-6)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
         full = ad.gradient(lambda th: ls.mixup_consistency_reg(
-            m, th, xp, xu, m.raw(th, xu), 0.4, "msle_mixup_pu"), m.params)
+            m, th, xp, xu, m.raw(th, xu).value, 0.4, "msle_mixup_pu"), m.params)
         assert np.array_equal(g, full)
 
     def test_full_vpu_loss_seed7(self):

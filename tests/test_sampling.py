@@ -78,6 +78,9 @@ class TestBeta:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             sp.sample_beta(0.0, sp.Rng(0))
+        # its Gamma variates underflow to 0 on every attempt: it never returned
+        with pytest.raises(ValueError, match="0.001"):
+            sp.sample_beta(1e-300, sp.Rng(0))
 
     @pytest.mark.parametrize("shape", [math.nan, math.inf])
     def test_rejects_non_finite_shape(self, shape):
@@ -380,7 +383,7 @@ class TestMixupPairs:
     @staticmethod
     def reg(model, xp, xu, gamma, variant="msle_mixup_pu"):
         theta = model.params
-        return ls.mixup_consistency_reg(model, theta, xp, xu, model.raw(theta, xu),
+        return ls.mixup_consistency_reg(model, theta, xp, xu, model.raw(theta, xu).value,
                                         gamma, variant)
 
     def pairs(self, model, xp, xu, gamma):

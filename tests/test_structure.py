@@ -6,13 +6,15 @@ generator: none imports `random` or uses `numpy.random`.  Nothing is left
 over: a module uses every name it imports, every `_`-prefixed
 module-level name is referenced somewhere in the package, and so is every
 public function, class and method, so that `src/` holds no code that only
-the tests run.  Outputs of the generator are mixed in numpy in two places
-only: `sampling._mix` is read by `_take` and `_take_lockstep` alone.  Every
-dataclass is frozen, so a value, once built, is not changed behind its
-holder's back.  A small traced twin of each benchmark workload fails no
-command and measures every per-layer metric the workload runs.  Importing
-the command-line entry point loads no `multiprocessing`: no command starts
-a process.
+the tests run.  Nor does it hold a knob that only the tests turn: every
+parameter with a default, of a function that `src/` calls by name, is passed
+by one of those calls (`cli.main`, the entry point, aside).  Outputs of the
+generator are mixed in numpy in two places only: `sampling._mix` is read by
+`_take` and `_take_lockstep` alone.  Every dataclass is frozen, so a value,
+once built, is not changed behind its holder's back.  A small traced twin
+of each benchmark workload fails no command and measures every per-layer
+metric the workload runs.  Importing the command-line entry point loads no
+`multiprocessing`: no command starts a process.
 """
 
 import ast
@@ -20,7 +22,7 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -337,6 +339,82 @@ def test_unreferenced_code_is_found(tmp_path):
                                    "def _private():\n    pass\n\nx = Box()\n"
                                    "y = a.by_attribute\n")
     assert unreferenced(tmp_path, ("a.oracle",)) == ["a.planted", "a.Box.put"]
+
+
+def unpassed_parameters(src: Path = SRC, exempt=("cli.main",)) -> list[str]:
+    """`module.function(parameter)` (or `module.Class.method(parameter)`,
+    nested functions by their path) of each parameter with a default, of a
+    function or method that `src` calls by name (dunders aside), that no
+    such call passes: by keyword, by position (after `self` or `cls` for a
+    method called as an attribute) or through `*` or `**`; names in `exempt`
+    aside.  Every call of that name counts, whatever it resolves to.  A
+    function that `src` reaches only through a table (`oracle.ALL_SUITES`,
+    `cli.HANDLERS`) is called by no name and is out of this check's reach."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    calls = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls[getattr(node.func, "id", getattr(node.func, "attr", None))].append(node)
+    found = []
+
+    def check(fn, where, offset):
+        if (fn.name.startswith("__") and fn.name.endswith("__")) or where in exempt:
+            return
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            p for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if not defaulted or not calls[fn.name]:
+            return
+        passed = set()
+        for call in calls[fn.name]:
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                return
+            passed.update(p.arg for p in positional[offset:offset + len(call.args)])
+            passed.update(k.arg for k in call.keywords)
+        found.extend(f"{where}({p.arg})" for p in defaulted if p.arg not in passed)
+
+    def visit(node, where, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{where}.{child.name}", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                check(child, f"{where}.{child.name}", int(in_class and not static))
+                visit(child, f"{where}.{child.name}", False)
+            else:
+                visit(child, where, in_class)
+
+    for module, tree in trees.items():
+        visit(tree, module, False)
+    return found
+
+
+def test_no_test_only_parameters():
+    assert unpassed_parameters() == []
+
+
+def test_test_only_parameters_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, flag=False, *, k=1, both=2):\n    return x\n\n"
+        "def g(x, y=0, z=0):\n    return f(x, k=y)\n\n"
+        "def table_only(x, knob=3):\n    return x\n\n"
+        "def main(argv=None):\n    return g(1, 2) + f(0, both=1)\n\n"
+        "class Box:\n    def __init__(self, size=1):\n        self.size = size\n\n"
+        "    def put(self, item, where=0, how=0):\n        return item\n\n"
+        "    @staticmethod\n    def make(n=1, m=2):\n"
+        "        def inner(q=0):\n            return q\n        return inner()\n\n"
+        "    def spread(self, a=0, b=0):\n        return a\n\n"
+        "TABLE = (table_only,)\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import Box\n\nbox = Box()\nbox.put(1, 2)\nBox.make(5)\n"
+        "box.spread(**{'a': 1})\n")
+    assert unpassed_parameters(tmp_path, ("a.main",)) == [
+        "a.f(flag)", "a.g(z)", "a.Box.put(how)", "a.Box.make(m)", "a.Box.make.inner(q)"]
 
 
 BENCH = SRC.parent.parent / "bench"
